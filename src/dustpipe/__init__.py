@@ -47,7 +47,6 @@ from .model3d import (
     init_params,
     load_checkpoint,
     predict,
-    predict_batched,
     save_checkpoint,
     shape_ledger,
 )
@@ -82,7 +81,6 @@ from .training import (
     adam_step,
     compute_metrics,
     evaluate,
-    plateau_lr,
     train,
     wmse_loss,
 )

@@ -20,7 +20,7 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,11 +112,16 @@ class DatasetManifest:
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-        if not isinstance(raw, dict) or "entries" not in raw:
+        if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
             raise FormatError(f"{path}: manifest must be an object with an 'entries' list")
         base = path.parent
         entries = []
-        for e in raw["entries"]:
+        for i, e in enumerate(raw["entries"]):
+            if not (isinstance(e, dict) and isinstance(e.get("granule"), str)
+                    and isinstance(e.get("labels"), str)):
+                raise FormatError(
+                    f"{path}: entry {i} must be an object with 'granule' and 'labels' paths"
+                )
             g = Path(e["granule"])
             l = Path(e["labels"])
             # relative paths resolve against the manifest's directory
@@ -384,8 +389,3 @@ def _synthesize_granule(rng, height, width, channels, cfg: SyntheticConfig):
         data[holes] = np.nan
 
     return data, labels
-
-
-def with_config(cfg: SyntheticConfig, **kwargs) -> SyntheticConfig:
-    """Return a copy of ``cfg`` with the given fields replaced."""
-    return replace(cfg, **kwargs)

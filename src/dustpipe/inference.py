@@ -2,9 +2,10 @@
 
 Every interior pixel (at least half a patch away from each edge) gets the
 eval-mode network output for the patch centered on it; the border band where
-no full patch fits is a NaN sentinel rather than fabricated padding.  Each
-pixel is computed independently of how pixels are grouped into batches, so
-maps are bitwise identical for any batch size and worker count.
+no full patch fits is a NaN sentinel rather than fabricated padding.  Pixels
+go through ``predict``, whose output for a patch does not depend on how
+patches are grouped into batches, so maps are bitwise identical for any
+batch size.
 
 Map container layout (little-endian):
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from .model3d import ModelParams, predict
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
-THREADS_ENV = "DUSTPIPE_THREADS"
 
 
 @dataclass
@@ -53,27 +52,14 @@ class DetectionMap:
         return self.values.shape[1]
 
 
-def worker_count() -> int:
-    """Worker cap from the environment; 0 or unset means one per CPU."""
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    if n < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def infer_scene(params: ModelParams, granule: Granule,
                 patch_size: int | None = None,
                 batch_size: int = 256) -> DetectionMap:
     """Slide the model over every interior pixel of a preprocessed granule.
 
     The granule must be finite in [0, 1] with the channel count the
-    checkpoint was trained on.  Pixels are processed in chunks of
-    ``batch_size`` (possibly across threads), but each prediction is
-    computed per-sample, so the result does not depend on either knob.
+    checkpoint was trained on.  Patches are gathered in chunks of
+    ``batch_size`` pixels; the result does not depend on it.
     """
     cfg = params.config
     p = cfg.patch_size if patch_size is None else patch_size
@@ -105,23 +91,12 @@ def infer_scene(params: ModelParams, granule: Granule,
     xs = xx.ravel()
     offs = np.arange(-h, h + 1)
 
-    def run_chunk(start: int) -> None:
+    for start in range(0, len(ys), batch_size):
         cy = ys[start:start + batch_size]
         cx = xs[start:start + batch_size]
         win = data[:, (cy[:, None, None] + offs[None, :, None]),
                       (cx[:, None, None] + offs[None, None, :])]
-        patches = np.ascontiguousarray(win.transpose(1, 0, 2, 3))
-        out[cy, cx] = predict(params, patches)
-
-    starts = range(0, len(ys), batch_size)
-    n_workers = min(worker_count(), len(starts))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # chunks write disjoint pixels, so concurrent writes never collide
-            list(pool.map(run_chunk, starts))
-    else:
-        for start in starts:
-            run_chunk(start)
+        out[cy, cx] = predict(params, win.transpose(1, 0, 2, 3))
     return DetectionMap(out)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import BadMagicError, FormatError, ShapeMismatchError, TruncatedFileError
@@ -29,6 +30,9 @@ from .errors import BadMagicError, FormatError, ShapeMismatchError, TruncatedFil
 CHECKPOINT_MAGIC = b"DCK1"
 KERNEL = 3
 POOL = 2
+# patches per eval forward in ``predict``: throughput is flat from 8 to 32
+# and falls beyond, while peak memory grows with the tile
+EVAL_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -108,18 +112,28 @@ def init_params(seed: int, config: ModelConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                   per_sample: bool = False):
     """Same-padded 3x3x3 convolution via an im2col matrix product.
 
     Column order is channel-major then depth, row, col, which fixes the
-    logical accumulation order of every output element.
+    logical accumulation order of every output element.  With
+    ``per_sample`` the product is a stacked matmul, one BLAS call per
+    sample with the same (M, K, N) for any batch size, so each sample's
+    output is independent of the batch it travels in; otherwise one GEMM
+    covers the whole batch (faster at training batch sizes, but the BLAS
+    may block the reduction differently as the batch grows).
     """
     b, cin, d, h, w = x.shape
     cout = weight.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (KERNEL,) * 3, axis=(2, 3, 4))
-    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b * d * h * w, cin * KERNEL ** 3)
-    out = cols @ weight.reshape(cout, -1).T
+    xp = np.zeros((b, cin, d + 2, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1, 1:-1] = x
+    sb, sc, sd, sh, sw = xp.strides
+    win = as_strided(xp, shape=(b, d, h, w, cin, KERNEL, KERNEL, KERNEL),
+                     strides=(sb, sd, sh, sw, sc, sd, sh, sw), writeable=False)
+    cols = win.reshape(b * d * h * w, cin * KERNEL ** 3)
+    wmat = weight.reshape(cout, -1).T
+    out = cols.reshape(b, d * h * w, -1) @ wmat if per_sample else cols @ wmat
     out += bias
     y = out.reshape(b, d, h, w, cout).transpose(0, 4, 1, 2, 3)
     return np.ascontiguousarray(y), cols
@@ -257,10 +271,12 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
 
     Returns per-sample probabilities in (0, 1) plus a trace for backward.
     Train mode normalizes with batch statistics (and by default updates the
-    running estimates in place); eval mode uses the running estimates and is
-    a pure function of (params, x).  ``keep_caches`` (default: train mode
-    only) controls whether the trace retains what backward needs; disabling
-    it never changes the computed values, only memory and time.
+    running estimates in place); eval mode uses the running estimates, is
+    a pure function of (params, x) and is batch-invariant: each sample's
+    output is bitwise the same whatever else is in the batch.
+    ``keep_caches`` (default: train mode only) controls whether the trace
+    retains what backward needs; disabling it never changes the computed
+    values, only memory and time.
     """
     cfg = params.config
     x = np.asarray(x)
@@ -287,7 +303,8 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     a = x
     n_blocks = len(cfg.filters)
     for i in range(1, n_blocks + 1):
-        y, cols = conv3d_forward(a, t[f"conv{i}.weight"], t[f"conv{i}.bias"])
+        y, cols = conv3d_forward(a, t[f"conv{i}.weight"], t[f"conv{i}.bias"],
+                                 per_sample=not train)
         in_shape = a.shape
         np.maximum(y, 0, out=y)
         bn, bn_cache = batchnorm_forward(
@@ -311,8 +328,10 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     pooled, avg_cache = global_avgpool_forward(a)
     trace.shapes.append(("avgpool", (pooled.shape[1], 1, 1, 1)))
 
-    z = pooled @ t["fc.weight"].T + t["fc.bias"]
-    preds = expit(z[:, 0])
+    # elementwise product and row sum rather than a matrix-vector product,
+    # whose summation order the BLAS may change with the batch size
+    z = (pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0]
+    preds = expit(z)
     if keep_caches:
         trace.caches["avgpool"] = avg_cache
         trace.caches["fc"] = pooled
@@ -364,32 +383,21 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for (B, C, P, P) patches, computed per sample.
+    """Eval-mode probabilities for (B, C, P, P) patches.
 
-    Each sample goes through the network alone, so every arithmetic
-    reduction sees exactly the same operand shapes no matter how callers
-    group samples into batches: outputs are bitwise identical for any batch
-    split.  Slower than a batched eval pass; used where that invariance is
-    part of the contract (full-scene inference).
+    Patches go through the network in tiles of ``EVAL_TILE``.  Eval-mode
+    ``forward`` is batch-invariant by construction (per-sample conv GEMMs,
+    a fixed-order head reduction, everything else elementwise or reduced
+    per sample), so outputs are bitwise identical for any batch split,
+    including lone single-patch calls.
     """
     patches = np.asarray(patches)
     out = np.empty(len(patches), dtype=params.dtype)
-    for i in range(len(patches)):
-        p, _ = forward(params, patches[i:i + 1, None], mode="eval", keep_caches=False)
-        out[i] = p[0]
+    for start in range(0, len(patches), EVAL_TILE):
+        p, _ = forward(params, patches[start:start + EVAL_TILE, None], mode="eval",
+                       keep_caches=False)
+        out[start:start + EVAL_TILE] = p
     return out
-
-
-def predict_batched(params: ModelParams, patches: np.ndarray,
-                    batch_size: int = 1024) -> np.ndarray:
-    """Eval-mode probabilities via the fast batched path (no bitwise
-    batch-split invariance guarantee)."""
-    chunks = []
-    for start in range(0, len(patches), batch_size):
-        p, _ = forward(params, patches[start:start + batch_size, None],
-                       mode="eval", keep_caches=False)
-        chunks.append(p)
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=params.dtype)
 
 
 def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -434,7 +442,13 @@ def read_checkpoint_tensors(path: str | Path) -> dict[str, np.ndarray]:
             if len(raw) != 2:
                 raise TruncatedFileError(f"{path}: tensor record truncated")
             (name_len,) = struct.unpack("<H", raw)
-            name = f.read(name_len).decode("ascii")
+            name_raw = f.read(name_len)
+            if len(name_raw) != name_len:
+                raise TruncatedFileError(f"{path}: tensor name truncated")
+            try:
+                name = name_raw.decode("ascii")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name {name_raw!r} is not ASCII") from None
             rank_raw = f.read(1)
             if len(rank_raw) != 1:
                 raise TruncatedFileError(f"{path}: tensor record truncated")
@@ -487,10 +501,13 @@ def load_checkpoint(path: str | Path,
         )
     except KeyError as e:
         raise FormatError(f"{path}: missing architecture metadata {e}") from e
+    # bn_eps and bn_momentum are stored as float32, so compare at that precision
     if expected_config is not None and (
         expected_config.filters != config.filters
         or expected_config.in_depth != config.in_depth
         or expected_config.patch_size != config.patch_size
+        or np.float32(expected_config.bn_eps) != np.float32(config.bn_eps)
+        or np.float32(expected_config.bn_momentum) != np.float32(config.bn_momentum)
     ):
         raise ShapeMismatchError(
             f"{path}: checkpoint architecture {config} does not match expected {expected_config}"

@@ -28,6 +28,7 @@ from .errors import (
     EmptyDatasetError,
     FormatError,
     IndexMismatchError,
+    ShapeMismatchError,
     TruncatedFileError,
 )
 from .granule_io import (
@@ -197,6 +198,11 @@ class GranuleStore:
                 self._mmaps.append(handle)
             else:
                 arr = read_granule(entry.granule).data
+            if self._granules and arr.shape[0] != self.channels:
+                raise ShapeMismatchError(
+                    f"{entry.granule}: {arr.shape[0]} channels, but the first granule "
+                    f"of the manifest has {self.channels}"
+                )
             labels = read_labels(entry.labels).values
             if labels.shape != arr.shape[1:]:
                 raise FormatError(

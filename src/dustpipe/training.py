@@ -27,7 +27,7 @@ from .model3d import (
     forward,
     init_params,
     load_checkpoint,
-    predict_batched,
+    predict,
     save_checkpoint,
     trainable_names,
 )
@@ -206,32 +206,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         theta -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
-def plateau_lr(losses, cfg: TrainConfig) -> float:
-    """Learning rate after feeding a loss history to the plateau rule.
+class PlateauScheduler:
+    """Plateau-driven learning rate; one ``step`` per sub-epoch.
 
     The rate is multiplied by ``plateau_factor`` whenever the loss has not
     improved (by more than ``improvement_threshold``) for
-    ``plateau_patience`` consecutive entries; the stall counter resets on
+    ``plateau_patience`` consecutive steps; the stall counter resets on
     improvement and after each reduction; the rate never drops below
     ``min_lr``.
     """
-    lr = cfg.learning_rate
-    best = None
-    stalled = 0
-    for loss in losses:
-        if best is None or loss < best - cfg.improvement_threshold:
-            best = loss
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= cfg.plateau_patience:
-                lr = max(lr * cfg.plateau_factor, cfg.min_lr)
-                stalled = 0
-    return lr
-
-
-class PlateauScheduler:
-    """Stateful wrapper over the plateau rule; one ``step`` per sub-epoch."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -300,8 +283,7 @@ def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
     targets = []
     order = np.arange(len(index))
     for batch in iter_batches(index, store, order, batch_size):
-        p, _ = forward(params, batch.inputs[:, None], mode="eval", keep_caches=False)
-        preds.append(p)
+        preds.append(predict(params, batch.inputs))
         targets.append(batch.targets)
     loss, _ = wmse_loss(np.concatenate(preds), np.concatenate(targets), loss_cfg)
     return loss
@@ -411,7 +393,7 @@ def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
     targets = []
     order = np.arange(len(index))
     for batch in iter_batches(index, store, order, batch_size):
-        preds.append(predict_batched(params, batch.inputs, batch_size))
+        preds.append(predict(params, batch.inputs))
         targets.append(batch.targets)
     store.close()
     return compute_metrics(np.concatenate(preds), np.concatenate(targets), alpha)

@@ -91,6 +91,16 @@ class TestIndexBuild:
         assert got.patch_size == 5
         assert np.array_equal(got.triplets, expected.triplets)
 
+    def test_malformed_manifest_is_one_line_diagnostic(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text('{"entries": [{"granule": "g.dgr"}]}')
+        code = run("index", "build", "--manifest", manifest_path,
+                   "--out", tmp_path / "centers.dix")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestModelDescribe:
     def test_census_output(self, tmp_path, capsys):

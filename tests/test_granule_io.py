@@ -171,6 +171,19 @@ class TestManifest:
         with pytest.raises(FormatError):
             DatasetManifest.load(path)
 
+    @pytest.mark.parametrize("entries", [
+        '[{"granule": "g.dgr"}]',
+        '[{"labels": "l.dlb"}]',
+        '["g.dgr"]',
+        '[{"granule": 3, "labels": "l.dlb"}]',
+        '{"granule": "g.dgr", "labels": "l.dlb"}',
+    ])
+    def test_malformed_entries_rejected(self, tmp_path, entries):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": %s}' % entries)
+        with pytest.raises(FormatError):
+            DatasetManifest.load(path)
+
 
 def _tree_digest(root: Path) -> str:
     digest = hashlib.sha256()

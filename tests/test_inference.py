@@ -26,7 +26,6 @@ from dustpipe.inference import (
     infer_scene,
     read_map,
     score_map,
-    worker_count,
     write_map,
     write_pgm,
 )
@@ -76,16 +75,13 @@ class TestInferScene:
                 patch = g.data[:, y - 2:y + 3, x - 2:x + 3][None]
                 assert dmap.values[y, x] == predict(params, patch)[0]
 
-    def test_bitwise_invariant_to_batch_size_and_workers(self, tmp_path, monkeypatch):
+    def test_bitwise_invariant_to_batch_size(self, tmp_path):
         g, _ = processed_granule(tmp_path / "d")
         params = init_params(4, SMALL_MODEL)
         reference = infer_scene(params, g, batch_size=1).values
         for bs in (7, 64):
             got = infer_scene(params, g, batch_size=bs).values
             assert np.array_equal(reference, got, equal_nan=True)
-        monkeypatch.setenv("DUSTPIPE_THREADS", "4")
-        threaded = infer_scene(params, g, batch_size=7).values
-        assert np.array_equal(reference, threaded, equal_nan=True)
 
     def test_precondition_validation(self, tmp_path):
         g, _ = processed_granule(tmp_path / "d")
@@ -108,20 +104,6 @@ class TestInferScene:
         g = Granule(np.full((6, 4, 9), 0.5, dtype=np.float32))
         dmap = infer_scene(init_params(6, SMALL_MODEL), g)
         assert np.isnan(dmap.values).all()
-
-
-class TestWorkerCount:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("DUSTPIPE_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("DUSTPIPE_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("DUSTPIPE_THREADS", "-2")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("DUSTPIPE_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestMapContainer:

@@ -1,12 +1,21 @@
 """Network layers and assembly: shape contracts, analytic gradients against
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dustpipe.errors import BadMagicError, ShapeMismatchError, TruncatedFileError
+from dustpipe.errors import (
+    BadMagicError,
+    FormatError,
+    ShapeMismatchError,
+    TruncatedFileError,
+)
 from dustpipe.model3d import (
     ModelConfig,
+    ModelParams,
     backward,
     batchnorm_forward,
     conv3d_forward,
@@ -16,13 +25,13 @@ from dustpipe.model3d import (
     load_checkpoint,
     maxpool3d_forward,
     predict,
-    predict_batched,
     save_checkpoint,
     shape_ledger,
 )
 from dustpipe.training import LossConfig, wmse_loss
 
 TINY = ModelConfig(filters=(2, 3, 4), in_depth=6, patch_size=3)
+SMALL_MODEL = ModelConfig(filters=(3, 4, 5), in_depth=6, patch_size=5)
 
 
 def expected_shapes(config: ModelConfig):
@@ -260,13 +269,40 @@ class TestPredictPaths:
                              keep_caches=False)
             assert via_predict[i] == one[0]
 
-    def test_batched_close_to_per_sample(self):
-        params = init_params(22)
-        rng = np.random.default_rng(3)
-        patches = rng.uniform(0, 1, size=(10, 38, 5, 5)).astype(np.float32)
-        a = predict(params, patches)
-        b = predict_batched(params, patches, batch_size=4)
-        assert np.allclose(a, b, rtol=1e-5, atol=1e-7)
+
+def eval_params(seed: int, config: ModelConfig, dtype) -> ModelParams:
+    """Random kernels plus non-identity batch-norm affine and statistics."""
+    params = init_params(seed, config, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.tensors.items():
+        if name.startswith("bn"):
+            arr += rng.uniform(0.0, 0.5, arr.shape).astype(dtype)
+    return params
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("base", [TINY, SMALL_MODEL, ModelConfig()],
+                             ids=["tiny", "small", "default"])
+    def test_predict_equals_lone_calls_bitwise(self, base, patch_size, dtype):
+        config = replace(base, patch_size=patch_size)
+        params = eval_params(patch_size, config, dtype)
+        rng = np.random.default_rng(patch_size)
+        n = 37
+        patches = rng.uniform(0, 1, (n, config.in_depth, patch_size, patch_size)).astype(dtype)
+        lone = np.concatenate([predict(params, patches[i:i + 1]) for i in range(n)]).tobytes()
+
+        assert predict(params, patches).tobytes() == lone
+        whole, _ = forward(params, patches[:, None], mode="eval", keep_caches=False)
+        assert whole.tobytes() == lone
+        splits = [np.arange(size, n, size) for size in (2, 3, 7, 8, 9, 64)]
+        splits += [np.sort(rng.choice(np.arange(1, n), rng.integers(1, 8), replace=False))
+                   for _ in range(6)]
+        for cuts in splits:
+            parts = np.split(patches, cuts)
+            got = np.concatenate([predict(params, part) for part in parts])
+            assert got.tobytes() == lone, f"split at {cuts.tolist()}"
 
 
 class TestCheckpoints:
@@ -299,6 +335,29 @@ class TestCheckpoints:
         save_checkpoint(path, init_params(0, TINY))
         with pytest.raises(ShapeMismatchError):
             load_checkpoint(path, expected_config=ModelConfig())
+
+    def test_batch_norm_constants_checked_at_float32(self, tmp_path):
+        path = tmp_path / "m.dck"
+        save_checkpoint(path, init_params(0, TINY))
+        load_checkpoint(path, expected_config=TINY)
+        for changed in (replace(TINY, bn_eps=0.5), replace(TINY, bn_momentum=0.3)):
+            with pytest.raises(ShapeMismatchError):
+                load_checkpoint(path, expected_config=changed)
+
+    def test_corrupt_tensor_name(self, tmp_path):
+        good = tmp_path / "ok.dck"
+        save_checkpoint(good, init_params(0, TINY))
+        raw = bytearray(good.read_bytes())
+        # first record: u16 name length at offset 8, the name from offset 10
+        (name_len,) = struct.unpack("<H", raw[8:10])
+        path = tmp_path / "m.dck"
+        path.write_bytes(bytes(raw[:10 + name_len - 1]))
+        with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+        raw[10] = 0xC3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_bad_magic_and_truncation(self, tmp_path):
         path = tmp_path / "m.dck"

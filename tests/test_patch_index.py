@@ -11,6 +11,7 @@ from dustpipe.errors import (
     EmptyDatasetError,
     FormatError,
     IndexMismatchError,
+    ShapeMismatchError,
     TruncatedFileError,
 )
 from dustpipe.granule_io import (
@@ -242,6 +243,15 @@ class TestExtraction:
         write_labels(LabelMap(labels), lp)
         with pytest.raises(FormatError):
             GranuleStore(DatasetManifest([ManifestEntry(gp, lp)]))
+
+    def test_channel_count_mismatch_rejected(self, tmp_path):
+        labels = np.zeros((6, 6), dtype=np.float32)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        four = write_dataset(tmp_path / "a", [labels], channels=4)
+        one = write_dataset(tmp_path / "b", [labels], channels=1)
+        with pytest.raises(ShapeMismatchError):
+            GranuleStore(DatasetManifest(four.entries + one.entries))
 
 
 class TestSampling:

@@ -32,7 +32,6 @@ from dustpipe.training import (
     adam_step,
     compute_metrics,
     evaluate,
-    plateau_lr,
     train,
     wmse_loss,
 )
@@ -224,29 +223,54 @@ class TestAdam:
             adam_step(params, g, state, lr=1e-3, cfg=TrainConfig())
 
 
+def lr_after(losses, cfg: TrainConfig) -> float:
+    """Learning rate after stepping a fresh scheduler through ``losses``."""
+    sched = PlateauScheduler(cfg)
+    for loss in losses:
+        sched.step(loss)
+    return sched.lr
+
+
+def reference_plateau_lr(losses, cfg: TrainConfig) -> float:
+    """Independent walk of the plateau rule over a whole loss history."""
+    lr = cfg.learning_rate
+    best = None
+    stalled = 0
+    for loss in losses:
+        if best is None or loss < best - cfg.improvement_threshold:
+            best = loss
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= cfg.plateau_patience:
+                lr = max(lr * cfg.plateau_factor, cfg.min_lr)
+                stalled = 0
+    return lr
+
+
 class TestPlateauSchedule:
     def test_improving_history_keeps_rate(self):
         cfg = TrainConfig(plateau_patience=2)
-        assert plateau_lr([1.0, 0.9, 0.8], cfg) == cfg.learning_rate
+        assert lr_after([1.0, 0.9, 0.8], cfg) == cfg.learning_rate
 
     def test_flat_history_halves_after_third_entry(self):
         cfg = TrainConfig(plateau_patience=2, plateau_factor=0.5)
-        assert plateau_lr([1.0, 1.0], cfg) == cfg.learning_rate
-        assert plateau_lr([1.0, 1.0, 1.0], cfg) == cfg.learning_rate * 0.5
+        assert lr_after([1.0, 1.0], cfg) == cfg.learning_rate
+        assert lr_after([1.0, 1.0, 1.0], cfg) == cfg.learning_rate * 0.5
 
     def test_counter_resets_on_improvement(self):
         cfg = TrainConfig(plateau_patience=2)
-        assert plateau_lr([1.0, 1.0, 0.5, 0.5], cfg) == cfg.learning_rate
-        assert plateau_lr([1.0, 1.0, 0.5, 0.5, 0.5], cfg) == cfg.learning_rate * 0.5
+        assert lr_after([1.0, 1.0, 0.5, 0.5], cfg) == cfg.learning_rate
+        assert lr_after([1.0, 1.0, 0.5, 0.5, 0.5], cfg) == cfg.learning_rate * 0.5
 
     def test_never_below_floor(self):
         cfg = TrainConfig(plateau_patience=1, plateau_factor=0.1, min_lr=1e-7)
-        assert plateau_lr([1.0] + [1.0] * 50, cfg) == cfg.min_lr
+        assert lr_after([1.0] + [1.0] * 50, cfg) == cfg.min_lr
 
     def test_tiny_improvements_do_not_reset(self):
         cfg = TrainConfig(plateau_patience=2, improvement_threshold=1e-8)
         # improvements below the threshold count as stalls
-        assert plateau_lr([1.0, 1.0 - 1e-12, 1.0 - 2e-12], cfg) == \
+        assert lr_after([1.0, 1.0 - 1e-12, 1.0 - 2e-12], cfg) == \
             cfg.learning_rate * cfg.plateau_factor
 
     def test_stateful_wrapper_matches_pure_walk(self):
@@ -256,7 +280,7 @@ class TestPlateauSchedule:
         sched = PlateauScheduler(cfg)
         for i, loss in enumerate(losses, start=1):
             got = sched.step(loss)
-            assert got == plateau_lr(losses[:i], cfg)
+            assert got == reference_plateau_lr(losses[:i], cfg)
 
 
 def tiny_training_dataset(tmp_path, count=2, height=10, width=10, channels=6,
