@@ -7,6 +7,17 @@ output unit with sigmoid.  The spectral axis of a C x P x P patch is treated
 as convolution depth, so the input tensor is (B, 1, C, P, P) and one kernel
 mixes adjacent bands and pixels jointly.
 
+Inside ``forward`` and ``backward`` activations are channels-last,
+(B, D, H, W, C).  Every conv is one spectral 1-D convolution: the block's
+whole H x W window is folded into the feature axis, so the 3x3x3 kernel
+becomes a single (3*H*W*Cin, H*W*Cout) matrix (zeros where a tap would fall
+outside the window) applied to three depth-shifted copies of the input, and
+its product is already channels-last.  Batch norm and global pooling reduce
+over every axis but the last; max pooling reduces strided views.  Stage
+shapes (``ForwardTrace.shapes``, ``shape_ledger``) are still reported per
+sample as (C, D, H, W), and checkpoints keep the (Cout, Cin, 3, 3, 3)
+kernel layout.
+
 Everything is plain numpy so the same code runs in float32 for training and
 float64 for finite-difference verification.  Checkpoint container layout
 (little-endian):
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,108 +120,161 @@ def init_params(seed: int, config: ModelConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives
+# Layer primitives (activations are channels-last: (B, D, H, W, C))
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _fold_taps(h: int, w: int):
+    """Where the 3x3 spatial taps land when an h x w window is folded into
+    the feature axis.
+
+    Returns read-only arrays (pin, pout, tap), one entry per pair of window
+    positions that some tap connects: the flat (row-major) input position,
+    the flat output position, and the tap ``kh * 3 + kw`` that joins them.
+    Taps that would read outside the window read same-padding zeros, so
+    they have no entry.
+    """
+    hi, wi, ho, wo = np.meshgrid(np.arange(h), np.arange(w), np.arange(h), np.arange(w),
+                                 indexing="ij")
+    kh = hi - ho + 1
+    kw = wi - wo + 1
+    inside = (kh >= 0) & (kh < KERNEL) & (kw >= 0) & (kw < KERNEL)
+    tables = ((hi * w + wi)[inside], (ho * w + wo)[inside], (kh * KERNEL + kw)[inside])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                    per_sample: bool = False):
-    """Same-padded 3x3x3 convolution via an im2col matrix product.
+    """Same-padded 3x3x3 convolution of a (B, D, H, W, Cin) batch, computed
+    as one spectral 1-D convolution.
 
-    Column order is channel-major then depth, row, col, which fixes the
-    logical accumulation order of every output element.  With
+    The whole H x W window is folded into the feature axis: the kernel
+    becomes one matrix ``wf`` of shape (3*H*W*Cin, H*W*Cout) holding each
+    tap where it joins an input position to an output position, and zeros
+    where a tap would fall outside the window.  The columns are then only
+    three depth-shifted copies of the depth-padded input, in depth, row,
+    col, channel order, and the product is already channels-last.  With
     ``per_sample`` the product is a stacked matmul, one BLAS call per
     sample with the same (M, K, N) for any batch size, so each sample's
     output is independent of the batch it travels in; otherwise one GEMM
     covers the whole batch (faster at training batch sizes, but the BLAS
     may block the reduction differently as the batch grows).
     """
-    b, cin, d, h, w = x.shape
+    b, d, h, w, cin = x.shape
     cout = weight.shape[0]
-    xp = np.zeros((b, cin, d + 2, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1, 1:-1] = x
-    sb, sc, sd, sh, sw = xp.strides
-    win = as_strided(xp, shape=(b, d, h, w, cin, KERNEL, KERNEL, KERNEL),
-                     strides=(sb, sd, sh, sw, sc, sd, sh, sw), writeable=False)
-    cols = win.reshape(b * d * h * w, cin * KERNEL ** 3)
-    wmat = weight.reshape(cout, -1).T
-    out = cols.reshape(b, d * h * w, -1) @ wmat if per_sample else cols @ wmat
-    out += bias
-    y = out.reshape(b, d, h, w, cout).transpose(0, 4, 1, 2, 3)
-    return np.ascontiguousarray(y), cols
+    hw = h * w
+    pin, pout, tap = _fold_taps(h, w)
+    taps = weight.transpose(3, 4, 2, 1, 0).reshape(KERNEL * KERNEL, KERNEL, cin, cout)
+    wf = np.zeros((KERNEL, hw, cin, hw, cout), dtype=weight.dtype)
+    wf[:, pin, :, pout, :] = taps[tap]
+    wf = wf.reshape(KERNEL * hw * cin, hw * cout)
+    xp = np.zeros((b, d + 2, hw * cin), dtype=x.dtype)
+    xp[:, 1:-1] = x.reshape(b, d, hw * cin)
+    # row (b, z) of the columns is the contiguous run xp[b, z:z + 3]
+    sb, sd, sk = xp.strides
+    cols = as_strided(xp, shape=(b, d, KERNEL * hw * cin), strides=(sb, sd, sk),
+                      writeable=False).reshape(b * d, -1)
+    out = cols.reshape(b, d, -1) @ wf if per_sample else cols @ wf
+    out += np.tile(bias, hw)
+    return out.reshape(b, d, h, w, cout), (cols, wf)
 
 
-def conv3d_backward(dy: np.ndarray, cols: np.ndarray, weight: np.ndarray,
-                    x_shape: tuple, need_dx: bool = True):
-    """Weight/bias gradients from the cached im2col matrix; the input
-    gradient is the same-padded correlation of ``dy`` with the spatially
-    flipped, channel-swapped kernels (skipped for the bottom layer)."""
-    cout = weight.shape[0]
-    dmat = np.ascontiguousarray(dy.transpose(0, 2, 3, 4, 1)).reshape(-1, cout)
-    dw = (dmat.T @ cols).reshape(weight.shape)
-    db = dmat.sum(axis=0)
+def conv3d_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """Kernel and bias gradients from the cached columns; the input
+    gradient (skipped for the bottom layer) is ``dy @ wf.T`` with its three
+    depth shifts summed back into place."""
+    cols, wf = cache
+    b, d, h, w, cout = dy.shape
+    hw = h * w
+    cin = wf.shape[0] // (KERNEL * hw)
+    dmat = dy.reshape(b * d, hw * cout)
+    dwf = (cols.T @ dmat).reshape(KERNEL, hw, cin, hw, cout)
+    pin, pout, tap = _fold_taps(h, w)
+    dtaps = np.zeros((KERNEL * KERNEL, KERNEL, cin, cout), dtype=dy.dtype)
+    np.add.at(dtaps, tap, dwf[:, pin, :, pout, :])
+    dw = np.ascontiguousarray(
+        dtaps.reshape(KERNEL, KERNEL, KERNEL, cin, cout).transpose(4, 3, 2, 0, 1))
+    db = dmat.sum(axis=0).reshape(hw, cout).sum(axis=0)
     if not need_dx:
         return None, dw, db
-    wt = np.ascontiguousarray(
-        weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    )
-    dx, _ = conv3d_forward(dy, wt, np.zeros(x_shape[1], dtype=dy.dtype))
-    return dx, dw, db
+    # column block k of row z read input depth z + k - 1 (padding excluded)
+    dcols = (dmat @ wf.T).reshape(b, d, KERNEL, hw * cin)
+    dx = dcols[:, :, 1].copy()
+    dx[:, 1:] += dcols[:, :-1, 2]
+    dx[:, :-1] += dcols[:, 1:, 0]
+    return dx.reshape(b, d, h, w, cin), dw, db
 
 
-def maxpool3d_forward(x: np.ndarray, want_indices: bool = True):
-    """2x2x2, stride 2, floor mode; an axis shorter than the window is kept
-    as-is (window clamps to the available extent).
+def _pool_views(x: np.ndarray, wins: tuple):
+    """Strided views of ``x``, one per offset inside the pooling window in
+    depth, row, col order; view k holds the k-th element of every window."""
+    ext = [n // k * k for n, k in zip(x.shape[1:4], wins)]
+    trimmed = x[:, :ext[0], :ext[1], :ext[2]]
+    for a in range(wins[0]):
+        for bb in range(wins[1]):
+            for cc in range(wins[2]):
+                yield trimmed[:, a::wins[0], bb::wins[1], cc::wins[2]]
 
-    With ``want_indices`` the cache records each window's first argmax for
-    gradient routing; without it the maximum is reduced over strided views,
-    which yields bitwise-identical values at lower cost.
-    """
-    b, c, d, h, w = x.shape
-    wins = (min(POOL, d), min(POOL, h), min(POOL, w))
-    od, oh, ow = d // wins[0], h // wins[1], w // wins[2]
-    trimmed = x[:, :, :od * wins[0], :oh * wins[1], :ow * wins[2]]
-    if not want_indices:
-        y = None
-        for a in range(wins[0]):
-            for bb in range(wins[1]):
-                for cc in range(wins[2]):
-                    view = trimmed[:, :, a::wins[0], bb::wins[1], cc::wins[2]]
-                    y = view.copy() if y is None else np.maximum(y, view, out=y)
-        return y, (x.shape, wins, None)
-    xr = trimmed.reshape(b, c, od, wins[0], oh, wins[1], ow, wins[2])
-    xr = np.ascontiguousarray(xr.transpose(0, 1, 2, 4, 6, 3, 5, 7))
-    xr = xr.reshape(b, c, od, oh, ow, wins[0] * wins[1] * wins[2])
-    idx = xr.argmax(axis=-1)  # first max wins ties
-    y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return y, (x.shape, wins, idx)
+
+def maxpool3d_forward(x: np.ndarray):
+    """2x2x2, stride 2, floor mode over (D, H, W); an axis shorter than the
+    window is kept as-is (window clamps to the available extent)."""
+    wins = tuple(min(POOL, n) for n in x.shape[1:4])
+    y = None
+    for view in _pool_views(x, wins):
+        y = view.copy() if y is None else np.maximum(y, view, out=y)
+    return y, (x, y, wins)
 
 
 def maxpool3d_backward(dy: np.ndarray, cache):
-    x_shape, wins, idx = cache
-    if idx is None:
-        raise ValueError("pooling indices were not kept; forward ran without caches")
-    b, c, d, h, w = x_shape
-    od, oh, ow = idx.shape[2:]
-    dxr = np.zeros((b, c, od, oh, ow, wins[0] * wins[1] * wins[2]), dtype=dy.dtype)
-    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
-    dxr = dxr.reshape(b, c, od, oh, ow, wins[0], wins[1], wins[2])
-    dxr = dxr.transpose(0, 1, 2, 5, 3, 6, 4, 7)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :, :od * wins[0], :oh * wins[1], :ow * wins[2]] = \
-        dxr.reshape(b, c, od * wins[0], oh * wins[1], ow * wins[2])
+    """Each window's gradient goes to its first maximum in depth, row, col
+    order (the first-argmax tie rule)."""
+    x, y, wins = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    open_ = np.ones(y.shape, dtype=bool)  # windows not yet routed
+    hit = np.empty(y.shape, dtype=bool)
+    for xv, dxv in zip(_pool_views(x, wins), _pool_views(dx, wins)):
+        np.equal(xv, y, out=hit)
+        hit &= open_
+        open_ ^= hit
+        # each element of the pooled extent lies in exactly one view, so
+        # writing every element of each view fills it once
+        np.multiply(dy, hit, out=dxv)
     return dx
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (B*D, H*W*C) view of a channels-last activation.  Elementwise
+    work on it runs inner loops H*W times longer than on the (N, C) view;
+    per-channel vectors are tiled H*W times to match a row."""
+    b, d, h, w, c = a.shape
+    return a.reshape(b * d, h * w * c)
+
+
+def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of row view ``a2`` (or of ``a2 * b2``): rows first,
+    then the H*W positions.  A two-level sum, more accurate than one
+    axis-0 pass over (N, C)."""
+    s = a2.sum(axis=0) if b2 is None else np.einsum("ij,ij->j", a2, b2)
+    return s.reshape(-1, c).sum(axis=0)
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
                       train: bool, eps: float, momentum: float,
                       update_running: bool, keep_cache: bool = True):
-    bshape = (1, -1, 1, 1, 1)
+    """Batch norm over the last (channel) axis of a channels-last batch,
+    computed on its row view."""
+    c = x.shape[-1]
+    hw = x.shape[2] * x.shape[3]
+    x2 = _rows(x)
     if train:
-        m = x.size // x.shape[1]
-        mean = x.mean(axis=(0, 2, 3, 4))
-        xhat = x - mean.reshape(bshape)
-        var = np.einsum("ncdhw,ncdhw->c", xhat, xhat) / m
+        m = x.size // c
+        mean = _channel_sum(x2, c) / m
+        xhat = x2 - np.tile(mean, hw)
+        var = _channel_sum(xhat, c, xhat) / m
         if update_running:
             unbiased = var * (m / (m - 1)) if m > 1 else var
             running_mean *= 1.0 - momentum
@@ -217,46 +282,53 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
             running_var *= 1.0 - momentum
             running_var += momentum * unbiased
         inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv.reshape(bshape)
+        xhat *= np.tile(inv, hw)
     else:
         inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x - running_mean.reshape(bshape)) * inv.reshape(bshape)
+        xhat = (x2 - np.tile(running_mean, hw)) * np.tile(inv, hw)
     if keep_cache:
-        y = gamma.reshape(bshape) * xhat
-        y += beta.reshape(bshape)
-        return y, (xhat, inv, train)
+        y = np.tile(gamma, hw) * xhat
+        y += np.tile(beta, hw)
+        return y.reshape(x.shape), (xhat, inv, train)
     # same multiply/add sequence applied in place: bitwise-identical output
-    xhat *= gamma.reshape(bshape)
-    xhat += beta.reshape(bshape)
-    return xhat, None
+    xhat *= np.tile(gamma, hw)
+    xhat += np.tile(beta, hw)
+    return xhat.reshape(x.shape), None
 
 
 def batchnorm_backward(dy, gamma, cache):
     xhat, inv, train = cache
-    axes = (0, 2, 3, 4)
-    bshape = (1, -1, 1, 1, 1)
-    dgamma = np.einsum("ncdhw,ncdhw->c", dy, xhat)
-    dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma.reshape(bshape)
-    if train:
-        m = dy.size // dy.shape[1]
-        dxhat -= (dbeta * gamma / m).reshape(bshape)
-        dxhat -= xhat * ((dgamma * gamma / m).reshape(bshape))
-        dxhat *= inv.reshape(bshape)
-    else:
-        dxhat *= inv.reshape(bshape)
-    return dxhat, dgamma, dbeta
+    c = dy.shape[-1]
+    hw = dy.shape[2] * dy.shape[3]
+    dy2 = _rows(dy)
+    dgamma = _channel_sum(dy2, c, xhat)
+    dbeta = _channel_sum(dy2, c)
+    scale = np.tile(gamma * inv, hw)
+    if not train:
+        return (dy2 * scale).reshape(dy.shape), dgamma, dbeta
+    # dx = gamma * inv * (dy - dbeta / m - xhat * dgamma / m)
+    m = dy.size // c
+    dx = xhat * np.tile(-dgamma / m, hw)
+    dx += dy2
+    dx -= np.tile(dbeta / m, hw)
+    dx *= scale
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def global_avgpool_forward(x: np.ndarray):
-    b, c, d, h, w = x.shape
-    return x.mean(axis=(2, 3, 4)), (x.shape,)
+    return x.mean(axis=(1, 2, 3)), (x.shape,)
 
 
 def global_avgpool_backward(dy: np.ndarray, cache):
     (x_shape,) = cache
-    _, _, d, h, w = x_shape
-    return np.broadcast_to(dy[:, :, None, None, None] / (d * h * w), x_shape).astype(dy.dtype)
+    _, d, h, w, _ = x_shape
+    return np.broadcast_to(dy[:, None, None, None, :] / (d * h * w), x_shape).astype(dy.dtype)
+
+
+def _sample_shape(a: np.ndarray) -> tuple:
+    """Per-sample (C, D, H, W) shape of a channels-last activation."""
+    _, d, h, w, c = a.shape
+    return (c, d, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +372,12 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     trace = ForwardTrace(mode=mode, input_shape=x.shape)
     trace.shapes.append(("input", x.shape[1:]))
 
-    a = x
+    # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
+    a = x.reshape(x.shape[0], *x.shape[2:], 1)
     n_blocks = len(cfg.filters)
     for i in range(1, n_blocks + 1):
-        y, cols = conv3d_forward(a, t[f"conv{i}.weight"], t[f"conv{i}.bias"],
-                                 per_sample=not train)
-        in_shape = a.shape
+        y, conv_cache = conv3d_forward(a, t[f"conv{i}.weight"], t[f"conv{i}.bias"],
+                                       per_sample=not train)
         np.maximum(y, 0, out=y)
         bn, bn_cache = batchnorm_forward(
             y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
@@ -314,16 +386,16 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             update_running=update_running_stats, keep_cache=keep_caches,
         )
         if keep_caches:
-            trace.caches[f"conv{i}"] = (cols, in_shape)
+            trace.caches[f"conv{i}"] = conv_cache
             trace.caches[f"relu{i}"] = y > 0
             trace.caches[f"bn{i}"] = bn_cache
-        trace.shapes.append((f"block{i}", bn.shape[1:]))
+        trace.shapes.append((f"block{i}", _sample_shape(bn)))
         a = bn
         if i < n_blocks:
-            a, pool_cache = maxpool3d_forward(a, want_indices=keep_caches)
+            a, pool_cache = maxpool3d_forward(a)
             if keep_caches:
                 trace.caches[f"pool{i}"] = pool_cache
-            trace.shapes.append((f"pool{i}", a.shape[1:]))
+            trace.shapes.append((f"pool{i}", _sample_shape(a)))
 
     pooled, avg_cache = global_avgpool_forward(a)
     trace.shapes.append(("avgpool", (pooled.shape[1], 1, 1, 1)))
@@ -374,9 +446,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
         grads[f"bn{i}.gamma"] = dgamma
         grads[f"bn{i}.beta"] = dbeta
         np.multiply(da, trace.caches[f"relu{i}"], out=da)
-        cols, x_shape = trace.caches[f"conv{i}"]
-        da, dw, db = conv3d_backward(da, cols, t[f"conv{i}.weight"], x_shape,
-                                     need_dx=(i > 1))
+        da, dw, db = conv3d_backward(da, trace.caches[f"conv{i}"], need_dx=(i > 1))
         grads[f"conv{i}.weight"] = dw
         grads[f"conv{i}.bias"] = db
     return grads

@@ -299,6 +299,8 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
 
     Writes ``final.dck`` (last state plus optimizer moments), ``best.dck``
     (lowest validation weighted MSE) and ``log.csv`` into ``out_dir``.
+    ``log.csv`` gets its header at the start and one flushed row per
+    sub-epoch, so a run that dies keeps the rows it finished.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
     every optimization step, for instrumentation.
     """
@@ -328,51 +330,51 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     )
     best_params: ModelParams | None = None
 
-    for pass_num in range(1, train_cfg.passes + 1):
-        parts = shuffle_partitions(index_train, train_cfg.seed + pass_num,
-                                   train_cfg.partitions)
-        for part_idx, part in enumerate(parts, start=1):
-            for sub_epoch in range(1, train_cfg.sub_epochs + 1):
-                weighted_sq = 0.0
-                weight_sum = 0.0
-                for batch in iter_batches(index_train, store_train, part,
-                                          train_cfg.batch_size):
-                    if batch_hook is not None:
-                        batch_hook(pass_num, part_idx, sub_epoch, batch)
-                    preds, trace = forward(params, batch.inputs[:, None], mode="train")
-                    loss, dpreds = wmse_loss(preds, batch.targets, loss_cfg)
-                    if not math.isfinite(loss):
-                        raise TrainingDivergedError(
-                            f"non-finite training loss at pass {pass_num}, "
-                            f"partition {part_idx}, sub-epoch {sub_epoch}"
-                        )
-                    grads = backward(params, trace, dpreds)
-                    adam_step(params, grads, state, sched.lr, train_cfg)
-                    w = 1.0 + loss_cfg.alpha * batch.targets.astype(np.float64)
-                    resid = batch.targets.astype(np.float64) - preds.astype(np.float64)
-                    weighted_sq += float((w * resid * resid).sum())
-                    weight_sum += float(w.sum())
-                train_wmse = weighted_sq / weight_sum if weight_sum else math.nan
-                val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg,
-                                      train_cfg.eval_batch_size)
-                lr = sched.step(val_wmse)
-                result.rows.append(LogRow(pass_num, part_idx, sub_epoch,
-                                          train_wmse, val_wmse, lr))
-                if val_wmse < result.best_val_wmse:
-                    result.best_val_wmse = val_wmse
-                    best_params = params.copy()
+    with open(result.log_path, "w", newline="") as log_file:
+        log = csv.writer(log_file)
+        log.writerow(["pass", "partition", "sub_epoch", "train_wmse", "val_wmse", "lr"])
+        log_file.flush()
+        for pass_num in range(1, train_cfg.passes + 1):
+            parts = shuffle_partitions(index_train, train_cfg.seed + pass_num,
+                                       train_cfg.partitions)
+            for part_idx, part in enumerate(parts, start=1):
+                for sub_epoch in range(1, train_cfg.sub_epochs + 1):
+                    seen_preds = []
+                    seen_targets = []
+                    for batch in iter_batches(index_train, store_train, part,
+                                              train_cfg.batch_size):
+                        if batch_hook is not None:
+                            batch_hook(pass_num, part_idx, sub_epoch, batch)
+                        preds, trace = forward(params, batch.inputs[:, None], mode="train")
+                        loss, dpreds = wmse_loss(preds, batch.targets, loss_cfg)
+                        if not math.isfinite(loss):
+                            raise TrainingDivergedError(
+                                f"non-finite training loss at pass {pass_num}, "
+                                f"partition {part_idx}, sub-epoch {sub_epoch}"
+                            )
+                        grads = backward(params, trace, dpreds)
+                        adam_step(params, grads, state, sched.lr, train_cfg)
+                        seen_preds.append(preds)
+                        seen_targets.append(batch.targets)
+                    train_wmse = (wmse_loss(np.concatenate(seen_preds),
+                                            np.concatenate(seen_targets), loss_cfg)[0]
+                                  if seen_preds else math.nan)
+                    val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg,
+                                          train_cfg.eval_batch_size)
+                    lr = sched.step(val_wmse)
+                    row = LogRow(pass_num, part_idx, sub_epoch, train_wmse, val_wmse, lr)
+                    result.rows.append(row)
+                    log.writerow([row.pass_num, row.partition, row.sub_epoch,
+                                  f"{row.train_wmse:.8g}", f"{row.val_wmse:.8g}",
+                                  f"{row.lr:.8g}"])
+                    log_file.flush()
+                    if val_wmse < result.best_val_wmse:
+                        result.best_val_wmse = val_wmse
+                        best_params = params.copy()
 
     save_checkpoint(result.final_checkpoint, params,
                     extra=adam_state_to_tensors(state))
     save_checkpoint(result.best_checkpoint, best_params or params)
-    with open(result.log_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pass", "partition", "sub_epoch",
-                         "train_wmse", "val_wmse", "lr"])
-        for row in result.rows:
-            writer.writerow([row.pass_num, row.partition, row.sub_epoch,
-                             f"{row.train_wmse:.8g}", f"{row.val_wmse:.8g}",
-                             f"{row.lr:.8g}"])
     store_train.close()
     store_val.close()
     return result

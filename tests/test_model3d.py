@@ -23,10 +23,12 @@ from dustpipe.model3d import (
     forward,
     init_params,
     load_checkpoint,
+    maxpool3d_backward,
     maxpool3d_forward,
     predict,
     save_checkpoint,
     shape_ledger,
+    trainable_names,
 )
 from dustpipe.training import LossConfig, wmse_loss
 
@@ -142,68 +144,107 @@ class TestForward:
         assert not np.array_equal(before, params.tensors["bn1.running_mean"])
 
 
+def conv_oracle(x, weight, bias):
+    """Direct same-padded 3x3x3 correlation of a channels-last batch."""
+    b, d, h, w, cin = x.shape
+    out = np.zeros((b, d, h, w, weight.shape[0])) + bias
+    for z in range(d):
+        for r in range(h):
+            for c in range(w):
+                for kd in range(3):
+                    for kh in range(3):
+                        for kw in range(3):
+                            zz, rr, cc = z + kd - 1, r + kh - 1, c + kw - 1
+                            if 0 <= zz < d and 0 <= rr < h and 0 <= cc < w:
+                                out[:, z, r, c] += x[:, zz, rr, cc] @ weight[:, :, kd, kh, kw].T
+    return out
+
+
 class TestLayerProperties:
     def test_batchnorm_train_stats_near_unit(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-2, 5, size=(6, 4, 7, 3, 3)).astype(np.float64)
+        x = rng.uniform(-2, 5, size=(6, 7, 3, 3, 4)).astype(np.float64)
         gamma = np.ones(4)
         beta = np.zeros(4)
         rm = np.zeros(4)
         rv = np.ones(4)
         y, _ = batchnorm_forward(x, gamma, beta, rm, rv, train=True, eps=1e-5,
                                  momentum=0.1, update_running=False)
-        mean = y.mean(axis=(0, 2, 3, 4))
-        var = y.var(axis=(0, 2, 3, 4))
+        mean = y.mean(axis=(0, 1, 2, 3))
+        var = y.var(axis=(0, 1, 2, 3))
         assert np.abs(mean).max() < 1e-4
         assert np.abs(var - 1.0).max() < 1e-4
 
     def test_maxpool_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
-        for shape in [(2, 3, 6, 5, 4), (1, 2, 5, 2, 2), (2, 1, 3, 1, 1), (1, 1, 1, 1, 1)]:
+        for shape in [(2, 6, 5, 4, 3), (1, 5, 2, 2, 2), (2, 3, 1, 1, 1), (1, 1, 1, 1, 1)]:
             x = rng.normal(size=shape).astype(np.float32)
-            y, (x_shape, wins, idx) = maxpool3d_forward(x)
-            b, c, d, h, w = shape
-            od, oh, ow = y.shape[2:]
+            y, (_, _, wins) = maxpool3d_forward(x)
+            b, d, h, w, c = shape
+            od, oh, ow = y.shape[1:4]
             for bi in range(b):
                 for ci in range(c):
                     for zi in range(od):
                         for yi in range(oh):
                             for xi in range(ow):
-                                window = x[bi, ci,
+                                window = x[bi,
                                            zi * wins[0]:(zi + 1) * wins[0],
                                            yi * wins[1]:(yi + 1) * wins[1],
-                                           xi * wins[2]:(xi + 1) * wins[2]]
-                                assert y[bi, ci, zi, yi, xi] == window.max()
-            # value path without indices is bitwise identical
-            y2, _ = maxpool3d_forward(x, want_indices=False)
-            assert np.array_equal(y, y2)
+                                           xi * wins[2]:(xi + 1) * wins[2], ci]
+                                assert y[bi, zi, yi, xi, ci] == window.max()
+
+    def test_maxpool_backward_routes_to_first_maximum(self):
+        rng = np.random.default_rng(6)
+        # few distinct values, so most windows hold tied maxima
+        x = rng.integers(0, 3, size=(2, 5, 4, 5, 3)).astype(np.float64)
+        x[0, :2, :2, :2, 0] = 1.0  # one window that is all ties
+        y, cache = maxpool3d_forward(x)
+        dy = rng.uniform(1, 2, size=y.shape)
+        dx = maxpool3d_backward(dy, cache)
+        want = np.zeros_like(x)
+        for bi, zi, yi, xi, ci in np.ndindex(*y.shape):
+            z0, y0, x0 = 2 * zi, 2 * yi, 2 * xi
+            window = x[bi, z0:z0 + 2, y0:y0 + 2, x0:x0 + 2, ci]
+            a, r, c = np.unravel_index(np.argmax(window), window.shape)
+            want[bi, z0 + a, y0 + r, x0 + c, ci] = dy[bi, zi, yi, xi, ci]
+        assert np.array_equal(dx, want)
+        assert dx[0, 0, 0, 0, 0] == dy[0, 0, 0, 0, 0]
 
     def test_identity_kernel_reproduces_input(self):
         rng = np.random.default_rng(8)
-        x = rng.uniform(-1, 1, size=(2, 1, 6, 5, 4)).astype(np.float32)
+        x = rng.uniform(-1, 1, size=(2, 6, 5, 4, 1)).astype(np.float32)
         w = np.zeros((1, 1, 3, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1, 1] = 1.0
         y, _ = conv3d_forward(x, w, np.zeros(1, dtype=np.float32))
         assert np.array_equal(y, x)
 
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 7])
+    def test_conv_matches_direct_correlation(self, size, cin):
+        rng = np.random.default_rng(size * 10 + cin)
+        x = rng.uniform(-1, 1, size=(2, 4, size, size, cin))
+        w = rng.uniform(-1, 1, size=(2, cin, 3, 3, 3))
+        bias = rng.uniform(-1, 1, size=2)
+        want = conv_oracle(x, w, bias)
+        for per_sample in (False, True):
+            y, _ = conv3d_forward(x, w, bias, per_sample=per_sample)
+            assert np.allclose(y, want, rtol=1e-12, atol=1e-12), per_sample
+
 
 class TestBackward:
-    def _setup(self, batch=4, seed=0, dtype=np.float64):
-        params = init_params(42, TINY, dtype=dtype)
+    def _setup(self, batch=4, seed=0, dtype=np.float64, config=TINY):
+        params = init_params(42, config, dtype=dtype)
         rng = np.random.default_rng(seed)
-        x = rng.uniform(0, 1, size=(batch, 1, 6, 3, 3)).astype(dtype)
+        p = config.patch_size
+        x = rng.uniform(0, 1, size=(batch, 1, config.in_depth, p, p)).astype(dtype)
         y = rng.uniform(0, 1, size=batch).astype(dtype)
         return params, x, y
 
-    def test_zero_upstream_gradient_zeroes_everything(self):
-        params, x, _ = self._setup()
-        preds, trace = forward(params, x, mode="train", update_running_stats=False)
-        grads = backward(params, trace, np.zeros_like(preds))
-        for name, g in grads.items():
-            assert (g == 0).all(), name
-
-    def test_spot_finite_difference_check(self):
-        params, x, y = self._setup()
+    @staticmethod
+    def _fd_check(params, x, y, sample=None):
+        """Central differences against ``backward``; ``sample`` caps the
+        entries checked per tensor (None checks every entry).  Returns the
+        number of entries checked."""
         cfg = LossConfig(alpha=1.0)
 
         def loss_of():
@@ -214,10 +255,15 @@ class TestBackward:
         _, dpreds = wmse_loss(preds, y, cfg)
         grads = backward(params, trace, dpreds)
         rng = np.random.default_rng(1)
-        step = 1e-4
+        # central-difference truncation error grows as step**2; at 1e-4 it
+        # reaches 1e-3 relative at patch 7, at 1e-5 it stays near 1e-5
+        step = 1e-5
+        checked = 0
         for name, g in grads.items():
             flat = params.tensors[name].ravel()
-            for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+            picks = (range(flat.size) if sample is None
+                     else rng.choice(flat.size, size=min(sample, flat.size), replace=False))
+            for i in picks:
                 orig = flat[i]
                 flat[i] = orig + step
                 up = loss_of()
@@ -226,7 +272,29 @@ class TestBackward:
                 flat[i] = orig
                 fd = (up - down) / (2 * step)
                 an = g.ravel()[i]
-                assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) < 1e-4, name
+                assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) < 1e-4, f"{name}[{i}]"
+                checked += 1
+        return checked
+
+    def test_zero_upstream_gradient_zeroes_everything(self):
+        params, x, _ = self._setup()
+        preds, trace = forward(params, x, mode="train", update_running_stats=False)
+        grads = backward(params, trace, np.zeros_like(preds))
+        for name, g in grads.items():
+            assert (g == 0).all(), name
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    def test_spot_finite_difference_check(self, patch_size):
+        # block extents: patch 1 -> 1/1/1, 3 -> 3/1/1, 5 -> 5/2/1, 7 -> 7/3/1
+        params, x, y = self._setup(config=replace(TINY, patch_size=patch_size))
+        assert self._fd_check(params, x, y, sample=4) > 0
+
+    def test_full_finite_difference_sweep_patch5(self):
+        # every parameter of a reduced model whose second block is 2x2
+        config = replace(TINY, patch_size=5)
+        params, x, y = self._setup(config=config)
+        assert self._fd_check(params, x, y) == sum(
+            params.tensors[n].size for n in trainable_names(config))
 
     def test_duplicated_sample_doubles_gradient(self):
         # batch statistics frozen to the running estimates (eval mode)

@@ -321,6 +321,26 @@ class TestTrainLoop:
         assert len(rows) == 1 + len(result.rows)
         assert result.best_val_wmse <= min(r.val_wmse for r in result.rows) + 1e-12
 
+    def test_log_keeps_finished_rows_when_run_dies(self, tmp_path):
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=6)
+        cfg = TrainConfig(passes=1, partitions=1, sub_epochs=3, batch_size=16,
+                          seed=0)
+
+        def hook(pass_num, part, sub, batch):
+            if sub == 2:
+                raise RuntimeError("killed in sub-epoch 2")
+
+        with pytest.raises(RuntimeError, match="sub-epoch 2"):
+            train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+                  train_cfg=cfg, batch_hook=hook)
+        with open(tmp_path / "run" / "log.csv") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["pass", "partition", "sub_epoch", "train_wmse",
+                           "val_wmse", "lr"]
+        assert len(rows) == 2
+        assert rows[1][:3] == ["1", "1", "1"]
+
     def test_single_step_when_batch_covers_partition(self, tmp_path):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=7)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=8)
