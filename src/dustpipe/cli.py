@@ -268,10 +268,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except DustpipeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (DustpipeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ class BadMagicError(DustpipeError):
 
 
 class TruncatedFileError(DustpipeError):
-    """Container header declares a payload size that does not match the file."""
+    """Container header is short, or declares a size the file does not have."""
 
 
 class FormatError(DustpipeError):

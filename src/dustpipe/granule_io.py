@@ -1,17 +1,27 @@
-"""Flat binary containers for radiance granules and label maps, plus a
+"""Binary container framing, the granule and label containers, and a
 synthetic dataset generator.
 
-On-disk layouts (all little-endian):
+Every binary container of the pipeline is a 4-byte magic, a fixed
+little-endian header and a payload, written by ``write_container``.  Readers
+check the magic and the header with ``read_header`` (wrong magic:
+``BadMagicError``; short header: ``TruncatedFileError``), then compare the
+size the header declares with the file size in ``check_size`` before they
+allocate anything (mismatch: ``TruncatedFileError``).  Variable-length
+records are read with ``read_exact``, which checks each against the bytes
+left.  Contents that break a format's rules raise ``FormatError``.
+
+Layouts defined here (all little-endian):
 
     granule  b"DGR1" | u32 H | u32 W | u32 C | C*H*W f32, band-major
              (C planes, each H x W row-major; payload starts at byte 16)
     labels   b"DLB1" | u32 H | u32 W | H*W f32, row-major
              (payload starts at byte 12)
 
-NaN payloads round-trip bit-exactly.  Readers report a wrong magic and a
-header/payload size mismatch as distinct errors.  A dataset manifest is a
-UTF-8 JSON file ``{"entries": [{"granule": ..., "labels": ...}]}`` whose
-entry order defines the folder index ``f``.
+Labels use the 2-D grid layout of ``write_grid``/``read_grid``, which
+detection maps share under their own magic.  NaN payloads round-trip
+bit-exactly.  A dataset manifest is a UTF-8 JSON file
+``{"entries": [{"granule": ..., "labels": ...}]}`` whose entry order
+defines the folder index ``f``.
 """
 
 from __future__ import annotations
@@ -30,9 +40,6 @@ from .errors import BadMagicError, FormatError, TruncatedFileError
 GRANULE_MAGIC = b"DGR1"
 LABELS_MAGIC = b"DLB1"
 GRANULE_HEADER_BYTES = 16
-LABELS_HEADER_BYTES = 12
-
-_U32_MAX = 2**32 - 1
 
 
 @dataclass
@@ -155,31 +162,82 @@ def _portable_path(p: Path, base: Path) -> str:
         return str(p)
 
 
-def _check_u32(name: str, value: int) -> None:
-    if not 1 <= value <= _U32_MAX:
-        raise FormatError(f"{name}={value} outside the supported u32 range [1, {_U32_MAX}]")
+# ---------------------------------------------------------------------------
+# Container framing, shared by every binary format of the pipeline
+# ---------------------------------------------------------------------------
+
+
+def write_container(path: str | Path, magic: bytes, fmt: str, fields: tuple,
+                    *payload) -> None:
+    """Write ``magic``, the ``struct``-packed header ``fields``, then each
+    payload part (bytes or a C-contiguous array, written from its own buffer)."""
+    try:
+        header = struct.pack(fmt, *fields)
+    except struct.error as e:
+        raise FormatError(f"{path}: header fields {fields} do not fit {fmt!r}: {e}") from None
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(header)
+        for part in payload:
+            f.write(part)
+
+
+def read_header(f, path: str | Path, magic: bytes, fmt: str) -> tuple:
+    """Check ``magic`` and unpack the header that follows it."""
+    size = len(magic) + struct.calcsize(fmt)
+    head = f.read(size)
+    if head[:len(magic)] != magic:
+        raise BadMagicError(f"{path}: expected magic {magic!r}, found {head[:len(magic)]!r}")
+    if len(head) != size:
+        raise TruncatedFileError(f"{path}: header truncated ({len(head)} bytes)")
+    return struct.unpack(fmt, head[len(magic):])
+
+
+def check_size(f, path: str | Path, payload_bytes: int) -> None:
+    """Require exactly ``payload_bytes`` after the current position.
+
+    Called before a payload is allocated, so a corrupt header cannot ask for
+    more memory than the file holds.
+    """
+    expected = f.tell() + payload_bytes
+    actual = os.fstat(f.fileno()).st_size
+    if actual != expected:
+        raise TruncatedFileError(f"{path}: contents declare {expected} bytes, file has {actual}")
+
+
+def read_exact(f, path: str | Path, n: int) -> bytes:
+    """The next ``n`` bytes of a record, checked against the bytes left first."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(f"{path}: record at byte {f.tell()} needs {n} bytes, {left} left")
+    return f.read(n)
+
+
+def write_grid(path: str | Path, magic: bytes, values: np.ndarray) -> None:
+    """An H x W float32 grid: ``magic`` | u32 H | u32 W | H*W f32 row-major."""
+    values = np.ascontiguousarray(values, dtype="<f4")
+    write_container(path, magic, "<II", values.shape, values)
+
+
+def read_grid(path: str | Path, magic: bytes) -> np.ndarray:
+    with open(path, "rb") as f:
+        h, w = read_header(f, path, magic, "<II")
+        check_size(f, path, 4 * h * w)
+        return np.fromfile(f, dtype="<f4", count=h * w).reshape(h, w).view(np.float32)
 
 
 def write_granule(granule: Granule, path: str | Path) -> None:
     """Write a granule container; round-trips bit-exactly through read_granule."""
     granule.validate()
     c, h, w = granule.data.shape
-    for name, v in (("H", h), ("W", w), ("C", c)):
-        _check_u32(name, v)
-    data = np.ascontiguousarray(granule.data, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(GRANULE_MAGIC)
-        f.write(struct.pack("<III", h, w, c))
-        f.write(data.tobytes())
+    write_container(path, GRANULE_MAGIC, "<III", (h, w, c),
+                    np.ascontiguousarray(granule.data, dtype="<f4"))
 
 
-def _read_exact_header(f, path, magic: bytes, n_fields: int) -> tuple[int, ...]:
-    head = f.read(4 + 4 * n_fields)
-    if head[:4] != magic:
-        raise BadMagicError(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
-    if len(head) != 4 + 4 * n_fields:
-        raise TruncatedFileError(f"{path}: header truncated ({len(head)} bytes)")
-    return struct.unpack("<" + "I" * n_fields, head[4:])
+def _granule_header(f, path) -> tuple[int, int, int]:
+    h, w, c = read_header(f, path, GRANULE_MAGIC, "<III")
+    check_size(f, path, 4 * h * w * c)
+    return h, w, c
 
 
 def read_granule(path: str | Path, use_mmap: bool = False) -> Granule:
@@ -189,13 +247,12 @@ def read_granule(path: str | Path, use_mmap: bool = False) -> Granule:
     pages in file regions lazily and returns a read-only array.
     """
     if use_mmap:
-        arr, _ = open_granule_mmap(path)
-        return Granule(arr)
-    with open(path, "rb") as f:
-        h, w, c = _read_exact_header(f, path, GRANULE_MAGIC, 3)
-        _validate_payload_size(path, f, GRANULE_HEADER_BYTES, h * w * c)
-        data = np.fromfile(f, dtype="<f4", count=h * w * c).reshape(c, h, w)
-    g = Granule(data.view(np.float32))
+        g = Granule(open_granule_mmap(path)[0])
+    else:
+        with open(path, "rb") as f:
+            h, w, c = _granule_header(f, path)
+            data = np.fromfile(f, dtype="<f4", count=h * w * c)
+        g = Granule(data.reshape(c, h, w).view(np.float32))
     g.validate()
     return g
 
@@ -207,41 +264,20 @@ def open_granule_mmap(path: str | Path) -> tuple[np.ndarray, mmap.mmap]:
     (``handle.madvise(mmap.MADV_DONTNEED)``) without invalidating the view.
     """
     with open(path, "rb") as f:
-        h, w, c = _read_exact_header(f, path, GRANULE_MAGIC, 3)
-        _validate_payload_size(path, f, GRANULE_HEADER_BYTES, h * w * c)
+        h, w, c = _granule_header(f, path)
         mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     arr = np.frombuffer(mm, dtype="<f4", count=h * w * c, offset=GRANULE_HEADER_BYTES)
     return arr.reshape(c, h, w).view(np.float32), mm
 
 
-def _validate_payload_size(path, f, header_bytes: int, n_values: int) -> None:
-    actual = os.fstat(f.fileno()).st_size
-    expected = header_bytes + 4 * n_values
-    if actual != expected:
-        raise TruncatedFileError(
-            f"{path}: header declares {expected} bytes, file has {actual}"
-        )
-
-
 def write_labels(labels: LabelMap, path: str | Path) -> None:
     labels.validate()
-    h, w = labels.values.shape
-    for name, v in (("H", h), ("W", w)):
-        _check_u32(name, v)
-    data = np.ascontiguousarray(labels.values, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(LABELS_MAGIC)
-        f.write(struct.pack("<II", h, w))
-        f.write(data.tobytes())
+    write_grid(path, LABELS_MAGIC, labels.values)
 
 
 def read_labels(path: str | Path) -> LabelMap:
     """Read a label container verbatim (no normalization; NaN preserved)."""
-    with open(path, "rb") as f:
-        h, w = _read_exact_header(f, path, LABELS_MAGIC, 2)
-        _validate_payload_size(path, f, LABELS_HEADER_BYTES, h * w)
-        data = np.fromfile(f, dtype="<f4", count=h * w).reshape(h, w)
-    lm = LabelMap(data.view(np.float32))
+    lm = LabelMap(read_grid(path, LABELS_MAGIC))
     lm.validate()
     return lm
 

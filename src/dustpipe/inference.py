@@ -7,7 +7,8 @@ go through ``predict``, whose output for a patch does not depend on how
 patches are grouped into batches, so maps are bitwise identical for any
 batch size.
 
-Map container layout (little-endian):
+Map container layout (little-endian): the label map's 2-D grid under its
+own magic,
 
     b"DMP1" | u32 H | u32 W | H*W f32 row-major (NaN sentinel preserved)
 
@@ -17,20 +18,13 @@ for eyeballing results without image libraries.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    EmptyDatasetError,
-    ShapeMismatchError,
-    TruncatedFileError,
-)
-from .granule_io import Granule, LabelMap, normalize_label_values
+from .errors import EmptyDatasetError, ShapeMismatchError
+from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
 from .model3d import ModelParams, predict
 from .training import MetricsReport, compute_metrics
 
@@ -101,29 +95,13 @@ def infer_scene(params: ModelParams, granule: Granule,
 
 
 def write_map(dmap: DetectionMap, path: str | Path) -> None:
-    values = np.ascontiguousarray(dmap.values, dtype="<f4")
-    if values.ndim != 2:
-        raise ShapeMismatchError(f"detection map must be 2-D, got {values.shape}")
-    with open(path, "wb") as f:
-        f.write(MAP_MAGIC)
-        f.write(struct.pack("<II", values.shape[0], values.shape[1]))
-        f.write(values.tobytes())
+    if np.ndim(dmap.values) != 2:
+        raise ShapeMismatchError(f"detection map must be 2-D, got {np.shape(dmap.values)}")
+    write_grid(path, MAP_MAGIC, dmap.values)
 
 
 def read_map(path: str | Path) -> DetectionMap:
-    with open(path, "rb") as f:
-        head = f.read(12)
-        if head[:4] != MAP_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {MAP_MAGIC!r}, found {head[:4]!r}")
-        if len(head) != 12:
-            raise TruncatedFileError(f"{path}: header truncated")
-        h, w = struct.unpack("<II", head[4:])
-        actual = os.fstat(f.fileno()).st_size
-        expected = 12 + 4 * h * w
-        if actual != expected:
-            raise TruncatedFileError(f"{path}: header declares {expected} bytes, file has {actual}")
-        values = np.fromfile(f, dtype="<f4", count=h * w).reshape(h, w)
-    return DetectionMap(values.view(np.float32))
+    return DetectionMap(read_grid(path, MAP_MAGIC))
 
 
 def write_pgm(dmap: DetectionMap, path: str | Path) -> None:

@@ -20,7 +20,8 @@ kernel layout.
 
 Everything is plain numpy so the same code runs in float32 for training and
 float64 for finite-difference verification.  Checkpoint container layout
-(little-endian):
+(little-endian, framed by ``granule_io``; every record is checked against the
+bytes left before it is read):
 
     b"DCK1" | u32 tensor count | per tensor:
         u16 name length | ASCII name | u8 rank | rank * u32 dims | f32 payload
@@ -28,6 +29,7 @@ float64 for finite-difference verification.  Checkpoint container layout
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,9 +39,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
-from .errors import BadMagicError, FormatError, ShapeMismatchError, TruncatedFileError
+from .errors import FormatError, ShapeMismatchError
+from .granule_io import check_size, read_exact, read_header, write_container
 
 CHECKPOINT_MAGIC = b"DCK1"
+# architecture fields stored as ``meta.<field>`` tensors; all but filters are scalars
+_META = ("filters", "in_depth", "patch_size", "bn_eps", "bn_momentum")
 KERNEL = 3
 POOL = 2
 # patches per eval forward in ``predict``: throughput is flat from 8 to 32
@@ -74,7 +79,6 @@ class ForwardTrace:
     """Per-layer caches from one forward pass, consumed by backward."""
 
     mode: str
-    input_shape: tuple
     caches: dict = field(default_factory=dict)
     shapes: list = field(default_factory=list)  # (stage, per-sample shape)
 
@@ -369,7 +373,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     if keep_caches is None:
         keep_caches = train
     t = params.tensors
-    trace = ForwardTrace(mode=mode, input_shape=x.shape)
+    trace = ForwardTrace(mode=mode)
     trace.shapes.append(("input", x.shape[1:]))
 
     # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
@@ -485,55 +489,35 @@ def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:
 
 
 def write_checkpoint_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            enc = name.encode("ascii")
-            arr = np.asarray(arr, dtype="<f4")
-            f.write(struct.pack("<H", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack("<" + "I" * arr.ndim, *arr.shape))
-            f.write(np.ascontiguousarray(arr).tobytes())
+    records = []
+    for name, arr in tensors.items():
+        enc = name.encode("ascii")
+        arr = np.asarray(arr, dtype="<f4")
+        records.append(struct.pack(f"<H{len(enc)}sB{arr.ndim}I",
+                                   len(enc), enc, arr.ndim, *arr.shape))
+        records.append(np.ascontiguousarray(arr))
+    write_container(path, CHECKPOINT_MAGIC, "<I", (len(tensors),), *records)
 
 
 def read_checkpoint_tensors(path: str | Path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        head = f.read(8)
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}, found {head[:4]!r}")
-        if len(head) != 8:
-            raise TruncatedFileError(f"{path}: header truncated")
-        (count,) = struct.unpack("<I", head[4:])
+        (count,) = read_header(f, path, CHECKPOINT_MAGIC, "<I")
         for _ in range(count):
-            raw = f.read(2)
-            if len(raw) != 2:
-                raise TruncatedFileError(f"{path}: tensor record truncated")
-            (name_len,) = struct.unpack("<H", raw)
-            name_raw = f.read(name_len)
-            if len(name_raw) != name_len:
-                raise TruncatedFileError(f"{path}: tensor name truncated")
+            (name_len,) = struct.unpack("<H", read_exact(f, path, 2))
+            name_raw = read_exact(f, path, name_len)
             try:
                 name = name_raw.decode("ascii")
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: tensor name {name_raw!r} is not ASCII") from None
-            rank_raw = f.read(1)
-            if len(rank_raw) != 1:
-                raise TruncatedFileError(f"{path}: tensor record truncated")
-            rank = rank_raw[0]
-            dims_raw = f.read(4 * rank)
-            if len(dims_raw) != 4 * rank:
-                raise TruncatedFileError(f"{path}: tensor record truncated")
-            dims = struct.unpack("<" + "I" * rank, dims_raw)
-            n = int(np.prod(dims)) if rank else 1
-            payload = f.read(4 * n)
-            if len(payload) != 4 * n:
-                raise TruncatedFileError(f"{path}: tensor payload truncated for {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        if f.read(1):
-            raise TruncatedFileError(f"{path}: trailing bytes after declared tensors")
+            rank = read_exact(f, path, 1)[0]
+            dims = struct.unpack(f"<{rank}I", read_exact(f, path, 4 * rank))
+            payload = np.frombuffer(read_exact(f, path, 4 * math.prod(dims)), dtype="<f4")
+            try:
+                tensors[name] = payload.reshape(dims).copy()
+            except ValueError as e:  # rank above 64, or a size numpy cannot index
+                raise FormatError(f"{path}: tensor {name!r} shape {dims}: {e}") from None
+        check_size(f, path, 0)
     return tensors
 
 
@@ -561,16 +545,22 @@ def load_checkpoint(path: str | Path,
     """Rebuild params (validated against the architecture) plus extras."""
     tensors = read_checkpoint_tensors(path)
     try:
-        filters = tuple(int(v) for v in tensors.pop("meta.filters"))
-        config = ModelConfig(
-            filters=filters,  # type: ignore[arg-type]
-            in_depth=int(tensors.pop("meta.in_depth")),
-            patch_size=int(tensors.pop("meta.patch_size")),
-            bn_eps=float(tensors.pop("meta.bn_eps")),
-            bn_momentum=float(tensors.pop("meta.bn_momentum")),
-        )
+        meta = {k: tensors.pop(f"meta.{k}").ravel().tolist() for k in _META}
     except KeyError as e:
         raise FormatError(f"{path}: missing architecture metadata {e}") from e
+    counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
+    if (not meta["filters"] or any(len(meta[k]) != 1 for k in _META[1:])
+            or not all(v.is_integer() for v in counts)
+            or not all(math.isfinite(v) for v in meta["bn_eps"] + meta["bn_momentum"])):
+        raise FormatError(f"{path}: architecture metadata {meta} must be finite, "
+                          "with integer filters, in_depth and patch_size")
+    config = ModelConfig(
+        filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
+        in_depth=int(meta["in_depth"][0]),
+        patch_size=int(meta["patch_size"][0]),
+        bn_eps=meta["bn_eps"][0],
+        bn_momentum=meta["bn_momentum"][0],
+    )
     # bn_eps and bn_momentum are stored as float32, so compare at that precision
     if expected_config is not None and (
         expected_config.filters != config.filters

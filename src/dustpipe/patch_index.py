@@ -7,16 +7,16 @@ full P x P window fits inside the image (both coordinates at least
 h = P // 2 away from every edge).  The index holds exactly the valid
 centers, sorted by (f, y, x), with no duplicates.
 
-Index container layout (little-endian):
+Index container layout (little-endian, framed by ``granule_io``):
 
     b"DIX1" | u32 P | u64 count | count * (u32 f, u32 y, u32 x)
+
+P must be odd.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -24,19 +24,20 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
-    BadMagicError,
     EmptyDatasetError,
     FormatError,
     IndexMismatchError,
     ShapeMismatchError,
-    TruncatedFileError,
 )
 from .granule_io import (
     DatasetManifest,
+    check_size,
     normalize_label_values,
     open_granule_mmap,
     read_granule,
+    read_header,
     read_labels,
+    write_container,
 )
 
 INDEX_MAGIC = b"DIX1"
@@ -144,27 +145,17 @@ def write_index(index: PatchIndex, path: str | Path) -> None:
     t = np.ascontiguousarray(index.triplets, dtype=np.int64)
     if len(t) and (t.min() < 0 or t.max() > 2**32 - 1):
         raise FormatError("triplet fields do not fit in u32")
-    with open(path, "wb") as f:
-        f.write(INDEX_MAGIC)
-        f.write(struct.pack("<IQ", index.patch_size, len(t)))
-        f.write(t.astype("<u4").tobytes())
+    write_container(path, INDEX_MAGIC, "<IQ", (index.patch_size, len(t)), t.astype("<u4"))
 
 
 def read_index(path: str | Path) -> PatchIndex:
     with open(path, "rb") as f:
-        head = f.read(16)
-        if head[:4] != INDEX_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {INDEX_MAGIC!r}, found {head[:4]!r}")
-        if len(head) != 16:
-            raise TruncatedFileError(f"{path}: header truncated ({len(head)} bytes)")
-        patch_size, count = struct.unpack("<IQ", head[4:])
-        actual = os.fstat(f.fileno()).st_size
-        expected = 16 + 12 * count
-        if actual != expected:
-            raise TruncatedFileError(f"{path}: header declares {expected} bytes, file has {actual}")
+        patch_size, count = read_header(f, path, INDEX_MAGIC, "<IQ")
+        if patch_size % 2 == 0:
+            raise FormatError(f"{path}: patch size must be odd and >= 1, got {patch_size}")
+        check_size(f, path, 12 * count)
         data = np.fromfile(f, dtype="<u4", count=3 * count)
-    triplets = data.astype(np.int64).reshape(-1, 3)
-    return PatchIndex(triplets, int(patch_size))
+    return PatchIndex(data.astype(np.int64).reshape(-1, 3), patch_size)
 
 
 # ---------------------------------------------------------------------------

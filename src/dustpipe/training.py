@@ -64,7 +64,6 @@ class TrainConfig:
     partitions: int = 5
     sub_epochs: int = 3
     batch_size: int = 256
-    eval_batch_size: int = 1024
     seed: int = 0
 
     def __post_init__(self):
@@ -145,8 +144,7 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray,
     sq = resid * resid
     mse = float(sq.mean())
     mae = float(np.abs(resid).mean())
-    w = 1.0 + alpha * targets
-    wmse = float((w * sq).sum() / w.sum())
+    wmse, _ = wmse_loss(preds, targets, LossConfig(alpha))
     mean_label = float(targets.mean())
     ss_res = float(sq.sum())
     ss_tot = float(((targets - mean_label) ** 2).sum())
@@ -277,15 +275,20 @@ class TrainResult:
     best_val_wmse: float = math.inf
 
 
-def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
-               loss_cfg: LossConfig, batch_size: int) -> float:
+def _predict_index(params: ModelParams, index: PatchIndex, store: GranuleStore,
+                   batch_size: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode predictions and targets for every triplet of ``index``, in order."""
     preds = []
     targets = []
-    order = np.arange(len(index))
-    for batch in iter_batches(index, store, order, batch_size):
+    for batch in iter_batches(index, store, np.arange(len(index)), batch_size):
         preds.append(predict(params, batch.inputs))
         targets.append(batch.targets)
-    loss, _ = wmse_loss(np.concatenate(preds), np.concatenate(targets), loss_cfg)
+    return np.concatenate(preds), np.concatenate(targets)
+
+
+def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
+               loss_cfg: LossConfig) -> float:
+    loss, _ = wmse_loss(*_predict_index(params, index, store), loss_cfg)
     return loss
 
 
@@ -359,8 +362,7 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                     train_wmse = (wmse_loss(np.concatenate(seen_preds),
                                             np.concatenate(seen_targets), loss_cfg)[0]
                                   if seen_preds else math.nan)
-                    val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg,
-                                          train_cfg.eval_batch_size)
+                    val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg)
                     lr = sched.step(val_wmse)
                     row = LogRow(pass_num, part_idx, sub_epoch, train_wmse, val_wmse, lr)
                     result.rows.append(row)
@@ -391,11 +393,6 @@ def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
     index = build_index(manifest, params.config.patch_size)
     if len(index) == 0:
         raise EmptyDatasetError("evaluation index is empty")
-    preds = []
-    targets = []
-    order = np.arange(len(index))
-    for batch in iter_batches(index, store, order, batch_size):
-        preds.append(predict(params, batch.inputs))
-        targets.append(batch.targets)
+    preds, targets = _predict_index(params, index, store, batch_size)
     store.close()
-    return compute_metrics(np.concatenate(preds), np.concatenate(targets), alpha)
+    return compute_metrics(preds, targets, alpha)

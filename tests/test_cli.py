@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,21 @@ class TestModelDescribe:
         assert run("model", "describe", ckpt) == 0
         out = capsys.readouterr().out
         assert "3 conv + 3 batch-norm + 1 fully-connected" in out
+
+
+    def test_corrupt_checkpoint_is_one_line_diagnostic(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.dck"
+        save_checkpoint(ckpt, init_params(0))
+        raw = bytearray(ckpt.read_bytes())
+        # the first record's single u32 dim (meta.filters) declares 2**31 values
+        (name_len,) = struct.unpack("<H", raw[8:10])
+        raw[11 + name_len:15 + name_len] = struct.pack("<I", 2**31)
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run("model", "describe", ckpt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestInferAndEval:

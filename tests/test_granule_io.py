@@ -99,6 +99,14 @@ class TestGranuleContainer:
             read_granule(path)
 
 
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_zero_height_header_rejected_on_both_paths(self, tmp_path, use_mmap):
+        path = tmp_path / "zero.dgr"
+        path.write_bytes(b"DGR1" + struct.pack("<III", 0, 2, 3))
+        with pytest.raises(FormatError):
+            read_granule(path, use_mmap=use_mmap)
+
+
 class TestLabelContainer:
     def test_roundtrip_with_center_nan(self, tmp_path):
         vals = np.arange(9, dtype=np.float32).reshape(3, 3) / 10.0

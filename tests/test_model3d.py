@@ -26,9 +26,11 @@ from dustpipe.model3d import (
     maxpool3d_backward,
     maxpool3d_forward,
     predict,
+    read_checkpoint_tensors,
     save_checkpoint,
     shape_ledger,
     trainable_names,
+    write_checkpoint_tensors,
 )
 from dustpipe.training import LossConfig, wmse_loss
 
@@ -436,6 +438,48 @@ class TestCheckpoints:
         save_checkpoint(good, init_params(0, TINY))
         path.write_bytes(good.read_bytes()[:-5])
         with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
+    def test_oversized_declared_shape_is_truncation(self, tmp_path):
+        good = tmp_path / "ok.dck"
+        save_checkpoint(good, init_params(0, TINY))
+        raw = bytearray(good.read_bytes())
+        # first record is meta.filters, rank 1: its one u32 dim follows the rank byte
+        (name_len,) = struct.unpack("<H", raw[8:10])
+        raw[11 + name_len:15 + name_len] = struct.pack("<I", 2**31)
+        path = tmp_path / "m.dck"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedFileError):
+            read_checkpoint_tensors(path)
+
+    @pytest.mark.parametrize("dims", [(1,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)],
+                             ids=["rank-65", "unindexable"])
+    def test_shape_numpy_cannot_hold_is_format_error(self, tmp_path, dims):
+        payload = b"\x00" * (4 * int(np.prod(dims)))
+        path = tmp_path / "m.dck"
+        path.write_bytes(b"DCK1" + struct.pack("<IH", 1, 1) + b"x"
+                         + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + payload)
+        with pytest.raises(FormatError):
+            read_checkpoint_tensors(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("meta.in_depth", np.float32(np.inf)),
+        ("meta.patch_size", np.float32(np.nan)),
+        ("meta.patch_size", np.float32(3.5)),
+        ("meta.filters", np.array([2, 3, np.inf], dtype=np.float32)),
+        ("meta.filters", np.zeros(0, dtype=np.float32)),
+        ("meta.in_depth", np.array([6, 6], dtype=np.float32)),
+        ("meta.bn_eps", np.float32(np.inf)),
+        ("meta.bn_momentum", np.float32(np.nan)),
+    ], ids=["inf-depth", "nan-patch", "fractional-patch", "inf-filter", "no-filters",
+            "two-depths", "inf-eps", "nan-momentum"])
+    def test_bad_metadata_is_format_error(self, tmp_path, name, value):
+        path = tmp_path / "m.dck"
+        save_checkpoint(path, init_params(0, TINY))
+        tensors = read_checkpoint_tensors(path)
+        tensors[name] = value
+        write_checkpoint_tensors(path, tensors)
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_eval_after_roundtrip_identical(self, tmp_path):

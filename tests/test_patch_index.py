@@ -182,6 +182,14 @@ class TestIndexContainer:
             read_index(path)
 
 
+    @pytest.mark.parametrize("patch_size", [0, 4])
+    def test_even_or_zero_patch_size_rejected(self, tmp_path, patch_size):
+        path = tmp_path / "i.dix"
+        path.write_bytes(b"DIX1" + struct.pack("<IQ", patch_size, 1) + b"\x00" * 12)
+        with pytest.raises(FormatError):
+            read_index(path)
+
+
 class TestExtraction:
     def test_patch_size_one_is_single_pixel(self, tmp_path):
         labels = np.zeros((4, 4), dtype=np.float32)
