@@ -7,14 +7,11 @@ For the full recipe with the stock three-pass schedule, see the acceptance
 suite (tests/test_acceptance.py) and README.
 """
 
-import shutil
 import tempfile
 from pathlib import Path
 
 from dustpipe import (
-    DatasetManifest,
     LossConfig,
-    ManifestEntry,
     PreprocessConfig,
     SyntheticConfig,
     TrainConfig,
@@ -22,12 +19,11 @@ from dustpipe import (
     generate_synthetic_dataset,
     infer_scene,
     load_checkpoint,
-    preprocess_pipeline,
+    preprocess_dataset,
     read_granule,
     read_labels,
     score_map,
     train,
-    write_granule,
     write_map,
     write_pgm,
 )
@@ -35,36 +31,21 @@ from dustpipe import (
 root = Path(tempfile.mkdtemp(prefix="dustpipe_demo05_"))
 cfg = SyntheticConfig(min_plumes=1, max_plumes=3, amplitude=0.8,
                       noise_sigma=0.02, nan_fraction=0.05)
-
-
-def preprocess_all(manifest, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for f, e in enumerate(manifest):
-        g = preprocess_pipeline(read_granule(e.granule),
-                                PreprocessConfig(rng_seed=9), folder_index=f)
-        gp, lp = out_dir / Path(e.granule).name, out_dir / Path(e.labels).name
-        write_granule(g, gp)
-        shutil.copyfile(e.labels, lp)
-        entries.append(ManifestEntry(gp, lp))
-    out = DatasetManifest(entries)
-    out.save(out_dir / "manifest.json")
-    return out
-
+prep = PreprocessConfig(rng_seed=9)
 
 print("synthesizing and preprocessing...")
-m_train = preprocess_all(
+m_train = preprocess_dataset(
     generate_synthetic_dataset(root / "train", seed=1, count=4, height=26,
                                width=26, channels=38, config=cfg),
-    root / "ptrain")
-m_val = preprocess_all(
+    root / "ptrain", prep)
+m_val = preprocess_dataset(
     generate_synthetic_dataset(root / "val", seed=2, count=1, height=20,
                                width=20, channels=38, config=cfg),
-    root / "pval")
-m_test = preprocess_all(
+    root / "pval", prep)
+m_test = preprocess_dataset(
     generate_synthetic_dataset(root / "test", seed=3, count=1, height=26,
                                width=26, channels=38, config=cfg),
-    root / "ptest")
+    root / "ptest", prep)
 
 print("training (1 pass, 2 partitions, 1 sub-epoch; deliberately short)...")
 result = train(m_train, m_val, root / "run",

@@ -69,6 +69,7 @@ from .preprocess import (
     PreprocessConfig,
     impute_granule,
     normalize_bands,
+    preprocess_dataset,
     preprocess_pipeline,
 )
 from .training import (

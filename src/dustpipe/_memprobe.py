@@ -36,8 +36,6 @@ def main(argv=None) -> int:
         touched += float(batch.inputs.ravel()[0])
         batches += 1
         samples += len(batch.targets)
-        if args.mode == "mmap":
-            store.release_pages()
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     json.dump({
         "peak_bytes": int(peak_kib) * 1024,

@@ -4,10 +4,10 @@ sampling throughput than per-batch mask scanning.
 
 Peak resident memory is a process-lifetime high-water mark, so every
 measurement runs in a fresh interpreter that reports its own ``ru_maxrss``.
-The streaming path advises the kernel to drop mapped pages after each
-batch, which is what keeps a long epoch's footprint near the batch size
-instead of the dataset size.  Benchmarks never modify dataset files;
-checksums are verified before and after.
+The streaming path advises the kernel to drop a file's mapped pages as
+soon as a batch gather leaves it, which is what keeps a long epoch's
+footprint near the batch size instead of the dataset size.  Benchmarks
+never modify dataset files; checksums are verified before and after.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ try:
 except ImportError:  # non-Unix platform
     _HAVE_RUSAGE = False
 
+# allowance over one batch footprint for the mmap path's peak-RSS growth
 DEFAULT_SLACK_BYTES = 64 * 1024 * 1024
 
 
@@ -130,14 +131,15 @@ class MemoryBenchReport:
 
 
 def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
-                 batch_size: int = 256, patch_size: int = 5, seed: int = 0,
-                 slack_bytes: int = DEFAULT_SLACK_BYTES) -> MemoryBenchReport:
+                 batch_size: int = 256, patch_size: int = 5,
+                 seed: int = 0) -> MemoryBenchReport:
     """Peak-RSS comparison of mmap streaming vs full loading.
 
     Streams one epoch over each manifest via the mmap path and the full-load
     path, each in a fresh subprocess.  The mmap path's peak should grow by
-    less than one batch footprint (plus slack) when the dataset quadruples;
-    the full-load path's peak should grow by at least the added payload.
+    less than one batch footprint plus ``DEFAULT_SLACK_BYTES`` when the
+    dataset quadruples; the full-load path's peak should grow by at least
+    the added payload.
     """
     small = DatasetManifest.load(manifest_small)
     large = DatasetManifest.load(manifest_large)
@@ -160,7 +162,7 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
     if not _HAVE_RUSAGE:
         return MemoryBenchReport(
             batch_size=batch_size, patch_size=patch_size, channels=channels,
-            r_batch_bytes=r_batch, slack_bytes=slack_bytes,
+            r_batch_bytes=r_batch, slack_bytes=DEFAULT_SLACK_BYTES,
             small_payload_bytes=small_payload, large_payload_bytes=large_payload,
             available_memory_bytes=available_memory_bytes(),
             mmap_peak_small_bytes=0, mmap_peak_large_bytes=0,
@@ -189,7 +191,7 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
         patch_size=patch_size,
         channels=channels,
         r_batch_bytes=r_batch,
-        slack_bytes=slack_bytes,
+        slack_bytes=DEFAULT_SLACK_BYTES,
         small_payload_bytes=small_payload,
         large_payload_bytes=large_payload,
         available_memory_bytes=available_memory_bytes(),
@@ -200,7 +202,7 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
         mmap_growth_bytes=mmap_growth,
         full_growth_bytes=full_growth,
         r_overhead_estimate_bytes=mmap_small["peak_bytes"] - r_batch,
-        mmap_decoupled=mmap_growth < r_batch + slack_bytes,
+        mmap_decoupled=mmap_growth < r_batch + DEFAULT_SLACK_BYTES,
         full_load_scales=full_growth >= added_payload,
         files_unchanged=after == before,
     )

@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from pathlib import Path
 
 from .errors import DustpipeError
 from .granule_io import (
     DatasetManifest,
-    ManifestEntry,
     SyntheticConfig,
     generate_synthetic_dataset,
     read_granule,
-    write_granule,
 )
 from .inference import infer_scene, write_map, write_pgm
 from .model3d import ModelConfig, describe_checkpoint, load_checkpoint
 from .patch_index import build_index, write_index
-from .preprocess import PreprocessConfig, preprocess_pipeline
+from .preprocess import PreprocessConfig, preprocess_dataset, preprocess_pipeline
 from .training import LossConfig, TrainConfig, evaluate, train
 
 
@@ -48,23 +45,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    manifest = DatasetManifest.load(args.manifest)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = PreprocessConfig(impute_window=args.window, rng_seed=args.seed,
                            fallback=args.fallback)
-    entries = []
-    for f, entry in enumerate(manifest):
-        granule = read_granule(entry.granule)
-        processed = preprocess_pipeline(granule, cfg, folder_index=f)
-        gpath = out_dir / Path(entry.granule).name
-        lpath = out_dir / Path(entry.labels).name
-        write_granule(processed, gpath)
-        shutil.copyfile(entry.labels, lpath)
-        entries.append(ManifestEntry(granule=gpath, labels=lpath))
-    out_manifest = DatasetManifest(entries)
-    out_manifest.save(out_dir / "manifest.json")
-    print(f"preprocessed {len(entries)} granules into {out_dir}")
+    out = preprocess_dataset(DatasetManifest.load(args.manifest), args.out, cfg)
+    print(f"preprocessed {len(out)} granules into {Path(args.out)}")
     return 0
 
 
@@ -82,7 +66,8 @@ def _cmd_train(args) -> int:
         raise DustpipeError(f"--filters needs three comma-separated counts, got {args.filters!r}")
     manifest_train = DatasetManifest.load(args.manifest_train)
     manifest_val = DatasetManifest.load(args.manifest_val)
-    channels = read_granule(manifest_train.entries[0].granule).channels
+    # mapped, so only the header is read
+    channels = read_granule(manifest_train.entries[0].granule, use_mmap=True).channels
     model_cfg = ModelConfig(filters=filters, in_depth=channels,
                             patch_size=args.patch_size)
     train_cfg = TrainConfig(
@@ -103,8 +88,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     manifest = DatasetManifest.load(args.manifest_test)
-    report = evaluate(args.ckpt, manifest, alpha=args.alpha,
-                      batch_size=args.batch)
+    report = evaluate(args.ckpt, manifest, alpha=args.alpha)
     payload = json.dumps(report.to_dict(), indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
@@ -218,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest-test", required=True)
     p.add_argument("--report")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--batch", type=int, default=1024)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("infer", help="full-scene detection map")

@@ -41,6 +41,14 @@ GRANULE_MAGIC = b"DGR1"
 LABELS_MAGIC = b"DLB1"
 GRANULE_HEADER_BYTES = 16
 
+# planted plumes: peak intensity is uniform in [PLUME_PEAK_LOW, PLUME_PEAK_HIGH];
+# a profile exponent below 1 flattens plume cores and sharpens their edges;
+# every DUST_CHANNEL_STRIDE-th channel, from channel 0, reacts to dust
+PLUME_PEAK_LOW = 0.7
+PLUME_PEAK_HIGH = 1.0
+PLUME_PROFILE_EXPONENT = 0.5
+DUST_CHANNEL_STRIDE = 3
+
 
 @dataclass
 class Granule:
@@ -310,28 +318,25 @@ def normalize_label_values(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Shape/intensity knobs for planted dust plumes.
+    """Plume count, intensity, noise and missing-data settings of a
+    synthetic dataset.
 
-    ``amplitude`` is the radiance shift applied to the affected channels at
-    label intensity 1; separability against ``noise_sigma`` is what makes a
-    fixture learnable.  ``nan_fraction`` plants per-entry NaN holes across
-    the whole volume; ``label_density`` keeps only that fraction of label
-    pixels finite (1.0 = fully labeled).
+    Each granule gets between ``min_plumes`` and ``max_plumes`` plumes.
+    ``amplitude`` is the radiance shift applied to the dust-reactive
+    channels at label intensity 1; separability against ``noise_sigma`` is
+    what makes a fixture learnable.  ``nan_fraction`` plants per-entry NaN
+    holes across the whole volume; ``label_density`` keeps only that
+    fraction of label pixels finite (1.0 = fully labeled).  Plume shape and
+    the reactive channels are the fixed ``PLUME_*`` and
+    ``DUST_CHANNEL_STRIDE`` constants.
     """
 
     min_plumes: int = 0
     max_plumes: int = 3
     amplitude: float = 0.5
     noise_sigma: float = 0.02
-    peak_low: float = 0.7
-    peak_high: float = 1.0
-    profile_exponent: float = 0.5  # <1 flattens plume cores, sharpens edges
     nan_fraction: float = 0.05
     label_density: float = 1.0
-    channel_stride: int = 3  # every k-th channel reacts to dust
-
-    def affected_channels(self, channels: int) -> np.ndarray:
-        return np.arange(0, channels, self.channel_stride)
 
 
 def generate_synthetic_dataset(
@@ -400,16 +405,15 @@ def _synthesize_granule(rng, height, width, channels, cfg: SyntheticConfig):
         ay = rng.uniform(0.12 * height, 0.35 * height)
         ax = rng.uniform(0.12 * width, 0.35 * width)
         theta = rng.uniform(0.0, np.pi)
-        peak = rng.uniform(cfg.peak_low, cfg.peak_high)
+        peak = rng.uniform(PLUME_PEAK_LOW, PLUME_PEAK_HIGH)
         u = (yy - cy) * np.cos(theta) + (xx - cx) * np.sin(theta)
         v = -(yy - cy) * np.sin(theta) + (xx - cx) * np.cos(theta)
         r2 = (u / ay) ** 2 + (v / ax) ** 2
-        bump = peak * np.clip(1.0 - r2, 0.0, None) ** cfg.profile_exponent
+        bump = peak * np.clip(1.0 - r2, 0.0, None) ** PLUME_PROFILE_EXPONENT
         intensity = np.maximum(intensity, bump)
 
     if cfg.amplitude > 0.0:
-        affected = cfg.affected_channels(channels)
-        data[affected] += cfg.amplitude * intensity[None]
+        data[::DUST_CHANNEL_STRIDE] += cfg.amplitude * intensity[None]
         labels = np.clip(intensity, 0.0, 1.0)
     else:
         labels = np.zeros_like(intensity)

@@ -47,20 +47,16 @@ class DetectionMap:
 
 
 def infer_scene(params: ModelParams, granule: Granule,
-                patch_size: int | None = None,
                 batch_size: int = 256) -> DetectionMap:
     """Slide the model over every interior pixel of a preprocessed granule.
 
     The granule must be finite in [0, 1] with the channel count the
-    checkpoint was trained on.  Patches are gathered in chunks of
-    ``batch_size`` pixels; the result does not depend on it.
+    checkpoint was trained on; patches are the checkpoint's patch size.
+    Patches are gathered in chunks of ``batch_size`` pixels; the result
+    does not depend on it.
     """
     cfg = params.config
-    p = cfg.patch_size if patch_size is None else patch_size
-    if p != cfg.patch_size:
-        raise ShapeMismatchError(
-            f"patch size {p} does not match checkpoint patch size {cfg.patch_size}"
-        )
+    p = cfg.patch_size
     data = granule.data
     if data.shape[0] != cfg.in_depth:
         raise ShapeMismatchError(

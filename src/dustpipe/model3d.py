@@ -76,9 +76,9 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one forward pass, consumed by backward."""
+    """Per-layer caches from one train-mode forward pass, consumed by
+    backward; an eval-mode trace holds stage shapes only."""
 
-    mode: str
     caches: dict = field(default_factory=dict)
     shapes: list = field(default_factory=list)  # (stage, per-sample shape)
 
@@ -268,54 +268,54 @@ def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.nda
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
                       train: bool, eps: float, momentum: float,
-                      update_running: bool, keep_cache: bool = True):
+                      update_running: bool):
     """Batch norm over the last (channel) axis of a channels-last batch,
-    computed on its row view."""
+    computed on its row view.
+
+    Train mode normalizes with batch statistics and returns a fresh output
+    plus the cache backward needs.  Eval mode normalizes ``x`` in place with
+    the running estimates and returns it with no cache.
+    """
     c = x.shape[-1]
     hw = x.shape[2] * x.shape[3]
     x2 = _rows(x)
-    if train:
-        m = x.size // c
-        mean = _channel_sum(x2, c) / m
-        xhat = x2 - np.tile(mean, hw)
-        var = _channel_sum(xhat, c, xhat) / m
-        if update_running:
-            unbiased = var * (m / (m - 1)) if m > 1 else var
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= np.tile(inv, hw)
-    else:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x2 - np.tile(running_mean, hw)) * np.tile(inv, hw)
-    if keep_cache:
-        y = np.tile(gamma, hw) * xhat
-        y += np.tile(beta, hw)
-        return y.reshape(x.shape), (xhat, inv, train)
-    # same multiply/add sequence applied in place: bitwise-identical output
-    xhat *= np.tile(gamma, hw)
-    xhat += np.tile(beta, hw)
-    return xhat.reshape(x.shape), None
+    if not train:
+        x2 -= np.tile(running_mean, hw)
+        x2 *= np.tile(1.0 / np.sqrt(running_var + eps), hw)
+        x2 *= np.tile(gamma, hw)
+        x2 += np.tile(beta, hw)
+        return x2.reshape(x.shape), None
+    m = x.size // c
+    mean = _channel_sum(x2, c) / m
+    xhat = x2 - np.tile(mean, hw)
+    var = _channel_sum(xhat, c, xhat) / m
+    if update_running:
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= np.tile(inv, hw)
+    y = np.tile(gamma, hw) * xhat
+    y += np.tile(beta, hw)
+    return y.reshape(x.shape), (xhat, inv)
 
 
 def batchnorm_backward(dy, gamma, cache):
-    xhat, inv, train = cache
+    """Gradients through train-mode batch norm (batch statistics)."""
+    xhat, inv = cache
     c = dy.shape[-1]
     hw = dy.shape[2] * dy.shape[3]
     dy2 = _rows(dy)
     dgamma = _channel_sum(dy2, c, xhat)
     dbeta = _channel_sum(dy2, c)
-    scale = np.tile(gamma * inv, hw)
-    if not train:
-        return (dy2 * scale).reshape(dy.shape), dgamma, dbeta
     # dx = gamma * inv * (dy - dbeta / m - xhat * dgamma / m)
     m = dy.size // c
     dx = xhat * np.tile(-dgamma / m, hw)
     dx += dy2
     dx -= np.tile(dbeta / m, hw)
-    dx *= scale
+    dx *= np.tile(gamma * inv, hw)
     return dx.reshape(dy.shape), dgamma, dbeta
 
 
@@ -341,18 +341,15 @@ def _sample_shape(a: np.ndarray) -> tuple:
 
 
 def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
-            update_running_stats: bool | None = None,
-            keep_caches: bool | None = None):
+            update_running_stats: bool | None = None):
     """Run the network on a (B, 1, C, P, P) batch.
 
-    Returns per-sample probabilities in (0, 1) plus a trace for backward.
-    Train mode normalizes with batch statistics (and by default updates the
-    running estimates in place); eval mode uses the running estimates, is
-    a pure function of (params, x) and is batch-invariant: each sample's
-    output is bitwise the same whatever else is in the batch.
-    ``keep_caches`` (default: train mode only) controls whether the trace
-    retains what backward needs; disabling it never changes the computed
-    values, only memory and time.
+    Returns per-sample probabilities in (0, 1) plus a trace.  Train mode
+    normalizes with batch statistics (and by default updates the running
+    estimates in place), and its trace holds what backward needs.  Eval
+    mode uses the running estimates, keeps no caches, is a pure function of
+    (params, x) and is batch-invariant: each sample's output is bitwise the
+    same whatever else is in the batch.
     """
     cfg = params.config
     x = np.asarray(x)
@@ -370,10 +367,8 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     train = mode == "train"
     if update_running_stats is None:
         update_running_stats = train
-    if keep_caches is None:
-        keep_caches = train
     t = params.tensors
-    trace = ForwardTrace(mode=mode)
+    trace = ForwardTrace()
     trace.shapes.append(("input", x.shape[1:]))
 
     # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
@@ -387,9 +382,9 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
             t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
             train=train, eps=cfg.bn_eps, momentum=cfg.bn_momentum,
-            update_running=update_running_stats, keep_cache=keep_caches,
+            update_running=update_running_stats,
         )
-        if keep_caches:
+        if train:
             trace.caches[f"conv{i}"] = conv_cache
             trace.caches[f"relu{i}"] = y > 0
             trace.caches[f"bn{i}"] = bn_cache
@@ -397,7 +392,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
         a = bn
         if i < n_blocks:
             a, pool_cache = maxpool3d_forward(a)
-            if keep_caches:
+            if train:
                 trace.caches[f"pool{i}"] = pool_cache
             trace.shapes.append((f"pool{i}", _sample_shape(a)))
 
@@ -408,7 +403,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     # whose summation order the BLAS may change with the batch size
     z = (pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0]
     preds = expit(z)
-    if keep_caches:
+    if train:
         trace.caches["avgpool"] = avg_cache
         trace.caches["fc"] = pooled
         trace.caches["sigmoid"] = preds
@@ -426,7 +421,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     cfg = params.config
     t = params.tensors
     if "sigmoid" not in trace.caches:
-        raise ValueError("trace was built with keep_caches=False; backward needs caches")
+        raise ValueError("backward needs a train-mode trace; eval mode keeps no caches")
     if dpreds.shape != trace.caches["sigmoid"].shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {dpreds.shape} does not match "
@@ -468,8 +463,7 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     patches = np.asarray(patches)
     out = np.empty(len(patches), dtype=params.dtype)
     for start in range(0, len(patches), EVAL_TILE):
-        p, _ = forward(params, patches[start:start + EVAL_TILE, None], mode="eval",
-                       keep_caches=False)
+        p, _ = forward(params, patches[start:start + EVAL_TILE, None], mode="eval")
         out[start:start + EVAL_TILE] = p
     return out
 

@@ -142,6 +142,7 @@ def validate_index(index: PatchIndex, manifest: DatasetManifest,
 
 
 def write_index(index: PatchIndex, path: str | Path) -> None:
+    _require_odd(index.patch_size)
     t = np.ascontiguousarray(index.triplets, dtype=np.int64)
     if len(t) and (t.min() < 0 or t.max() > 2**32 - 1):
         raise FormatError("triplet fields do not fit in u32")
@@ -167,12 +168,12 @@ class GranuleStore:
     """Read-only access to a manifest's granules and normalized labels.
 
     With ``use_mmap`` the granule payloads are memory-mapped so only touched
-    file regions page in; ``release_pages`` drops resident pages so a
-    streaming consumer's footprint stays bounded by its batch.  Shuffled
-    sampling touches pages all over every file, so consumers that must hold
-    a hard residency ceiling can pass ``release_after_gather`` to drop each
-    file's pages as soon as a batch gather leaves it.  Label maps are always
-    fully loaded (they are small) and min-max normalized per file.
+    file regions page in.  Shuffled sampling touches pages all over every
+    file, so consumers that must hold a hard residency ceiling can pass
+    ``release_after_gather`` to drop each file's pages as soon as a batch
+    gather leaves it; the footprint of a streaming epoch then stays bounded
+    by its batch.  Label maps are always fully loaded (they are small) and
+    min-max normalized per file.
     """
 
     def __init__(self, manifest: DatasetManifest, use_mmap: bool = True,
@@ -220,11 +221,6 @@ class GranuleStore:
     def payload_bytes(self) -> int:
         return sum(arr.nbytes for arr in self._granules)
 
-    def release_pages(self) -> None:
-        """Advise the kernel to drop resident pages of all mapped granules."""
-        for handle in self._mmaps:
-            handle.madvise(mmap.MADV_DONTNEED)
-
     def close(self) -> None:
         self._granules.clear()
         self._labels.clear()
@@ -237,16 +233,6 @@ class GranuleStore:
         self._mmaps.clear()
 
     # -- extraction ---------------------------------------------------------
-
-    def extract_patch(self, triplet, patch_size: int) -> tuple[np.ndarray, float]:
-        """One (C, P, P) window plus its center label."""
-        f, y, x = (int(v) for v in triplet)
-        h = patch_size // 2
-        self._check_bounds(f, y, x, h)
-        arr = self._granules[f]
-        patch = np.ascontiguousarray(arr[:, y - h:y + h + 1, x - h:x + h + 1],
-                                     dtype=np.float32)
-        return patch, float(self._labels[f][y, x])
 
     def extract_batch(self, triplets: np.ndarray, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized gather of many windows; preserves triplet order."""

@@ -10,13 +10,15 @@ order, so the result is byte-identical regardless of scheduling.
 from __future__ import annotations
 
 import logging
+import shutil
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .granule_io import Granule
+from .granule_io import DatasetManifest, Granule, ManifestEntry, read_granule, write_granule
 
 log = logging.getLogger(__name__)
 
@@ -121,3 +123,26 @@ def preprocess_pipeline(granule: Granule, cfg: PreprocessConfig,
                         folder_index: int = 0) -> Granule:
     """normalize_bands then impute_granule; output is finite and in [0, 1]."""
     return impute_granule(normalize_bands(granule), cfg, folder_index)
+
+
+def preprocess_dataset(manifest: DatasetManifest, out_dir: str | Path,
+                       cfg: PreprocessConfig) -> DatasetManifest:
+    """Preprocess every granule of a manifest into ``out_dir``.
+
+    Each granule keeps its file name and is keyed by its folder index for
+    imputation; label files are copied verbatim.  Writes and returns the
+    new ``manifest.json``.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for f, entry in enumerate(manifest):
+        processed = preprocess_pipeline(read_granule(entry.granule), cfg, folder_index=f)
+        gpath = out_dir / Path(entry.granule).name
+        lpath = out_dir / Path(entry.labels).name
+        write_granule(processed, gpath)
+        shutil.copyfile(entry.labels, lpath)
+        entries.append(ManifestEntry(granule=gpath, labels=lpath))
+    out = DatasetManifest(entries)
+    out.save(out_dir / "manifest.json")
+    return out

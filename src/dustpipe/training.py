@@ -7,6 +7,10 @@ training run makes ``passes`` full passes over the data; each pass shuffles
 the patch index into ``partitions`` near-equal partitions and iterates each
 partition for ``sub_epochs`` sub-epochs; validation loss is measured after
 every sub-epoch and drives the plateau scheduler.
+
+Adam's betas and epsilon, and the plateau schedule's factor, floor and
+improvement threshold, are the fixed module constants below;
+``TrainConfig`` holds the values a run or the CLI sets.
 """
 
 from __future__ import annotations
@@ -39,6 +43,14 @@ from .patch_index import (
     shuffle_partitions,
 )
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PLATEAU_FACTOR = 0.5
+MIN_LR = 1e-7
+IMPROVEMENT_THRESHOLD = 1e-8  # a smaller drop in validation loss is a stall
+EVAL_BATCH = 1024  # patches gathered per batch for validation and evaluate
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -53,13 +65,7 @@ class LossConfig:
 class TrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     plateau_patience: int = 2       # sub-epochs without improvement
-    plateau_factor: float = 0.5
-    min_lr: float = 1e-7
-    improvement_threshold: float = 1e-8
     passes: int = 3
     partitions: int = 5
     sub_epochs: int = 3
@@ -67,8 +73,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "plateau_factor", "min_lr", "batch_size",
-                     "passes", "partitions", "sub_epochs"):
+        for name in ("learning_rate", "batch_size", "passes", "partitions", "sub_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.weight_decay < 0:
@@ -187,8 +192,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         theta = params.tensors[name]
         if g.shape != theta.shape:
@@ -197,21 +202,21 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             g = g + cfg.weight_decay * theta
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class PlateauScheduler:
     """Plateau-driven learning rate; one ``step`` per sub-epoch.
 
-    The rate is multiplied by ``plateau_factor`` whenever the loss has not
-    improved (by more than ``improvement_threshold``) for
+    The rate is multiplied by ``PLATEAU_FACTOR`` whenever the loss has not
+    improved (by more than ``IMPROVEMENT_THRESHOLD``) for
     ``plateau_patience`` consecutive steps; the stall counter resets on
     improvement and after each reduction; the rate never drops below
-    ``min_lr``.
+    ``MIN_LR``.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -221,13 +226,13 @@ class PlateauScheduler:
         self._stalled = 0
 
     def step(self, loss: float) -> float:
-        if self._best is None or loss < self._best - self.cfg.improvement_threshold:
+        if self._best is None or loss < self._best - IMPROVEMENT_THRESHOLD:
             self._best = loss
             self._stalled = 0
         else:
             self._stalled += 1
             if self._stalled >= self.cfg.plateau_patience:
-                self.lr = max(self.lr * self.cfg.plateau_factor, self.cfg.min_lr)
+                self.lr = max(self.lr * PLATEAU_FACTOR, MIN_LR)
                 self._stalled = 0
         return self.lr
 
@@ -275,12 +280,12 @@ class TrainResult:
     best_val_wmse: float = math.inf
 
 
-def _predict_index(params: ModelParams, index: PatchIndex, store: GranuleStore,
-                   batch_size: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+def _predict_index(params: ModelParams, index: PatchIndex,
+                   store: GranuleStore) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode predictions and targets for every triplet of ``index``, in order."""
     preds = []
     targets = []
-    for batch in iter_batches(index, store, np.arange(len(index)), batch_size):
+    for batch in iter_batches(index, store, np.arange(len(index)), EVAL_BATCH):
         preds.append(predict(params, batch.inputs))
         targets.append(batch.targets)
     return np.concatenate(preds), np.concatenate(targets)
@@ -383,7 +388,7 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
 
 
 def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
-             alpha: float = 1.0, batch_size: int = 1024) -> MetricsReport:
+             alpha: float = 1.0) -> MetricsReport:
     """Eval-mode metrics over every valid patch center of a manifest."""
     if isinstance(checkpoint, ModelParams):
         params = checkpoint
@@ -393,6 +398,6 @@ def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
     index = build_index(manifest, params.config.patch_size)
     if len(index) == 0:
         raise EmptyDatasetError("evaluation index is empty")
-    preds, targets = _predict_index(params, index, store, batch_size)
+    preds, targets = _predict_index(params, index, store)
     store.close()
     return compute_metrics(preds, targets, alpha)

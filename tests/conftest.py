@@ -1,39 +1,14 @@
 """Shared fixtures: small datasets and the recorded desk-scale training run."""
 
-import shutil
 import time
-from pathlib import Path
 
 import pytest
 
-from dustpipe.granule_io import (
-    DatasetManifest,
-    ManifestEntry,
-    SyntheticConfig,
-    generate_synthetic_dataset,
-    read_granule,
-    write_granule,
-)
-from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
+from dustpipe.granule_io import SyntheticConfig, generate_synthetic_dataset
+from dustpipe.preprocess import PreprocessConfig, preprocess_dataset
 from dustpipe.training import LossConfig, TrainConfig, train
 
-
-def preprocess_manifest(manifest, out_dir: Path, seed: int = 9) -> DatasetManifest:
-    """Normalize + impute every granule; labels copied untouched."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for f, entry in enumerate(manifest):
-        granule = preprocess_pipeline(
-            read_granule(entry.granule), PreprocessConfig(rng_seed=seed), folder_index=f
-        )
-        gpath = out_dir / Path(entry.granule).name
-        lpath = out_dir / Path(entry.labels).name
-        write_granule(granule, gpath)
-        shutil.copyfile(entry.labels, lpath)
-        entries.append(ManifestEntry(granule=gpath, labels=lpath))
-    out = DatasetManifest(entries)
-    out.save(out_dir / "manifest.json")
-    return out
+PREPROCESS_CFG = PreprocessConfig(rng_seed=9)
 
 
 # Recorded pilot configuration for the desk-scale learning check: a strongly
@@ -58,9 +33,9 @@ def desk_run(tmp_path_factory):
     m_test = generate_synthetic_dataset(root / "test", seed=3, count=2,
                                         height=30, width=30, channels=38,
                                         config=DESK_SYNTH)
-    p_train = preprocess_manifest(m_train, root / "ptrain")
-    p_val = preprocess_manifest(m_val, root / "pval")
-    p_test = preprocess_manifest(m_test, root / "ptest")
+    p_train = preprocess_dataset(m_train, root / "ptrain", PREPROCESS_CFG)
+    p_val = preprocess_dataset(m_val, root / "pval", PREPROCESS_CFG)
+    p_test = preprocess_dataset(m_test, root / "ptest", PREPROCESS_CFG)
 
     t0 = time.perf_counter()
     result = train(p_train, p_val, root / "run",

@@ -86,8 +86,6 @@ class TestInferScene:
     def test_precondition_validation(self, tmp_path):
         g, _ = processed_granule(tmp_path / "d")
         params = init_params(5, SMALL_MODEL)
-        with pytest.raises(ShapeMismatchError):
-            infer_scene(params, g, patch_size=3)
         wrong_c = Granule(np.zeros((4, 12, 12), dtype=np.float32))
         with pytest.raises(ShapeMismatchError):
             infer_scene(params, wrong_c)

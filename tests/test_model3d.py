@@ -299,15 +299,15 @@ class TestBackward:
             params.tensors[n].size for n in trainable_names(config))
 
     def test_duplicated_sample_doubles_gradient(self):
-        # batch statistics frozen to the running estimates (eval mode)
+        # a duplicated batch has the same batch statistics as the original
         params, x, y = self._setup(batch=1)
-        single, trace1 = forward(params, x, mode="eval", keep_caches=True)
+        single, trace1 = forward(params, x, mode="train", update_running_stats=False)
         _, d1 = wmse_loss(single, y, LossConfig(0.0))
         g1 = backward(params, trace1, d1)
 
         x2 = np.concatenate([x, x])
         y2 = np.concatenate([y, y])
-        double, trace2 = forward(params, x2, mode="eval", keep_caches=True)
+        double, trace2 = forward(params, x2, mode="train", update_running_stats=False)
         # same total (unaveraged) objective: feed per-sample gradients that
         # match the single-sample case
         _, d_each = wmse_loss(single, y, LossConfig(0.0))
@@ -317,7 +317,7 @@ class TestBackward:
 
     def test_backward_requires_caches(self):
         params, x, y = self._setup()
-        preds, trace = forward(params, x, mode="eval", keep_caches=False)
+        preds, trace = forward(params, x, mode="eval")
         with pytest.raises(ValueError):
             backward(params, trace, np.zeros_like(preds))
 
@@ -335,8 +335,7 @@ class TestPredictPaths:
         patches = rng.uniform(0, 1, size=(6, 38, 5, 5)).astype(np.float32)
         via_predict = predict(params, patches)
         for i in range(6):
-            one, _ = forward(params, patches[i:i + 1, None], mode="eval",
-                             keep_caches=False)
+            one, _ = forward(params, patches[i:i + 1, None], mode="eval")
             assert via_predict[i] == one[0]
 
 
@@ -364,7 +363,7 @@ class TestBatchInvariance:
         lone = np.concatenate([predict(params, patches[i:i + 1]) for i in range(n)]).tobytes()
 
         assert predict(params, patches).tobytes() == lone
-        whole, _ = forward(params, patches[:, None], mode="eval", keep_caches=False)
+        whole, _ = forward(params, patches[:, None], mode="eval")
         assert whole.tobytes() == lone
         splits = [np.arange(size, n, size) for size in (2, 3, 7, 8, 9, 64)]
         splits += [np.sort(rng.choice(np.arange(1, n), rng.integers(1, 8), replace=False))

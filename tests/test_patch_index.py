@@ -189,16 +189,24 @@ class TestIndexContainer:
         with pytest.raises(FormatError):
             read_index(path)
 
+    @pytest.mark.parametrize("patch_size", [0, 4])
+    def test_writer_rejects_even_or_zero_patch_size(self, tmp_path, patch_size):
+        path = tmp_path / "i.dix"
+        t = np.array([[0, 2, 2]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            write_index(PatchIndex(t, patch_size), path)
+        assert not path.exists()
+
 
 class TestExtraction:
     def test_patch_size_one_is_single_pixel(self, tmp_path):
         labels = np.zeros((4, 4), dtype=np.float32)
         manifest = write_dataset(tmp_path, [labels], channels=5)
         store = GranuleStore(manifest)
-        patch, label = store.extract_patch((0, 1, 2), 1)
-        assert patch.shape == (5, 1, 1)
-        assert np.array_equal(patch[:, 0, 0], store.granule(0)[:, 1, 2])
-        assert label == store.labels(0)[1, 2]
+        patches, labels_out = store.extract_batch(np.array([[0, 1, 2]]), 1)
+        assert patches.shape == (1, 5, 1, 1)
+        assert np.array_equal(patches[0, :, 0, 0], store.granule(0)[:, 1, 2])
+        assert labels_out[0] == store.labels(0)[1, 2]
 
     def test_constant_granule_constant_patch(self, tmp_path):
         g = np.full((2, 6, 6), 0.7, dtype=np.float32)
@@ -207,8 +215,8 @@ class TestExtraction:
         write_granule(Granule(g), gp)
         write_labels(LabelMap(labels), lp)
         store = GranuleStore(DatasetManifest([ManifestEntry(gp, lp)]))
-        patch, _ = store.extract_patch((0, 2, 3), 5)
-        assert (patch == np.float32(0.7)).all()
+        patches, _ = store.extract_batch(np.array([[0, 2, 3]]), 5)
+        assert (patches == np.float32(0.7)).all()
 
     def test_matches_full_load_slicing_oracle(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -220,28 +228,28 @@ class TestExtraction:
         full = full_store.granule(0)
         for t in index.triplets[rng.permutation(len(index))[:25]]:
             f, y, x = t
-            patch, label = mm_store.extract_patch(t, 5)
+            patches, _ = mm_store.extract_batch(t[None], 5)
             oracle = full[:, y - 2:y + 3, x - 2:x + 3]
-            assert np.array_equal(patch, oracle)
-        # batched extraction equals per-patch extraction, mmap equals full
+            assert np.array_equal(patches[0], oracle)
+        # batched extraction equals one-row extraction, mmap equals full
         sel = index.triplets[rng.permutation(len(index))[:40]]
         got_m, lab_m = mm_store.extract_batch(sel, 5)
         got_f, lab_f = full_store.extract_batch(sel, 5)
         assert np.array_equal(got_m, got_f)
         assert np.array_equal(lab_m, lab_f)
         for i, t in enumerate(sel):
-            p, l = full_store.extract_patch(t, 5)
-            assert np.array_equal(got_m[i], p)
-            assert lab_m[i] == np.float32(l)
+            p, l = full_store.extract_batch(t[None], 5)
+            assert np.array_equal(got_m[i], p[0])
+            assert lab_m[i] == l[0]
 
     def test_out_of_bounds_triplet_rejected(self, tmp_path):
         labels = np.zeros((6, 6), dtype=np.float32)
         manifest = write_dataset(tmp_path, [labels])
         store = GranuleStore(manifest)
         with pytest.raises(IndexMismatchError):
-            store.extract_patch((0, 0, 3), 5)
+            store.extract_batch(np.array([[0, 0, 3]]), 5)
         with pytest.raises(IndexMismatchError):
-            store.extract_patch((3, 3, 3), 5)
+            store.extract_batch(np.array([[3, 3, 3]]), 5)
 
     def test_mispaired_label_dimensions_rejected(self, tmp_path):
         g = np.zeros((2, 6, 6), dtype=np.float32)

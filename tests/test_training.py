@@ -25,6 +25,10 @@ from dustpipe.granule_io import (
 )
 from dustpipe.model3d import ModelConfig, init_params, save_checkpoint
 from dustpipe.training import (
+    ADAM_EPS,
+    IMPROVEMENT_THRESHOLD,
+    MIN_LR,
+    PLATEAU_FACTOR,
     LossConfig,
     PlateauScheduler,
     TrainConfig,
@@ -176,7 +180,7 @@ class TestAdam:
         adam_step(params, grads, state, lr=1e-3, cfg=cfg)
         # classic L2: g = wd * theta; first step has full bias correction
         g = cfg.weight_decay * theta0
-        expected = theta0 - 1e-3 * g / (np.abs(g) + cfg.adam_eps)
+        expected = theta0 - 1e-3 * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(params.tensors["fc.weight"], expected, rtol=1e-6, atol=1e-12)
 
     def test_first_step_is_signed_learning_rate(self):
@@ -189,7 +193,7 @@ class TestAdam:
         grads["conv1.weight"] = g
         adam_step(params, grads, state, lr=1e-3, cfg=cfg)
         delta = params.tensors["conv1.weight"] - theta0
-        expected = -1e-3 * g / (np.abs(g) + cfg.adam_eps)
+        expected = -1e-3 * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(delta, expected, rtol=1e-5, atol=1e-10)
 
     def test_deterministic(self):
@@ -237,13 +241,13 @@ def reference_plateau_lr(losses, cfg: TrainConfig) -> float:
     best = None
     stalled = 0
     for loss in losses:
-        if best is None or loss < best - cfg.improvement_threshold:
+        if best is None or loss < best - IMPROVEMENT_THRESHOLD:
             best = loss
             stalled = 0
         else:
             stalled += 1
             if stalled >= cfg.plateau_patience:
-                lr = max(lr * cfg.plateau_factor, cfg.min_lr)
+                lr = max(lr * PLATEAU_FACTOR, MIN_LR)
                 stalled = 0
     return lr
 
@@ -254,7 +258,7 @@ class TestPlateauSchedule:
         assert lr_after([1.0, 0.9, 0.8], cfg) == cfg.learning_rate
 
     def test_flat_history_halves_after_third_entry(self):
-        cfg = TrainConfig(plateau_patience=2, plateau_factor=0.5)
+        cfg = TrainConfig(plateau_patience=2)
         assert lr_after([1.0, 1.0], cfg) == cfg.learning_rate
         assert lr_after([1.0, 1.0, 1.0], cfg) == cfg.learning_rate * 0.5
 
@@ -264,14 +268,14 @@ class TestPlateauSchedule:
         assert lr_after([1.0, 1.0, 0.5, 0.5, 0.5], cfg) == cfg.learning_rate * 0.5
 
     def test_never_below_floor(self):
-        cfg = TrainConfig(plateau_patience=1, plateau_factor=0.1, min_lr=1e-7)
-        assert lr_after([1.0] + [1.0] * 50, cfg) == cfg.min_lr
+        cfg = TrainConfig(plateau_patience=1)
+        assert lr_after([1.0] + [1.0] * 50, cfg) == MIN_LR
 
     def test_tiny_improvements_do_not_reset(self):
-        cfg = TrainConfig(plateau_patience=2, improvement_threshold=1e-8)
+        cfg = TrainConfig(plateau_patience=2)
         # improvements below the threshold count as stalls
         assert lr_after([1.0, 1.0 - 1e-12, 1.0 - 2e-12], cfg) == \
-            cfg.learning_rate * cfg.plateau_factor
+            cfg.learning_rate * PLATEAU_FACTOR
 
     def test_stateful_wrapper_matches_pure_walk(self):
         cfg = TrainConfig(plateau_patience=2)
