@@ -299,11 +299,15 @@ class TestBackward:
             params.tensors[n].size for n in trainable_names(config))
 
     def test_duplicated_sample_doubles_gradient(self):
-        # a duplicated batch has the same batch statistics as the original
-        params, x, y = self._setup(batch=1)
+        # a duplicated batch has the same batch statistics as the original;
+        # four distinct samples keep every batch-norm gradient live (with one
+        # or two rows per channel, xhat is fixed and the input gradient is 0)
+        params, x, y = self._setup(batch=4)
         single, trace1 = forward(params, x, mode="train", update_running_stats=False)
         _, d1 = wmse_loss(single, y, LossConfig(0.0))
         g1 = backward(params, trace1, d1)
+        for name, g in g1.items():
+            assert np.abs(g).max() > 1e-8, name
 
         x2 = np.concatenate([x, x])
         y2 = np.concatenate([y, y])

@@ -238,8 +238,11 @@ class TestExtraction:
         assert np.array_equal(got_m, got_f)
         assert np.array_equal(lab_m, lab_f)
         for i, t in enumerate(sel):
+            f, y, x = t
             p, l = full_store.extract_batch(t[None], 5)
             assert np.array_equal(got_m[i], p[0])
+            assert np.array_equal(got_m[i], full[:, y - 2:y + 3, x - 2:x + 3])
+            assert lab_m[i] == full_store.labels(int(f))[y, x]
             assert lab_m[i] == l[0]
 
     def test_out_of_bounds_triplet_rejected(self, tmp_path):
