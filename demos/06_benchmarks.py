@@ -8,6 +8,7 @@ the dataset size quadruples.
 
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 from dustpipe import SyntheticConfig, generate_synthetic_dataset
@@ -51,5 +52,5 @@ print(f"decoupled (mmap growth < batch + 64 MiB): {mem.mmap_decoupled}")
 print(f"full-load growth covers the added bytes:  {mem.full_load_scales}")
 
 out = root / "memory_report.json"
-out.write_text(json.dumps(mem.to_dict(), indent=2))
+out.write_text(json.dumps(asdict(mem), indent=2))
 print(f"\nfull report: {out}")

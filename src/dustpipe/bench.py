@@ -126,9 +126,6 @@ class MemoryBenchReport:
     partial: bool = False
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
                  batch_size: int = 256, patch_size: int = 5,
@@ -228,9 +225,6 @@ class SamplingBenchReport:
     naive_epochs: int
     multisets_equal: bool
     files_unchanged: bool
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _time_epochs(make_iter, min_seconds: float):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DustpipeError
@@ -89,7 +90,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     manifest = DatasetManifest.load(args.manifest_test)
     report = evaluate(args.ckpt, manifest, alpha=args.alpha)
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(asdict(report), indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
         print(f"report written to {args.report}")
@@ -116,7 +117,7 @@ def _cmd_bench_memory(args) -> int:
 
     report = bench_memory(args.small, args.large, batch_size=args.batch,
                           patch_size=args.patch_size, seed=args.seed)
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(asdict(report), indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
     print(payload)
@@ -129,7 +130,7 @@ def _cmd_bench_sampling(args) -> int:
     report = bench_sampling(args.manifest, batch_size=args.batch,
                             seed=args.seed, duration_seconds=args.seconds,
                             patch_size=args.patch_size)
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(asdict(report), indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
     print(payload)

@@ -127,14 +127,6 @@ class ScoreReport:
     core: MetricsReport | None
     gradient_threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_dict(),
-            "boundary": self.boundary.to_dict() if self.boundary else None,
-            "core": self.core.to_dict() if self.core else None,
-            "gradient_threshold": self.gradient_threshold,
-        }
-
 
 def score_map(dmap: DetectionMap, labels: LabelMap, alpha: float = 1.0,
               gradient_threshold: float = 0.05) -> ScoreReport:

@@ -1,23 +1,23 @@
 """Per-band min-max normalization and deterministic local NaN imputation.
 
 The pipeline normalizes first (so imputation draws live in [0, 1]) and then
-fills every NaN from the pre-imputation snapshot: a uniform draw between the
-finite min and max found within ``impute_window`` rows above and below in the
-same column of the same band.  Draws are keyed by position, not by traversal
-order, so the result is byte-identical regardless of scheduling.
+fills every NaN from the pre-imputation band: a uniform draw between the
+finite min and max within ``impute_window`` rows in the same column and band.
+Both steps run over slabs of consecutive bands on the output copy.  Draws
+come from one generator per granule in band order, as one (C, H, W) draw.
 """
 
 from __future__ import annotations
 
 import logging
 import shutil
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
+from .errors import FormatError
 from .granule_io import DatasetManifest, Granule, ManifestEntry, read_granule, write_granule
 
 log = logging.getLogger(__name__)
@@ -39,6 +39,17 @@ class PreprocessConfig:
             raise ValueError(f"unknown fallback policy {self.fallback!r}")
 
 
+SLAB_BYTES = 1 << 20
+
+
+def _slabs(data: np.ndarray):
+    """(first band, view) pairs covering the bands in order, each at most
+    SLAB_BYTES or one band: a small granule is one slab, as a call per band
+    costs ~1 ms per 38x30x30 granule, and a large one's temporaries stay small."""
+    step = max(1, SLAB_BYTES * len(data) // max(1, data.nbytes))
+    return ((c, data[c:c + step]) for c in range(0, len(data), step))
+
+
 def normalize_bands(granule: Granule) -> Granule:
     """Scale each band to [0, 1] by its own finite min/max.
 
@@ -46,76 +57,59 @@ def normalize_bands(granule: Granule) -> Granule:
     finite value at all is left all-NaN (logged; imputation fallback will
     resolve it downstream).
     """
-    data = granule.data
-    finite = np.isfinite(data)
-    per_band_any = finite.any(axis=(1, 2))
-
-    lo = np.full(data.shape[0], np.nan, dtype=np.float32)
-    hi = np.full(data.shape[0], np.nan, dtype=np.float32)
-    masked_lo = np.where(finite, data, np.float32(np.inf))
-    masked_hi = np.where(finite, data, np.float32(-np.inf))
-    lo[per_band_any] = masked_lo.min(axis=(1, 2))[per_band_any]
-    hi[per_band_any] = masked_hi.max(axis=(1, 2))[per_band_any]
-
-    out = data.copy()
-    span = hi - lo
-    for c in np.nonzero(per_band_any)[0]:
-        if span[c] > 0:
-            out[c] = (data[c] - lo[c]) / span[c]
-        else:
-            band = out[c]
-            band[finite[c]] = 0.0
-    if not per_band_any.all():
-        log.warning("bands with no finite values left all-NaN: %s",
-                    np.nonzero(~per_band_any)[0].tolist())
+    out = granule.data.copy()
+    empty = []
+    for first, slab in _slabs(out):
+        finite = np.isfinite(slab)
+        lo = np.where(finite, slab, np.float32(np.inf)).min(axis=(1, 2))
+        span = np.where(finite, slab, np.float32(-np.inf)).max(axis=(1, 2)) - lo
+        empty += (first + np.flatnonzero(lo == np.inf)).tolist()
+        scaled = span > 0  # neither constant nor without finite values
+        slab -= np.where(scaled, lo, 0)[:, None, None]
+        slab /= np.where(scaled, span, 1)[:, None, None]
+        slab[finite & ~scaled[:, None, None]] = 0.0
+    if empty:
+        log.warning("bands with no finite values left all-NaN: %s", empty)
     return Granule(out)
 
 
 def impute_granule(granule: Granule, cfg: PreprocessConfig,
                    folder_index: int = 0) -> Granule:
-    """Replace every NaN with a positional uniform draw from its column window.
+    """Replace every NaN with a uniform draw from its column window.
 
     For a NaN at (c, y, x) the draw is uniform over [m, M], the finite min/max
     of rows y-w..y+w (clamped to the image) in column x of band c, taken from
-    the pre-imputation snapshot so fills never cascade.  Windows with no
-    finite neighbor fall back to the band mean (or zero, per config); a band
-    with no finite value at all becomes zero.  The draw for a position is a
-    pure function of (rng_seed, folder_index, granule shape, c, y, x).
+    the pre-imputation band so fills never cascade.  Windows with no finite
+    neighbor fall back to the band mean (or zero, per config); a band with no
+    finite value at all becomes zero.  The draw for a position is a pure
+    function of (rng_seed, folder_index, granule shape, c, y, x).
     """
     data = granule.data.copy()
-    nan_mask = ~np.isfinite(data)
-    if not nan_mask.any():
-        return Granule(data)
-
     size = 2 * cfg.impute_window + 1
-    lo = minimum_filter1d(np.where(nan_mask, np.float32(np.inf), data),
-                          size=size, axis=1, mode="constant", cval=np.inf)
-    hi = maximum_filter1d(np.where(nan_mask, np.float32(-np.inf), data),
-                          size=size, axis=1, mode="constant", cval=-np.inf)
-
-    draws = np.random.default_rng((int(cfg.rng_seed), int(folder_index))) \
-        .random(data.shape)
-    no_neighbor = ~np.isfinite(lo)
-
-    with np.errstate(invalid="ignore"):
-        # inf arithmetic at no-neighbor positions is discarded below
-        fill = (lo.astype(np.float64) + draws * (hi - lo).astype(np.float64))
-        fill = fill.astype(np.float32)
-    data[nan_mask] = fill[nan_mask]
-
-    orphan = nan_mask & no_neighbor
-    if orphan.any():
-        if cfg.fallback == FALLBACK_BAND_MEAN:
-            snapshot = np.where(nan_mask, np.nan, granule.data)
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN bands
-                band_mean = np.nanmean(snapshot, axis=(1, 2))
-            band_mean = np.nan_to_num(band_mean, nan=0.0).astype(np.float32)
-        else:
-            band_mean = np.zeros(data.shape[0], dtype=np.float32)
-        fallback_volume = np.broadcast_to(band_mean[:, None, None], data.shape)
-        data[orphan] = fallback_volume[orphan]
-
+    rng = np.random.default_rng((int(cfg.rng_seed), int(folder_index)))
+    for _, slab in _slabs(data):
+        holes = ~np.isfinite(slab)
+        if not holes.any():
+            # as if drawn (one 64-bit step per double), to keep later bands' draws
+            rng.bit_generator.advance(slab.size)
+            continue
+        draws = rng.random(slab.shape)
+        lo = minimum_filter1d(np.where(holes, np.float32(np.inf), slab),
+                              size=size, axis=1, mode="constant", cval=np.inf)[holes]
+        hi = maximum_filter1d(np.where(holes, np.float32(-np.inf), slab),
+                              size=size, axis=1, mode="constant", cval=-np.inf)[holes]
+        with np.errstate(invalid="ignore"):
+            # inf arithmetic at no-neighbor positions is replaced below
+            fill = (lo.astype(np.float64) + draws[holes] * (hi - lo).astype(np.float64))
+            fill = fill.astype(np.float32)
+        orphan = ~np.isfinite(lo)
+        if orphan.any():
+            use_mean = ~holes.all(axis=(1, 2)) & (cfg.fallback == FALLBACK_BAND_MEAN)
+            fallback = np.zeros(len(slab), dtype=np.float32)
+            fallback[use_mean] = np.nanmean(np.where(holes, np.nan, slab)[use_mean], axis=(1, 2))
+            # holes are listed band by band, so each takes its band's value
+            fill[orphan] = np.repeat(fallback, holes.sum(axis=(1, 2)))[orphan]
+        slab[holes] = fill
     return Granule(data)
 
 
@@ -131,18 +125,22 @@ def preprocess_dataset(manifest: DatasetManifest, out_dir: str | Path,
 
     Each granule keeps its file name and is keyed by its folder index for
     imputation; label files are copied verbatim.  Writes and returns the
-    new ``manifest.json``.
+    new ``manifest.json``.  Before writing anything, raises ``FormatError``
+    if two outputs share a path or an output is an input of the manifest.
     """
     out_dir = Path(out_dir)
+    out = DatasetManifest([ManifestEntry(granule=out_dir / Path(e.granule).name,
+                                         labels=out_dir / Path(e.labels).name)
+                           for e in manifest])
+    taken = {Path(p).resolve() for e in manifest for p in (e.granule, e.labels)}
+    for path in (p for e in out for p in (e.granule, e.labels)):
+        if path.resolve() in taken:
+            raise FormatError(f"{path}: output would overwrite an input or another output")
+        taken.add(path.resolve())
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for f, entry in enumerate(manifest):
+    for f, (entry, target) in enumerate(zip(manifest, out)):
         processed = preprocess_pipeline(read_granule(entry.granule), cfg, folder_index=f)
-        gpath = out_dir / Path(entry.granule).name
-        lpath = out_dir / Path(entry.labels).name
-        write_granule(processed, gpath)
-        shutil.copyfile(entry.labels, lpath)
-        entries.append(ManifestEntry(granule=gpath, labels=lpath))
-    out = DatasetManifest(entries)
+        write_granule(processed, target.granule)
+        shutil.copyfile(entry.labels, target.labels)
     out.save(out_dir / "manifest.json")
     return out

@@ -97,17 +97,6 @@ class MetricsReport:
     accuracy: float
     mean_label: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mse": self.mse,
-            "wmse": self.wmse,
-            "mae": self.mae,
-            "r2": self.r2,
-            "accuracy": self.accuracy,
-            "mean_label": self.mean_label,
-        }
-
 
 def wmse_loss(preds: np.ndarray, targets: np.ndarray,
               cfg: LossConfig | None = None):

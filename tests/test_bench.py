@@ -2,6 +2,8 @@
 sampling comparison at smoke scale.  Scale-dependent assertions live in the
 acceptance suite."""
 
+from dataclasses import asdict
+
 import pytest
 
 from dustpipe.bench import (
@@ -46,7 +48,7 @@ class TestSamplingBench:
         assert report.multisets_equal
         assert report.files_unchanged
         assert report.indexed_epochs >= 1 and report.naive_epochs >= 1
-        payload = report.to_dict()
+        payload = asdict(report)
         assert set(payload) == set(SamplingBenchReport.__dataclass_fields__)
 
     def test_empty_dataset_rejected(self, tmp_path):

@@ -78,6 +78,27 @@ class TestPreprocess:
             assert np.isfinite(data).all()
             assert data.min() >= 0.0 and data.max() <= 1.0
 
+    def assert_refused_untouched(self, manifest, out, root, capsys):
+        before = tree_digest(root)
+        assert run("preprocess", "--manifest", manifest, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert tree_digest(root) == before
+
+    def test_shared_file_names_refused_before_writing(self, tmp_path, capsys):
+        # a/granule_0000.dgr and b/granule_0000.dgr would land on one file
+        a = DatasetManifest.load(synth(tmp_path / "a", seed=1))
+        b = DatasetManifest.load(synth(tmp_path / "b", seed=2))
+        merged = tmp_path / "merged.json"
+        DatasetManifest(a.entries + b.entries).save(merged)
+        self.assert_refused_untouched(merged, tmp_path / "proc", tmp_path, capsys)
+        assert not (tmp_path / "proc").exists()
+
+    def test_out_dir_holding_the_inputs_refused(self, tmp_path, capsys):
+        manifest = synth(tmp_path / "raw")
+        self.assert_refused_untouched(manifest, tmp_path / "raw", tmp_path, capsys)
+
 
 class TestIndexBuild:
     def test_written_index_matches_library(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Network layers and assembly: shape contracts, analytic gradients against
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
+import inspect
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dustpipe import model3d
 from dustpipe.errors import (
     BadMagicError,
     FormatError,
@@ -376,6 +378,31 @@ class TestBatchInvariance:
             parts = np.split(patches, cuts)
             got = np.concatenate([predict(params, part) for part in parts])
             assert got.tobytes() == lone, f"split at {cuts.tolist()}"
+
+
+class TestEvalConvsRunPerSample:
+    def test_per_sample_gemm_iff_eval(self, monkeypatch):
+        # bitwise batch invariance needs one GEMM per sample in eval mode;
+        # some BLAS builds give equal bytes either way, so check the calls
+        real = model3d.conv3d_forward
+        signature = inspect.signature(real)
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["per_sample"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model3d, "conv3d_forward", spy)
+        params = eval_params(4, SMALL_MODEL, np.float32)
+        x = np.random.default_rng(4).uniform(0, 1, (11, 1, 6, 5, 5)).astype(np.float32)
+        forward(params, x, mode="eval")
+        predict(params, x[:, 0])
+        assert seen == [True] * 3 * (1 + 2)  # one eval pass, then two tiles
+        seen.clear()
+        forward(params, x, mode="train", update_running_stats=False)
+        assert seen == [False] * 3
 
 
 class TestCheckpoints:

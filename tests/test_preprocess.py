@@ -1,10 +1,20 @@
 """Normalization and imputation: worked examples, the fallback ladder, and
 randomized contract properties."""
 
+import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from dustpipe.granule_io import Granule
+import dustpipe
+from dustpipe import preprocess
+from dustpipe.granule_io import Granule, write_granule
 from dustpipe.preprocess import (
     PreprocessConfig,
     impute_granule,
@@ -190,3 +200,153 @@ class TestRandomizedProperties:
                 order = np.argsort(src[finite], kind="stable")
                 sorted_dst = dst[finite][order]
                 assert (np.diff(sorted_dst) >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# Whole-volume reference: the earlier formulation of both steps, kept as the
+# oracle for the slab-by-slab implementation.  Same bytes are required.
+# ---------------------------------------------------------------------------
+
+
+def reference_normalize_bands(data):
+    finite = np.isfinite(data)
+    per_band_any = finite.any(axis=(1, 2))
+    lo = np.full(data.shape[0], np.nan, dtype=np.float32)
+    hi = np.full(data.shape[0], np.nan, dtype=np.float32)
+    masked_lo = np.where(finite, data, np.float32(np.inf))
+    masked_hi = np.where(finite, data, np.float32(-np.inf))
+    lo[per_band_any] = masked_lo.min(axis=(1, 2))[per_band_any]
+    hi[per_band_any] = masked_hi.max(axis=(1, 2))[per_band_any]
+    out = data.copy()
+    span = hi - lo
+    for c in np.nonzero(per_band_any)[0]:
+        if span[c] > 0:
+            out[c] = (data[c] - lo[c]) / span[c]
+        else:
+            band = out[c]
+            band[finite[c]] = 0.0
+    return out
+
+
+def reference_impute_granule(source, cfg, folder_index):
+    data = source.copy()
+    nan_mask = ~np.isfinite(data)
+    if not nan_mask.any():
+        return data
+    size = 2 * cfg.impute_window + 1
+    lo = minimum_filter1d(np.where(nan_mask, np.float32(np.inf), data),
+                          size=size, axis=1, mode="constant", cval=np.inf)
+    hi = maximum_filter1d(np.where(nan_mask, np.float32(-np.inf), data),
+                          size=size, axis=1, mode="constant", cval=-np.inf)
+    draws = np.random.default_rng((cfg.rng_seed, folder_index)).random(data.shape)
+    with np.errstate(invalid="ignore"):
+        fill = (lo.astype(np.float64) + draws * (hi - lo).astype(np.float64))
+        fill = fill.astype(np.float32)
+    data[nan_mask] = fill[nan_mask]
+    orphan = nan_mask & ~np.isfinite(lo)
+    if orphan.any():
+        if cfg.fallback == "band-mean":
+            snapshot = np.where(nan_mask, np.nan, source)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                band_mean = np.nanmean(snapshot, axis=(1, 2))
+            band_mean = np.nan_to_num(band_mean, nan=0.0).astype(np.float32)
+        else:
+            band_mean = np.zeros(data.shape[0], dtype=np.float32)
+        data[orphan] = np.broadcast_to(band_mean[:, None, None], data.shape)[orphan]
+    return data
+
+
+def oracle_case(shape, frac, seed, special, order):
+    """Random radiances with NaN holes; ``special`` adds an orphan column,
+    an all-NaN band, a constant band, +-inf values and, in C order, signed
+    zeros.  (Which zero the reference's min picks among -0.0 and 0.0
+    depends on its input's memory layout; the slab form always reads
+    the C-ordered output copy, so in Fortran order only the sign of a zero
+    could differ.)"""
+    rng = np.random.default_rng(seed)
+    c, h, w = shape
+    data = rng.uniform(-5, 20, size=shape).astype(np.float32)
+    data[rng.random(shape) < frac] = np.nan
+    if special:
+        data[0, :, w // 2] = np.nan
+        data[1] = np.nan
+        data[2] = np.float32(3.25)
+        data[2, 0, 0] = np.nan
+        data[c - 1, h // 2, 0] = np.inf
+        data[c - 1, 0, w - 1] = -np.inf
+        if order == "C":
+            data[2:, 1::3, ::2] = np.float32(-0.0)
+            data[2:, 2::3, ::2] = np.float32(0.0)
+    return Granule(np.asfortranarray(data) if order == "F" else data)
+
+
+class TestWholeVolumeOracle:
+    # the default slab holds each grid granule whole; 1 byte gives one band
+    # per slab, 2000 bytes a few bands of the smaller shapes
+    @pytest.mark.parametrize("slab_bytes", [preprocess.SLAB_BYTES, 1, 2000])
+    @pytest.mark.parametrize("frac", [0.0, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 1), (3, 11, 6), (6, 14, 14),
+                                       (5, 40, 33), (38, 64, 48)])
+    def test_bitwise_equal_to_reference(self, shape, frac, slab_bytes, monkeypatch):
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", slab_bytes)
+        for special, order, window, fallback in itertools.product(
+                (False, True), ("C", "F"), (1, 5), ("band-mean", "zero")):
+            if special and shape[0] < 3:
+                continue
+            seed = 97 * shape[0] + shape[1] + int(frac * 100)
+            g = oracle_case(shape, frac, seed, special, order)
+            cfg = PreprocessConfig(impute_window=window, rng_seed=seed % 7, fallback=fallback)
+            case = f"special={special} order={order} window={window} fallback={fallback}"
+
+            normalized = normalize_bands(g).data
+            expected = reference_normalize_bands(g.data)
+            assert normalized.tobytes() == expected.tobytes(), case
+            for source in (g.data, expected):
+                got = impute_granule(Granule(source), cfg, folder_index=2).data
+                want = reference_impute_granule(source, cfg, 2)
+                assert got.tobytes() == want.tobytes(), case
+            got = preprocess_pipeline(g, cfg, folder_index=1).data
+            want = reference_impute_granule(expected, cfg, 1)
+            assert got.tobytes() == want.tobytes(), case
+
+
+# Reads the granule, then runs the pipeline; prints the ru_maxrss growth over
+# the pipeline and the granule's payload size, in bytes (Linux reports KiB).
+MEMORY_PROBE = """
+import resource, sys
+from dustpipe.granule_io import read_granule
+from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
+granule = read_granule(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+preprocess_pipeline(granule, PreprocessConfig())
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, granule.data.nbytes)
+"""
+
+# ru_maxrss of a new process starts at the forking parent's resident size,
+# so the probe is launched from a thin relay rather than from the test run.
+RELAY = "import subprocess, sys; sys.exit(subprocess.call([sys.executable] + sys.argv[1:]))"
+
+
+def test_pipeline_working_set_is_bounded(tmp_path):
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+    shape = (38, 512, 512)
+    rng = np.random.default_rng(0)
+    data = rng.uniform(0, 300, size=shape).astype(np.float32)
+    data[rng.random(shape) < 0.05] = np.nan
+    path = tmp_path / "g.dgr"
+    write_granule(Granule(data), path)
+    del data
+
+    env = dict(os.environ)
+    src = str(Path(dustpipe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", MEMORY_PROBE, str(path)],
+                          capture_output=True, text=True, env=env, check=True)
+    growth, nbytes = (int(v) for v in proc.stdout.split())
+    # the pipeline holds two output copies; anything below one copy means
+    # the high-water mark was already set before the probe ran
+    assert nbytes <= growth <= 3 * nbytes, f"peak grew by {growth / nbytes:.2f}x the granule"
