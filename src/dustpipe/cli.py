@@ -100,7 +100,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
-    granule = read_granule(args.granule)
+    granule = read_granule(args.granule, use_mmap=True)
     if args.preprocess:
         granule = preprocess_pipeline(granule, PreprocessConfig(rng_seed=args.seed))
     dmap = infer_scene(params, granule, batch_size=args.batch)

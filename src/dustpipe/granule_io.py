@@ -87,14 +87,6 @@ class LabelMap:
 
     values: np.ndarray  # (H, W) float32
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
     def validate(self) -> None:
         if self.values.ndim != 2:
             raise FormatError(f"label map must be (H, W), got shape {self.values.shape}")

@@ -7,6 +7,11 @@ go through ``predict``, whose output for a patch does not depend on how
 patches are grouped into batches, so maps are bitwise identical for any
 batch size.
 
+Patches come from ``patch_index.patch_windows``, the strided view the
+training gather also uses, one chunk of flat interior positions at a time.
+No full-scene array is built besides the output map, so ``dustpipe infer``
+reads the granule through a memory map.
+
 Map container layout (little-endian): the label map's 2-D grid under its
 own magic,
 
@@ -26,6 +31,7 @@ import numpy as np
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
 from .model3d import ModelParams, predict
+from .patch_index import patch_windows
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
@@ -36,14 +42,6 @@ class DetectionMap:
     """Dust probability per pixel; NaN marks the half-patch border band."""
 
     values: np.ndarray  # (H, W) float32
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def infer_scene(params: ModelParams, granule: Granule,
@@ -62,31 +60,23 @@ def infer_scene(params: ModelParams, granule: Granule,
         raise ShapeMismatchError(
             f"granule has {data.shape[0]} channels, checkpoint expects {cfg.in_depth}"
         )
-    if not np.isfinite(data).all():
-        raise ValueError("granule contains non-finite values; run preprocessing first")
-    if data.min() < 0.0 or data.max() > 1.0:
-        raise ValueError("granule values outside [0, 1]; run preprocessing first")
+    # NaN fails both comparisons
+    if not (data.min() >= 0.0 and data.max() <= 1.0):
+        raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
     h = p // 2
-    height, width = data.shape[1], data.shape[2]
-    out = np.full((height, width), np.nan, dtype=np.float32)
-    if height < p or width < p:
+    out = np.full(data.shape[1:], np.nan, dtype=np.float32)
+    if min(out.shape) < p:
         return DetectionMap(out)
 
-    yy, xx = np.meshgrid(np.arange(h, height - h), np.arange(h, width - h),
-                         indexing="ij")
-    ys = yy.ravel()
-    xs = xx.ravel()
-    offs = np.arange(-h, h + 1)
-
-    for start in range(0, len(ys), batch_size):
-        cy = ys[start:start + batch_size]
-        cx = xs[start:start + batch_size]
-        win = data[:, (cy[:, None, None] + offs[None, :, None]),
-                      (cx[:, None, None] + offs[None, None, :])]
-        out[cy, cx] = predict(params, win.transpose(1, 0, 2, 3))
+    windows = patch_windows(data, p)
+    interior = out[h:out.shape[0] - h, h:out.shape[1] - h]
+    for start in range(0, interior.size, batch_size):
+        stop = min(start + batch_size, interior.size)
+        ys, xs = np.divmod(np.arange(start, stop), interior.shape[1])
+        interior[ys, xs] = predict(params, windows[ys, xs])
     return DetectionMap(out)
 
 

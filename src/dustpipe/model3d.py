@@ -545,9 +545,10 @@ def load_checkpoint(path: str | Path,
     counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
     if (not meta["filters"] or any(len(meta[k]) != 1 for k in _META[1:])
             or not all(v.is_integer() for v in counts)
+            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)
             or not all(math.isfinite(v) for v in meta["bn_eps"] + meta["bn_momentum"])):
         raise FormatError(f"{path}: architecture metadata {meta} must be finite, "
-                          "with integer filters, in_depth and patch_size")
+                          "with integer filters and in_depth and an odd patch_size >= 1")
     config = ModelConfig(
         filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
         in_depth=int(meta["in_depth"][0]),

@@ -7,6 +7,11 @@ full P x P window fits inside the image (both coordinates at least
 h = P // 2 away from every edge).  The index holds exactly the valid
 centers, sorted by (f, y, x), with no duplicates.
 
+The window rule lives in one function: ``patch_windows(data, P)`` is a
+read-only strided view of a (C, H, W) volume whose element [y - h, x - h]
+is the patch centered on (y, x).  Training gathers and scene inference both
+index it; valid centers come from the same interior slice [h:H-h, h:W-h].
+
 Index container layout (little-endian, framed by ``granule_io``):
 
     b"DIX1" | u32 P | u64 count | count * (u32 f, u32 y, u32 x)
@@ -19,9 +24,10 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     EmptyDatasetError,
@@ -72,6 +78,17 @@ def _require_odd(patch_size: int) -> None:
         )
 
 
+def patch_windows(data: np.ndarray, patch_size: int) -> np.ndarray:
+    """Read-only (H-P+1, W-P+1, C, P, P) view of a (C, H, W) volume's full
+    windows; element [y - h, x - h] is the patch centered on (y, x)."""
+    _require_odd(patch_size)
+    c, height, width = data.shape
+    sc, sy, sx = data.strides
+    return as_strided(data, shape=(height - patch_size + 1, width - patch_size + 1,
+                                   c, patch_size, patch_size),
+                      strides=(sy, sx, sc, sy, sx), writeable=False)
+
+
 def valid_centers(label_values: np.ndarray, patch_size: int) -> np.ndarray:
     """(y, x) pairs where the label is finite and the window is in-bounds.
 
@@ -80,31 +97,21 @@ def valid_centers(label_values: np.ndarray, patch_size: int) -> np.ndarray:
     _require_odd(patch_size)
     h = patch_size // 2
     height, width = label_values.shape
-    mask = np.isfinite(label_values)
-    if h > 0:
-        border = np.zeros_like(mask)
-        if height > 2 * h and width > 2 * h:
-            border[h:height - h, h:width - h] = True
-        mask = mask & border
-    ys, xs = np.nonzero(mask)
-    return np.stack([ys, xs], axis=1).astype(np.int64)
+    return np.argwhere(np.isfinite(label_values[h:height - h, h:width - h])) + h
+
+
+def _triplets(label_maps: Iterable[np.ndarray], patch_size: int) -> np.ndarray:
+    """(f, y, x) of every valid center of every map, sorted by (f, y, x)."""
+    _require_odd(patch_size)
+    rows = [np.insert(valid_centers(labels, patch_size), 0, f, axis=1)
+            for f, labels in enumerate(label_maps)]
+    return np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int64)
 
 
 def build_index(manifest: DatasetManifest, patch_size: int) -> PatchIndex:
     """Collect every valid center of every folder, in manifest order."""
-    _require_odd(patch_size)
-    rows = []
-    for f, entry in enumerate(manifest):
-        labels = read_labels(entry.labels).values
-        yx = valid_centers(labels, patch_size)
-        if len(yx):
-            fcol = np.full((len(yx), 1), f, dtype=np.int64)
-            rows.append(np.hstack([fcol, yx]))
-    if rows:
-        triplets = np.vstack(rows)
-    else:
-        triplets = np.empty((0, 3), dtype=np.int64)
-    return PatchIndex(triplets, patch_size)
+    labels = (read_labels(entry.labels).values for entry in manifest)
+    return PatchIndex(_triplets(labels, patch_size), patch_size)
 
 
 def validate_index(index: PatchIndex, manifest: DatasetManifest,
@@ -239,21 +246,16 @@ class GranuleStore:
         triplets = np.asarray(triplets)
         b = len(triplets)
         h = patch_size // 2
-        c = self.channels
-        inputs = np.empty((b, c, patch_size, patch_size), dtype=np.float32)
+        inputs = np.empty((b, self.channels, patch_size, patch_size), dtype=np.float32)
         targets = np.empty(b, dtype=np.float32)
-        offs = np.arange(-h, h + 1)
         for f in np.unique(triplets[:, 0]):
             rows = np.nonzero(triplets[:, 0] == f)[0]
             ys = triplets[rows, 1]
             xs = triplets[rows, 2]
-            if len(ys):
-                self._check_bounds(int(f), int(ys.min()), int(xs.min()), h)
-                self._check_bounds(int(f), int(ys.max()), int(xs.max()), h)
-            arr = self._granules[int(f)]
-            win = arr[:, (ys[:, None, None] + offs[None, :, None]),
-                         (xs[:, None, None] + offs[None, None, :])]
-            inputs[rows] = win.transpose(1, 0, 2, 3)
+            # bounds first: a negative window index would wrap around
+            self._check_bounds(int(f), int(ys.min()), int(xs.min()), h)
+            self._check_bounds(int(f), int(ys.max()), int(xs.max()), h)
+            inputs[rows] = patch_windows(self._granules[int(f)], patch_size)[ys - h, xs - h]
             targets[rows] = self._labels[int(f)][ys, xs]
             if self.release_after_gather:
                 self._mmaps[int(f)].madvise(mmap.MADV_DONTNEED)
@@ -325,13 +327,7 @@ def naive_sample_batches(store: GranuleStore, patch_size: int, batch_size: int,
     start = 0
     while True:
         # deliberate per-batch mask search over every label map
-        rows = []
-        for f in range(len(store)):
-            yx = valid_centers(store.labels(f), patch_size)
-            if len(yx):
-                fcol = np.full((len(yx), 1), f, dtype=np.int64)
-                rows.append(np.hstack([fcol, yx]))
-        triplets = np.vstack(rows) if rows else np.empty((0, 3), dtype=np.int64)
+        triplets = _triplets(map(store.labels, range(len(store))), patch_size)
         if start >= len(triplets):
             return
         order = np.random.default_rng(seed).permutation(len(triplets))

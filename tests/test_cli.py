@@ -6,12 +6,15 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from dustpipe import cli
 from dustpipe.cli import main
-from dustpipe.granule_io import DatasetManifest, read_granule
-from dustpipe.inference import read_map
-from dustpipe.model3d import ModelConfig, init_params, save_checkpoint
+from dustpipe.granule_io import DatasetManifest, read_granule, write_granule
+from dustpipe.inference import infer_scene, read_map, write_map
+from dustpipe.model3d import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from dustpipe.patch_index import build_index, read_index
+from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
 
 
 def run(*args) -> int:
@@ -149,8 +152,8 @@ class TestModelDescribe:
 
 
 class TestInferAndEval:
-    def _checkpoint(self, tmp_path, channels=6):
-        cfg = ModelConfig(filters=(3, 4, 5), in_depth=channels, patch_size=5)
+    def _checkpoint(self, tmp_path, channels=6, patch_size=5):
+        cfg = ModelConfig(filters=(3, 4, 5), in_depth=channels, patch_size=patch_size)
         ckpt = tmp_path / "m.dck"
         save_checkpoint(ckpt, init_params(1, cfg))
         return ckpt
@@ -168,6 +171,47 @@ class TestInferAndEval:
         dmap = read_map(out_map)
         assert np.isfinite(dmap.values[2:-2, 2:-2]).all()
         assert out_pgm.read_text().split()[0] == "P2"
+
+    @pytest.mark.parametrize("preprocess", [False, True], ids=["preprocessed", "raw"])
+    def test_infer_maps_granule_and_matches_library(self, tmp_path, capsys, monkeypatch,
+                                                    preprocess):
+        entry = DatasetManifest.load(synth(tmp_path / "raw", count=1)).entries[0]
+        ckpt = self._checkpoint(tmp_path)
+        granule = preprocess_pipeline(read_granule(entry.granule), PreprocessConfig(rng_seed=5))
+        if preprocess:
+            source, flags = entry.granule, ["--preprocess", "--seed", 5]
+        else:
+            source, flags = tmp_path / "pre.dgr", []
+            write_granule(granule, source)
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        reads = []
+
+        def spy(path, **kwargs):
+            reads.append(kwargs)
+            return read_granule(path, **kwargs)
+
+        monkeypatch.setattr(cli, "read_granule", spy)
+        out_map = tmp_path / "scene.dmp"
+        assert run("infer", "--ckpt", ckpt, "--granule", source, "--out", out_map,
+                   "--batch", 7, *flags) == 0
+        capsys.readouterr()
+        assert reads == [{"use_mmap": True}]
+        want = tmp_path / "want.dmp"
+        write_map(infer_scene(load_checkpoint(ckpt)[0], granule), want)
+        assert out_map.read_bytes() == want.read_bytes()
+        assert hashlib.sha256(source.read_bytes()).hexdigest() == digest
+
+    def test_infer_rejects_even_patch_checkpoint(self, tmp_path, capsys):
+        entry = DatasetManifest.load(synth(tmp_path / "raw", count=1)).entries[0]
+        ckpt = self._checkpoint(tmp_path, patch_size=4)
+        capsys.readouterr()
+        out_map = tmp_path / "scene.dmp"
+        assert run("infer", "--ckpt", ckpt, "--granule", entry.granule, "--out", out_map,
+                   "--preprocess") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out_map.exists()
 
     def test_infer_rejects_raw_granule_without_flag(self, tmp_path, capsys):
         manifest = synth(tmp_path / "raw", count=1, nan_fraction=0.2)

@@ -93,10 +93,11 @@ class TestInferScene:
         holey.data[0, 5, 5] = np.nan
         with pytest.raises(ValueError):
             infer_scene(params, holey)
-        hot = Granule(g.data.copy())
-        hot.data[0, 5, 5] = 1.5
-        with pytest.raises(ValueError):
-            infer_scene(params, hot)
+        for value in (1.5, np.inf, -np.inf, -0.5):
+            bad = Granule(g.data.copy())
+            bad.data[0, 5, 5] = value
+            with pytest.raises(ValueError):
+                infer_scene(params, bad)
 
     def test_scene_smaller_than_patch_is_all_sentinel(self):
         g = Granule(np.full((6, 4, 9), 0.5, dtype=np.float32))

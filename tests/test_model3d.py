@@ -496,13 +496,15 @@ class TestCheckpoints:
         ("meta.in_depth", np.float32(np.inf)),
         ("meta.patch_size", np.float32(np.nan)),
         ("meta.patch_size", np.float32(3.5)),
+        ("meta.patch_size", np.float32(4)),
+        ("meta.patch_size", np.float32(0)),
         ("meta.filters", np.array([2, 3, np.inf], dtype=np.float32)),
         ("meta.filters", np.zeros(0, dtype=np.float32)),
         ("meta.in_depth", np.array([6, 6], dtype=np.float32)),
         ("meta.bn_eps", np.float32(np.inf)),
         ("meta.bn_momentum", np.float32(np.nan)),
-    ], ids=["inf-depth", "nan-patch", "fractional-patch", "inf-filter", "no-filters",
-            "two-depths", "inf-eps", "nan-momentum"])
+    ], ids=["inf-depth", "nan-patch", "fractional-patch", "even-patch", "zero-patch",
+            "inf-filter", "no-filters", "two-depths", "inf-eps", "nan-momentum"])
     def test_bad_metadata_is_format_error(self, tmp_path, name, value):
         path = tmp_path / "m.dck"
         save_checkpoint(path, init_params(0, TINY))

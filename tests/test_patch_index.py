@@ -21,6 +21,7 @@ from dustpipe.granule_io import (
     ManifestEntry,
     SyntheticConfig,
     generate_synthetic_dataset,
+    read_granule,
     write_granule,
     write_labels,
 )
@@ -31,6 +32,7 @@ from dustpipe.patch_index import (
     build_index,
     iter_batches,
     naive_sample_batches,
+    patch_windows,
     read_index,
     sample_batches,
     shuffle_partitions,
@@ -96,6 +98,15 @@ class TestBuildIndex:
             labels[rng.random((h, w)) < rng.uniform(0, 0.6)] = np.nan
             got = valid_centers(labels, p).tolist()
             assert got == [list(t) for t in brute_force_centers(labels, p)]
+        # every map up to 6x6, most of them smaller than the window
+        for h in range(1, 7):
+            for w in range(1, 7):
+                for p in (1, 3, 5, 7):
+                    labels = rng.uniform(0, 1, size=(h, w)).astype(np.float32)
+                    labels[rng.random((h, w)) < 0.3] = np.nan
+                    got = valid_centers(labels, p)
+                    assert got.shape[1] == 2
+                    assert got.tolist() == [list(t) for t in brute_force_centers(labels, p)]
 
     def test_even_patch_size_rejected(self, tmp_path):
         labels = np.zeros((7, 7), dtype=np.float32)
@@ -198,6 +209,22 @@ class TestIndexContainer:
         assert not path.exists()
 
 
+class TestPatchWindows:
+    @pytest.mark.parametrize("use_mmap", [False, True], ids=["in-memory", "mmap"])
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    def test_every_window_is_the_centered_slice(self, tmp_path, patch_size, use_mmap):
+        manifest = write_dataset(tmp_path, [np.zeros((9, 11), dtype=np.float32)])
+        data = read_granule(manifest.entries[0].granule, use_mmap=use_mmap).data
+        h = patch_size // 2
+        windows = patch_windows(data, patch_size)
+        assert windows.shape == (10 - patch_size, 12 - patch_size, 3, patch_size, patch_size)
+        assert not windows.flags.writeable
+        for y in range(h, 9 - h):
+            for x in range(h, 11 - h):
+                assert np.array_equal(windows[y - h, x - h],
+                                      data[:, y - h:y + h + 1, x - h:x + h + 1])
+
+
 class TestExtraction:
     def test_patch_size_one_is_single_pixel(self, tmp_path):
         labels = np.zeros((4, 4), dtype=np.float32)
@@ -244,6 +271,12 @@ class TestExtraction:
             assert np.array_equal(got_m[i], full[:, y - 2:y + 3, x - 2:x + 3])
             assert lab_m[i] == full_store.labels(int(f))[y, x]
             assert lab_m[i] == l[0]
+
+    @pytest.mark.parametrize("patch_size", [0, 2, 4])
+    def test_even_or_zero_patch_size_rejected(self, tmp_path, patch_size):
+        manifest = write_dataset(tmp_path, [np.zeros((9, 9), dtype=np.float32)])
+        with pytest.raises(ValueError):
+            GranuleStore(manifest).extract_batch(np.array([[0, 4, 4]]), patch_size)
 
     def test_out_of_bounds_triplet_rejected(self, tmp_path):
         labels = np.zeros((6, 6), dtype=np.float32)
