@@ -7,8 +7,9 @@ check the magic and the header with ``read_header`` (wrong magic:
 ``BadMagicError``; short header: ``TruncatedFileError``), then compare the
 size the header declares with the file size in ``check_size`` before they
 allocate anything (mismatch: ``TruncatedFileError``).  Variable-length
-records are read with ``read_exact``, which checks each against the bytes
-left.  Contents that break a format's rules raise ``FormatError``.
+records are taken from one read of the rest of the file by ``Records``,
+which checks each against the bytes left.  Contents that break a format's
+rules raise ``FormatError``.
 
 Layouts defined here (all little-endian):
 
@@ -205,12 +206,30 @@ def check_size(f, path: str | Path, payload_bytes: int) -> None:
         raise TruncatedFileError(f"{path}: contents declare {expected} bytes, file has {actual}")
 
 
-def read_exact(f, path: str | Path, n: int) -> bytes:
-    """The next ``n`` bytes of a record, checked against the bytes left first."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise TruncatedFileError(f"{path}: record at byte {f.tell()} needs {n} bytes, {left} left")
-    return f.read(n)
+class Records:
+    """The rest of an open container, read with one call (the file's size
+    bounds the allocation) and handed out a record at a time."""
+
+    def __init__(self, f, path: str | Path):
+        self.path = path
+        self.start = f.tell()
+        self.buf = memoryview(f.read())
+        self.pos = 0
+
+    def take(self, n: int) -> memoryview:
+        """The next ``n`` bytes, checked against the bytes left first."""
+        left = len(self.buf) - self.pos
+        if n > left:
+            raise TruncatedFileError(
+                f"{self.path}: record at byte {self.start + self.pos} needs {n} bytes, {left} left")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def check_end(self) -> None:
+        """Require that every byte of the file was taken."""
+        if self.pos != len(self.buf):
+            raise TruncatedFileError(f"{self.path}: contents declare {self.start + self.pos} "
+                                     f"bytes, file has {self.start + len(self.buf)}")
 
 
 def write_grid(path: str | Path, magic: bytes, values: np.ndarray) -> None:

@@ -56,15 +56,16 @@ def infer_scene(params: ModelParams, granule: Granule,
     cfg = params.config
     p = cfg.patch_size
     data = granule.data
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if data.shape[0] != cfg.in_depth:
         raise ShapeMismatchError(
             f"granule has {data.shape[0]} channels, checkpoint expects {cfg.in_depth}"
         )
-    # NaN fails both comparisons
+    # the one full-granule scan comes after the cheap checks; NaN fails
+    # both comparisons
     if not (data.min() >= 0.0 and data.max() <= 1.0):
         raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
 
     h = p // 2
     out = np.full(data.shape[1:], np.nan, dtype=np.float32)

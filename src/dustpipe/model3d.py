@@ -18,6 +18,18 @@ shapes (``ForwardTrace.shapes``, ``shape_ledger``) are still reported per
 sample as (C, D, H, W), and checkpoints keep the (Cout, Cin, 3, 3, 3)
 kernel layout.
 
+Evaluation has one path, an eval plan built once per ``predict`` call (and
+per eval-mode ``forward``) and used for every tile of that call.  Per block
+it holds the folded kernel, the conv bias tiled over the output positions,
+and batch norm from the running estimates as a tiled per-channel scale
+``gamma / sqrt(var + eps)`` and shift ``beta - mean * scale``.  A tile runs
+each block as the per-sample conv, then ReLU, scale and shift in place on
+its product, then pooling.  Floor-mode max pooling never reads the
+trailing row and column of an odd extent, so a pooled block folds its
+kernel for the output positions pooling reads only (4 x 4 of 5 x 5 in
+block one at P = 5).  Training computes every position, because its
+batch statistics include them all.
+
 Everything is plain numpy so the same code runs in float32 for training and
 float64 for finite-difference verification.  Checkpoint container layout
 (little-endian, framed by ``granule_io``; every record is checked against the
@@ -34,13 +46,14 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import FormatError, ShapeMismatchError
-from .granule_io import check_size, read_exact, read_header, write_container
+from .granule_io import Records, read_header, write_container
 
 CHECKPOINT_MAGIC = b"DCK1"
 # architecture fields stored as ``meta.<field>`` tensors; all but filters are scalars
@@ -76,8 +89,8 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one train-mode forward pass, consumed by
-    backward; an eval-mode trace holds stage shapes only."""
+    """Per-layer caches and stage shapes from one train-mode forward pass,
+    consumed by backward; an eval-mode trace is empty."""
 
     caches: dict = field(default_factory=dict)
     shapes: list = field(default_factory=list)  # (stage, per-sample shape)
@@ -129,61 +142,81 @@ def init_params(seed: int, config: ModelConfig | None = None,
 
 
 @lru_cache(maxsize=None)
-def _fold_taps(h: int, w: int):
+def _fold_taps(h: int, w: int, oh: int, ow: int):
     """Where the 3x3 spatial taps land when an h x w window is folded into
-    the feature axis.
+    the feature axis, for the output positions in its top-left oh x ow
+    corner.
 
-    Returns read-only arrays (pin, pout, tap), one entry per pair of window
-    positions that some tap connects: the flat (row-major) input position,
-    the flat output position, and the tap ``kh * 3 + kw`` that joins them.
-    Taps that would read outside the window read same-padding zeros, so
-    they have no entry.
+    Returns read-only arrays (pin, pout, tap), one entry per pair of
+    positions that some tap connects: the flat (row-major) input position
+    in the h x w window, the flat output position in the oh x ow corner,
+    and the tap ``kh * 3 + kw`` that joins them.  Taps that would read
+    outside the window read same-padding zeros, so they have no entry.
     """
-    hi, wi, ho, wo = np.meshgrid(np.arange(h), np.arange(w), np.arange(h), np.arange(w),
+    hi, wi, ho, wo = np.meshgrid(np.arange(h), np.arange(w), np.arange(oh), np.arange(ow),
                                  indexing="ij")
     kh = hi - ho + 1
     kw = wi - wo + 1
     inside = (kh >= 0) & (kh < KERNEL) & (kw >= 0) & (kw < KERNEL)
-    tables = ((hi * w + wi)[inside], (ho * w + wo)[inside], (kh * KERNEL + kw)[inside])
+    tables = ((hi * w + wi)[inside], (ho * ow + wo)[inside], (kh * KERNEL + kw)[inside])
     for arr in tables:
         arr.setflags(write=False)
     return tables
 
 
-def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                   per_sample: bool = False):
-    """Same-padded 3x3x3 convolution of a (B, D, H, W, Cin) batch, computed
-    as one spectral 1-D convolution.
+class ConvFold(NamedTuple):
+    """A conv folded for one h x w window (see ``fold_conv``)."""
 
-    The whole H x W window is folded into the feature axis: the kernel
-    becomes one matrix ``wf`` of shape (3*H*W*Cin, H*W*Cout) holding each
-    tap where it joins an input position to an output position, and zeros
-    where a tap would fall outside the window.  The columns are then only
-    three depth-shifted copies of the depth-padded input, in depth, row,
-    col, channel order, and the product is already channels-last.  With
-    ``per_sample`` the product is a stacked matmul, one BLAS call per
+    wf: np.ndarray            # (3*h*w*Cin, rows*cols*Cout)
+    bias: np.ndarray          # the conv bias tiled rows*cols times
+    extent: tuple[int, int]   # (rows, cols) of output positions kept
+
+
+def fold_conv(weight: np.ndarray, bias: np.ndarray, h: int, w: int,
+              extent: tuple[int, int] | None = None) -> ConvFold:
+    """Fold a (Cout, Cin, 3, 3, 3) kernel for an h x w window.
+
+    ``wf`` holds each tap where it joins an input position to an output
+    position, and zeros where a tap would fall outside the window.  Only
+    the output positions in the top-left ``extent`` = (rows, cols) corner
+    get columns (default: the whole window), so an eval block whose
+    trailing row and column pooling never reads does not compute them.
+    """
+    rows, cols = extent or (h, w)
+    cout, cin = weight.shape[:2]
+    pin, pout, tap = _fold_taps(h, w, rows, cols)
+    taps = weight.transpose(3, 4, 2, 1, 0).reshape(KERNEL * KERNEL, KERNEL, cin, cout)
+    wf = np.zeros((KERNEL, h * w, cin, rows * cols, cout), dtype=weight.dtype)
+    wf[:, pin, :, pout, :] = taps[tap]
+    return ConvFold(wf.reshape(KERNEL * h * w * cin, rows * cols * cout),
+                    np.tile(bias, rows * cols), (rows, cols))
+
+
+def conv3d_forward(x: np.ndarray, fold: ConvFold, per_sample: bool = False):
+    """Same-padded 3x3x3 convolution of a (B, D, H, W, Cin) batch, computed
+    as one spectral 1-D convolution against ``fold`` (``fold_conv`` of the
+    kernel for this H x W window).
+
+    The columns are only three depth-shifted copies of the depth-padded
+    input, in depth, row, col, channel order, and the product is already
+    channels-last: (B, D, rows, cols, Cout) over the fold's kept extent.
+    With ``per_sample`` the product is a stacked matmul, one BLAS call per
     sample with the same (M, K, N) for any batch size, so each sample's
     output is independent of the batch it travels in; otherwise one GEMM
     covers the whole batch (faster at training batch sizes, but the BLAS
     may block the reduction differently as the batch grows).
     """
     b, d, h, w, cin = x.shape
-    cout = weight.shape[0]
-    hw = h * w
-    pin, pout, tap = _fold_taps(h, w)
-    taps = weight.transpose(3, 4, 2, 1, 0).reshape(KERNEL * KERNEL, KERNEL, cin, cout)
-    wf = np.zeros((KERNEL, hw, cin, hw, cout), dtype=weight.dtype)
-    wf[:, pin, :, pout, :] = taps[tap]
-    wf = wf.reshape(KERNEL * hw * cin, hw * cout)
-    xp = np.zeros((b, d + 2, hw * cin), dtype=x.dtype)
-    xp[:, 1:-1] = x.reshape(b, d, hw * cin)
-    # row (b, z) of the columns is the contiguous run xp[b, z:z + 3]
+    xp = np.zeros((b, d + 2, h * w * cin), dtype=x.dtype)
+    xp[:, 1:-1] = x.reshape(b, d, -1)
+    # row (b, z) of the columns is the contiguous run xp[b, z:z + 3]; the
+    # reshape copies the overlapping view into a BLAS-eligible matrix
     sb, sd, sk = xp.strides
-    cols = as_strided(xp, shape=(b, d, KERNEL * hw * cin), strides=(sb, sd, sk),
+    cols = as_strided(xp, shape=(b, d, KERNEL * h * w * cin), strides=(sb, sd, sk),
                       writeable=False).reshape(b * d, -1)
-    out = cols.reshape(b, d, -1) @ wf if per_sample else cols @ wf
-    out += np.tile(bias, hw)
-    return out.reshape(b, d, h, w, cout), (cols, wf)
+    out = cols.reshape(b, d, -1) @ fold.wf if per_sample else cols @ fold.wf
+    out += fold.bias
+    return out.reshape(b, d, *fold.extent, -1), (cols, fold.wf)
 
 
 def conv3d_backward(dy: np.ndarray, cache, need_dx: bool = True):
@@ -196,7 +229,7 @@ def conv3d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     cin = wf.shape[0] // (KERNEL * hw)
     dmat = dy.reshape(b * d, hw * cout)
     dwf = (cols.T @ dmat).reshape(KERNEL, hw, cin, hw, cout)
-    pin, pout, tap = _fold_taps(h, w)
+    pin, pout, tap = _fold_taps(h, w, h, w)
     dtaps = np.zeros((KERNEL * KERNEL, KERNEL, cin, cout), dtype=dy.dtype)
     np.add.at(dtaps, tap, dwf[:, pin, :, pout, :])
     dw = np.ascontiguousarray(
@@ -267,24 +300,18 @@ def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.nda
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
-                      train: bool, eps: float, momentum: float,
-                      update_running: bool):
-    """Batch norm over the last (channel) axis of a channels-last batch,
-    computed on its row view.
+                      eps: float, momentum: float, update_running: bool):
+    """Train-mode batch norm over the last (channel) axis of a
+    channels-last batch, computed on its row view.
 
-    Train mode normalizes with batch statistics and returns a fresh output
-    plus the cache backward needs.  Eval mode normalizes ``x`` in place with
-    the running estimates and returns it with no cache.
+    Normalizes with batch statistics (and with ``update_running`` moves the
+    running estimates toward them) and returns a fresh output plus the
+    cache backward needs.  Eval mode applies the running estimates as the
+    eval plan's per-channel scale and shift instead.
     """
     c = x.shape[-1]
     hw = x.shape[2] * x.shape[3]
     x2 = _rows(x)
-    if not train:
-        x2 -= np.tile(running_mean, hw)
-        x2 *= np.tile(1.0 / np.sqrt(running_var + eps), hw)
-        x2 *= np.tile(gamma, hw)
-        x2 += np.tile(beta, hw)
-        return x2.reshape(x.shape), None
     m = x.size // c
     mean = _channel_sum(x2, c) / m
     xhat = x2 - np.tile(mean, hw)
@@ -340,73 +367,122 @@ def _sample_shape(a: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
-            update_running_stats: bool | None = None):
-    """Run the network on a (B, 1, C, P, P) batch.
-
-    Returns per-sample probabilities in (0, 1) plus a trace.  Train mode
-    normalizes with batch statistics (and by default updates the running
-    estimates in place), and its trace holds what backward needs.  Eval
-    mode uses the running estimates, keeps no caches, is a pure function of
-    (params, x) and is batch-invariant: each sample's output is bitwise the
-    same whatever else is in the batch.
-    """
+def _network_input(params: ModelParams, x) -> np.ndarray:
+    """Check a (B, 1, C, P, P) batch and return it channels-last,
+    (B, C, P, P, 1), in the params' dtype."""
     cfg = params.config
     x = np.asarray(x)
     if x.ndim != 5 or x.shape[1] != 1 or x.shape[2:] != (cfg.in_depth, cfg.patch_size, cfg.patch_size):
         raise ShapeMismatchError(
             f"expected input (B, 1, {cfg.in_depth}, {cfg.patch_size}, {cfg.patch_size}), got {x.shape}"
         )
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in network input")
     if x.dtype != params.dtype:
         x = x.astype(params.dtype)
-
-    train = mode == "train"
-    if update_running_stats is None:
-        update_running_stats = train
-    t = params.tensors
-    trace = ForwardTrace()
-    trace.shapes.append(("input", x.shape[1:]))
-
     # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
-    a = x.reshape(x.shape[0], *x.shape[2:], 1)
+    return x.reshape(x.shape[0], *x.shape[2:], 1)
+
+
+def _head(pooled: np.ndarray, t: dict) -> np.ndarray:
+    # elementwise product and row sum rather than a matrix-vector product,
+    # whose summation order the BLAS may change with the batch size
+    return expit((pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0])
+
+
+class _EvalBlock(NamedTuple):
+    fold: ConvFold
+    scale: np.ndarray   # gamma / sqrt(running_var + eps), tiled over kept positions
+    shift: np.ndarray   # beta - running_mean * scale, tiled likewise
+    pooled: bool        # max pooling follows
+
+
+def _eval_plan(params: ModelParams) -> list[_EvalBlock]:
+    """Each block's eval constants, built once per ``predict`` call.
+
+    A block followed by max pooling keeps only the output positions that
+    floor-mode pooling reads (eval batch norm is elementwise): at P = 5
+    block one computes 4 x 4 of its 5 x 5 positions.  Depth is not trimmed.
+    """
+    cfg = params.config
+    t = params.tensors
+    size = cfg.patch_size
+    plan = []
+    for i in range(1, len(cfg.filters) + 1):
+        pooled = i < len(cfg.filters)
+        win = min(POOL, size)
+        keep = size // win * win if pooled else size
+        scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + cfg.bn_eps)
+        shift = t[f"bn{i}.beta"] - t[f"bn{i}.running_mean"] * scale
+        fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], size, size, (keep, keep))
+        plan.append(_EvalBlock(fold, np.tile(scale, keep * keep), np.tile(shift, keep * keep),
+                               pooled))
+        if pooled:
+            size = keep // win
+    return plan
+
+
+def _run_eval_plan(plan: list[_EvalBlock], t: dict, a: np.ndarray) -> np.ndarray:
+    """Eval-mode probabilities for a channels-last (B, D, P, P, 1) batch:
+    per block the per-sample conv, then ReLU, scale and shift in place on
+    its product, then pooling."""
+    for block in plan:
+        y, _ = conv3d_forward(a, block.fold, per_sample=True)
+        y2 = _rows(y)
+        np.maximum(y2, 0, out=y2)
+        y2 *= block.scale
+        y2 += block.shift
+        a = maxpool3d_forward(y)[0] if block.pooled else y
+    pooled, _ = global_avgpool_forward(a)
+    return _head(pooled, t)
+
+
+def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
+            update_running_stats: bool = True):
+    """Run the network on a (B, 1, C, P, P) batch.
+
+    Returns per-sample probabilities in (0, 1) plus a trace.  Train mode
+    normalizes with batch statistics (and with ``update_running_stats``
+    updates the running estimates in place), and its trace holds what
+    backward needs.  Eval mode runs ``predict``'s eval plan on the whole
+    batch and returns an empty trace; it is a pure function of (params, x)
+    and is batch-invariant: each sample's output is bitwise the same
+    whatever else is in the batch.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    a = _network_input(params, x)
+    t = params.tensors
+    if mode == "eval":
+        return _run_eval_plan(_eval_plan(params), t, a), ForwardTrace()
+
+    cfg = params.config
+    trace = ForwardTrace()
+    trace.shapes.append(("input", _sample_shape(a)))
     n_blocks = len(cfg.filters)
     for i in range(1, n_blocks + 1):
-        y, conv_cache = conv3d_forward(a, t[f"conv{i}.weight"], t[f"conv{i}.bias"],
-                                       per_sample=not train)
+        fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
+        y, conv_cache = conv3d_forward(a, fold)
         np.maximum(y, 0, out=y)
         bn, bn_cache = batchnorm_forward(
             y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
             t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
-            train=train, eps=cfg.bn_eps, momentum=cfg.bn_momentum,
-            update_running=update_running_stats,
+            eps=cfg.bn_eps, momentum=cfg.bn_momentum, update_running=update_running_stats,
         )
-        if train:
-            trace.caches[f"conv{i}"] = conv_cache
-            trace.caches[f"relu{i}"] = y > 0
-            trace.caches[f"bn{i}"] = bn_cache
+        trace.caches[f"conv{i}"] = conv_cache
+        trace.caches[f"relu{i}"] = y > 0
+        trace.caches[f"bn{i}"] = bn_cache
         trace.shapes.append((f"block{i}", _sample_shape(bn)))
         a = bn
         if i < n_blocks:
-            a, pool_cache = maxpool3d_forward(a)
-            if train:
-                trace.caches[f"pool{i}"] = pool_cache
+            a, trace.caches[f"pool{i}"] = maxpool3d_forward(a)
             trace.shapes.append((f"pool{i}", _sample_shape(a)))
 
-    pooled, avg_cache = global_avgpool_forward(a)
+    pooled, trace.caches["avgpool"] = global_avgpool_forward(a)
     trace.shapes.append(("avgpool", (pooled.shape[1], 1, 1, 1)))
-
-    # elementwise product and row sum rather than a matrix-vector product,
-    # whose summation order the BLAS may change with the batch size
-    z = (pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0]
-    preds = expit(z)
-    if train:
-        trace.caches["avgpool"] = avg_cache
-        trace.caches["fc"] = pooled
-        trace.caches["sigmoid"] = preds
+    preds = _head(pooled, t)
+    trace.caches["fc"] = pooled
+    trace.caches["sigmoid"] = preds
     trace.shapes.append(("output", ()))
     return preds, trace
 
@@ -454,17 +530,20 @@ def backward(params: ModelParams, trace: ForwardTrace,
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     """Eval-mode probabilities for (B, C, P, P) patches.
 
-    Patches go through the network in tiles of ``EVAL_TILE``.  Eval-mode
-    ``forward`` is batch-invariant by construction (per-sample conv GEMMs,
-    a fixed-order head reduction, everything else elementwise or reduced
-    per sample), so outputs are bitwise identical for any batch split,
-    including lone single-patch calls.
+    One eval plan (``_eval_plan``) is built per call: each block's folded
+    kernel and tiled bias, and batch norm from the running estimates as a
+    tiled per-channel scale and shift.  Patches then go through it in
+    tiles of ``EVAL_TILE``.  The plan is batch-invariant by construction
+    (per-sample conv GEMMs, a fixed-order head reduction, everything else
+    elementwise or reduced per sample), so outputs are bitwise identical
+    for any batch split, including lone single-patch calls.
     """
     patches = np.asarray(patches)
+    plan = _eval_plan(params)
     out = np.empty(len(patches), dtype=params.dtype)
     for start in range(0, len(patches), EVAL_TILE):
-        p, _ = forward(params, patches[start:start + EVAL_TILE, None], mode="eval")
-        out[start:start + EVAL_TILE] = p
+        tile = _network_input(params, patches[start:start + EVAL_TILE, None])
+        out[start:start + EVAL_TILE] = _run_eval_plan(plan, params.tensors, tile)
     return out
 
 
@@ -497,21 +576,22 @@ def read_checkpoint_tensors(path: str | Path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         (count,) = read_header(f, path, CHECKPOINT_MAGIC, "<I")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(f, path, 2))
-            name_raw = read_exact(f, path, name_len)
-            try:
-                name = name_raw.decode("ascii")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: tensor name {name_raw!r} is not ASCII") from None
-            rank = read_exact(f, path, 1)[0]
-            dims = struct.unpack(f"<{rank}I", read_exact(f, path, 4 * rank))
-            payload = np.frombuffer(read_exact(f, path, 4 * math.prod(dims)), dtype="<f4")
-            try:
-                tensors[name] = payload.reshape(dims).copy()
-            except ValueError as e:  # rank above 64, or a size numpy cannot index
-                raise FormatError(f"{path}: tensor {name!r} shape {dims}: {e}") from None
-        check_size(f, path, 0)
+        records = Records(f, path)
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", records.take(2))
+        name_raw = bytes(records.take(name_len))
+        try:
+            name = name_raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name {name_raw!r} is not ASCII") from None
+        rank = records.take(1)[0]
+        dims = struct.unpack(f"<{rank}I", records.take(4 * rank))
+        payload = np.frombuffer(records.take(4 * math.prod(dims)), dtype="<f4")
+        try:
+            tensors[name] = payload.reshape(dims).copy()
+        except ValueError as e:  # rank above 64, or a size numpy cannot index
+            raise FormatError(f"{path}: tensor {name!r} shape {dims}: {e}") from None
+    records.check_end()
     return tensors
 
 

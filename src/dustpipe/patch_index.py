@@ -89,6 +89,12 @@ def patch_windows(data: np.ndarray, patch_size: int) -> np.ndarray:
                       strides=(sy, sx, sc, sy, sx), writeable=False)
 
 
+def _window_inside(y: int, x: int, h: int, height: int, width: int) -> bool:
+    """Whether the window of half-width ``h`` centered on (y, x) lies inside
+    a height x width grid; false for any negative center."""
+    return h <= y < height - h and h <= x < width - h
+
+
 def valid_centers(label_values: np.ndarray, patch_size: int) -> np.ndarray:
     """(y, x) pairs where the label is finite and the window is in-bounds.
 
@@ -131,7 +137,7 @@ def validate_index(index: PatchIndex, manifest: DatasetManifest,
             problems.append(f"triplet {i}: folder {f} outside [0, {n_folders})")
             continue
         hh, ww = label_maps[f].shape
-        if not (h <= y < hh - h and h <= x < ww - h):
+        if not _window_inside(y, x, h, hh, ww):
             problems.append(
                 f"triplet {i}: window around (y={y}, x={x}) leaves {hh}x{ww} bounds"
             )
@@ -265,7 +271,7 @@ class GranuleStore:
         if not 0 <= f < len(self._granules):
             raise IndexMismatchError(f"folder {f} outside manifest of {len(self._granules)}")
         _, hh, ww = self._granules[f].shape
-        if not (h <= y < hh - h and h <= x < ww - h):
+        if not _window_inside(y, x, h, hh, ww):
             raise IndexMismatchError(
                 f"center (y={y}, x={x}) with half-window {h} leaves {hh}x{ww} granule"
             )

@@ -99,6 +99,15 @@ class TestInferScene:
             with pytest.raises(ValueError):
                 infer_scene(params, bad)
 
+    def test_batch_size_checked_before_granule_scan(self, tmp_path):
+        # a bad batch size is reported before the full-granule value scan,
+        # which would otherwise fail first on this NaN
+        g, _ = processed_granule(tmp_path / "d")
+        holey = Granule(g.data.copy())
+        holey.data[0, 5, 5] = np.nan
+        with pytest.raises(ValueError, match="batch_size"):
+            infer_scene(init_params(5, SMALL_MODEL), holey, batch_size=0)
+
     def test_scene_smaller_than_patch_is_all_sentinel(self):
         g = Granule(np.full((6, 4, 9), 0.5, dtype=np.float32))
         dmap = infer_scene(init_params(6, SMALL_MODEL), g)

@@ -22,6 +22,7 @@ from dustpipe.model3d import (
     batchnorm_forward,
     conv3d_forward,
     describe_checkpoint,
+    fold_conv,
     forward,
     init_params,
     load_checkpoint,
@@ -172,8 +173,8 @@ class TestLayerProperties:
         beta = np.zeros(4)
         rm = np.zeros(4)
         rv = np.ones(4)
-        y, _ = batchnorm_forward(x, gamma, beta, rm, rv, train=True, eps=1e-5,
-                                 momentum=0.1, update_running=False)
+        y, _ = batchnorm_forward(x, gamma, beta, rm, rv, eps=1e-5, momentum=0.1,
+                                 update_running=False)
         mean = y.mean(axis=(0, 1, 2, 3))
         var = y.var(axis=(0, 1, 2, 3))
         assert np.abs(mean).max() < 1e-4
@@ -219,7 +220,7 @@ class TestLayerProperties:
         x = rng.uniform(-1, 1, size=(2, 6, 5, 4, 1)).astype(np.float32)
         w = np.zeros((1, 1, 3, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1, 1] = 1.0
-        y, _ = conv3d_forward(x, w, np.zeros(1, dtype=np.float32))
+        y, _ = conv3d_forward(x, fold_conv(w, np.zeros(1, dtype=np.float32), 5, 4))
         assert np.array_equal(y, x)
 
     @pytest.mark.parametrize("cin", [1, 3])
@@ -231,7 +232,7 @@ class TestLayerProperties:
         bias = rng.uniform(-1, 1, size=2)
         want = conv_oracle(x, w, bias)
         for per_sample in (False, True):
-            y, _ = conv3d_forward(x, w, bias, per_sample=per_sample)
+            y, _ = conv3d_forward(x, fold_conv(w, bias, size, size), per_sample=per_sample)
             assert np.allclose(y, want, rtol=1e-12, atol=1e-12), per_sample
 
 
@@ -378,6 +379,48 @@ class TestBatchInvariance:
             parts = np.split(patches, cuts)
             got = np.concatenate([predict(params, part) for part in parts])
             assert got.tobytes() == lone, f"split at {cuts.tolist()}"
+
+
+def full_extent_eval(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Eval forward composed from the primitives over every output
+    position: per-sample conv, ReLU, batch norm from the running
+    estimates, floor-mode max pooling, global average pooling, head."""
+    t = params.tensors
+    cfg = params.config
+    a = x.reshape(x.shape[0], *x.shape[2:], 1)
+    for i in range(1, len(cfg.filters) + 1):
+        fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
+        y, _ = conv3d_forward(a, fold, per_sample=True)
+        y = np.maximum(y, 0)
+        y = ((y - t[f"bn{i}.running_mean"]) / np.sqrt(t[f"bn{i}.running_var"] + cfg.bn_eps)
+             * t[f"bn{i}.gamma"] + t[f"bn{i}.beta"])
+        a = maxpool3d_forward(y)[0] if i < len(cfg.filters) else y
+    z = a.mean(axis=(1, 2, 3)) @ t["fc.weight"][0] + t["fc.bias"][0]
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+class TestEvalPlan:
+    # per block, the output rows (= cols) kept: those floor-mode pooling reads
+    KEPT = {1: (1, 1, 1), 3: (2, 1, 1), 5: (4, 2, 1), 7: (6, 2, 1)}
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("base", [TINY, SMALL_MODEL, ModelConfig()],
+                             ids=["tiny", "small", "default"])
+    def test_matches_full_extent_oracle(self, base, patch_size):
+        config = replace(base, patch_size=patch_size)
+        params = eval_params(patch_size, config, np.float64)
+        x = np.random.default_rng(patch_size).uniform(
+            0, 1, (11, 1, config.in_depth, patch_size, patch_size))
+        want = full_extent_eval(params, x)
+        got, _ = forward(params, x, mode="eval")
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(predict(params, x[:, 0]) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    def test_blocks_keep_only_what_pooling_reads(self, patch_size):
+        params = init_params(0, replace(ModelConfig(), patch_size=patch_size))
+        extents = [block.fold.extent for block in model3d._eval_plan(params)]
+        assert extents == [(k, k) for k in self.KEPT[patch_size]]
 
 
 class TestEvalConvsRunPerSample:
