@@ -18,6 +18,14 @@ shapes (``ForwardTrace.shapes``, ``shape_ledger``) are still reported per
 sample as (C, D, H, W), and checkpoints keep the (Cout, Cin, 3, 3, 3)
 kernel layout.
 
+The train step works in place where nothing else reads a buffer, with the
+same floating-point operations in the same order as fresh arrays would
+take.  Batch norm normalizes the ReLU output into the ``xhat`` it caches
+(so the ReLU mask is taken before it), and its backward writes the input
+gradient into that cached buffer.  ``backward`` pops each cache from the
+trace as it uses it, so block one's buffers are freed as soon as they are
+consumed, and a trace is consumed by one ``backward``.
+
 Evaluation has one path, an eval plan built once per ``predict`` call (and
 per eval-mode ``forward``) and used for every tile of that call.  Per block
 it holds the folded kernel, the conv bias tiled over the output positions,
@@ -73,6 +81,14 @@ class ModelConfig:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
+    def __post_init__(self):
+        # patch_size is not checked here: a config may name an even patch,
+        # which the readers of patches and checkpoints reject themselves
+        if not self.filters or any(f < 1 for f in self.filters):
+            raise ValueError(f"filters must be one or more counts >= 1, got {self.filters}")
+        if self.in_depth < 1:
+            raise ValueError(f"in_depth must be >= 1, got {self.in_depth}")
+
 
 @dataclass
 class ModelParams:
@@ -89,8 +105,12 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches and stage shapes from one train-mode forward pass,
-    consumed by backward; an eval-mode trace is empty."""
+    """Per-layer caches and stage shapes from one train-mode forward pass.
+
+    ``backward`` consumes the caches (it pops each one as it uses it, and
+    batch norm's cached buffer becomes its input gradient), so a trace can
+    be back-propagated once only; ``shapes`` stay.  An eval-mode trace is
+    empty."""
 
     caches: dict = field(default_factory=dict)
     shapes: list = field(default_factory=list)  # (stage, per-sample shape)
@@ -305,16 +325,18 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
     channels-last batch, computed on its row view.
 
     Normalizes with batch statistics (and with ``update_running`` moves the
-    running estimates toward them) and returns a fresh output plus the
-    cache backward needs.  Eval mode applies the running estimates as the
-    eval plan's per-channel scale and shift instead.
+    running estimates toward them).  It overwrites ``x``: the input is
+    normalized in place into the ``xhat`` the cache holds, so a caller that
+    needs the input afterwards must copy it first.  The output is a fresh
+    array.  Eval mode applies the running estimates as the eval plan's
+    per-channel scale and shift instead.
     """
     c = x.shape[-1]
     hw = x.shape[2] * x.shape[3]
-    x2 = _rows(x)
+    xhat = _rows(x)
     m = x.size // c
-    mean = _channel_sum(x2, c) / m
-    xhat = x2 - np.tile(mean, hw)
+    mean = _channel_sum(xhat, c) / m
+    xhat -= np.tile(mean, hw)
     var = _channel_sum(xhat, c, xhat) / m
     if update_running:
         unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -330,7 +352,9 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
 
 
 def batchnorm_backward(dy, gamma, cache):
-    """Gradients through train-mode batch norm (batch statistics)."""
+    """Gradients through train-mode batch norm (batch statistics).  The
+    input gradient is written into the cached ``xhat`` buffer, so a cache
+    serves one backward only."""
     xhat, inv = cache
     c = dy.shape[-1]
     hw = dy.shape[2] * dy.shape[3]
@@ -339,7 +363,8 @@ def batchnorm_backward(dy, gamma, cache):
     dbeta = _channel_sum(dy2, c)
     # dx = gamma * inv * (dy - dbeta / m - xhat * dgamma / m)
     m = dy.size // c
-    dx = xhat * np.tile(-dgamma / m, hw)
+    dx = xhat
+    dx *= np.tile(-dgamma / m, hw)
     dx += dy2
     dx -= np.tile(dbeta / m, hw)
     dx *= np.tile(gamma * inv, hw)
@@ -464,13 +489,14 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, conv_cache = conv3d_forward(a, fold)
         np.maximum(y, 0, out=y)
+        # the mask must be taken first: batch norm normalizes y in place
+        trace.caches[f"relu{i}"] = y > 0
         bn, bn_cache = batchnorm_forward(
             y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
             t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
             eps=cfg.bn_eps, momentum=cfg.bn_momentum, update_running=update_running_stats,
         )
         trace.caches[f"conv{i}"] = conv_cache
-        trace.caches[f"relu{i}"] = y > 0
         trace.caches[f"bn{i}"] = bn_cache
         trace.shapes.append((f"block{i}", _sample_shape(bn)))
         a = bn
@@ -492,36 +518,43 @@ def backward(params: ModelParams, trace: ForwardTrace,
     """Gradients of a scalar loss w.r.t. every trainable tensor.
 
     ``dpreds`` is the loss gradient at the sigmoid output, one value per
-    sample.  Pure function of (params, trace, dpreds).
+    sample.  It consumes ``trace``: each cache is popped as it is used, so
+    a layer's buffers are freed as soon as its gradient is taken, and batch
+    norm writes its input gradient into its cached buffer.  A second call
+    on the same trace raises ``ValueError``.  ``params`` is not modified.
     """
     cfg = params.config
     t = params.tensors
-    if "sigmoid" not in trace.caches:
+    caches = trace.caches
+    if "sigmoid" not in caches:
+        if trace.shapes:
+            raise ValueError("this trace was consumed by an earlier backward; "
+                             "run forward again")
         raise ValueError("backward needs a train-mode trace; eval mode keeps no caches")
-    if dpreds.shape != trace.caches["sigmoid"].shape:
+    if dpreds.shape != caches["sigmoid"].shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {dpreds.shape} does not match "
-            f"predictions {trace.caches['sigmoid'].shape}"
+            f"predictions {caches['sigmoid'].shape}"
         )
     grads: dict[str, np.ndarray] = {}
 
-    s = trace.caches["sigmoid"]
+    s = caches.pop("sigmoid")
     dz = (dpreds * s * (1.0 - s))[:, None]
-    pooled = trace.caches["fc"]
+    pooled = caches.pop("fc")
     grads["fc.weight"] = dz.T @ pooled
     grads["fc.bias"] = dz.sum(axis=0)
     dpooled = dz @ t["fc.weight"]
 
-    da = global_avgpool_backward(dpooled, trace.caches["avgpool"])
+    da = global_avgpool_backward(dpooled, caches.pop("avgpool"))
     n_blocks = len(cfg.filters)
     for i in range(n_blocks, 0, -1):
         if i < n_blocks:
-            da = maxpool3d_backward(da, trace.caches[f"pool{i}"])
-        da, dgamma, dbeta = batchnorm_backward(da, t[f"bn{i}.gamma"], trace.caches[f"bn{i}"])
+            da = maxpool3d_backward(da, caches.pop(f"pool{i}"))
+        da, dgamma, dbeta = batchnorm_backward(da, t[f"bn{i}.gamma"], caches.pop(f"bn{i}"))
         grads[f"bn{i}.gamma"] = dgamma
         grads[f"bn{i}.beta"] = dbeta
-        np.multiply(da, trace.caches[f"relu{i}"], out=da)
-        da, dw, db = conv3d_backward(da, trace.caches[f"conv{i}"], need_dx=(i > 1))
+        np.multiply(da, caches.pop(f"relu{i}"), out=da)
+        da, dw, db = conv3d_backward(da, caches.pop(f"conv{i}"), need_dx=(i > 1))
         grads[f"conv{i}.weight"] = dw
         grads[f"conv{i}.bias"] = db
     return grads
@@ -623,19 +656,22 @@ def load_checkpoint(path: str | Path,
     except KeyError as e:
         raise FormatError(f"{path}: missing architecture metadata {e}") from e
     counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
-    if (not meta["filters"] or any(len(meta[k]) != 1 for k in _META[1:])
+    if (any(len(meta[k]) != 1 for k in _META[1:])
             or not all(v.is_integer() for v in counts)
             or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)
             or not all(math.isfinite(v) for v in meta["bn_eps"] + meta["bn_momentum"])):
         raise FormatError(f"{path}: architecture metadata {meta} must be finite, "
                           "with integer filters and in_depth and an odd patch_size >= 1")
-    config = ModelConfig(
-        filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
-        in_depth=int(meta["in_depth"][0]),
-        patch_size=int(meta["patch_size"][0]),
-        bn_eps=meta["bn_eps"][0],
-        bn_momentum=meta["bn_momentum"][0],
-    )
+    try:
+        config = ModelConfig(
+            filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
+            in_depth=int(meta["in_depth"][0]),
+            patch_size=int(meta["patch_size"][0]),
+            bn_eps=meta["bn_eps"][0],
+            bn_momentum=meta["bn_momentum"][0],
+        )
+    except ValueError as e:
+        raise FormatError(f"{path}: architecture metadata: {e}") from None
     # bn_eps and bn_momentum are stored as float32, so compare at that precision
     if expected_config is not None and (
         expected_config.filters != config.filters

@@ -12,7 +12,14 @@ from dustpipe import cli
 from dustpipe.cli import main
 from dustpipe.granule_io import DatasetManifest, read_granule, write_granule
 from dustpipe.inference import infer_scene, read_map, write_map
-from dustpipe.model3d import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from dustpipe.model3d import (
+    ModelConfig,
+    init_params,
+    load_checkpoint,
+    read_checkpoint_tensors,
+    save_checkpoint,
+    write_checkpoint_tensors,
+)
 from dustpipe.patch_index import build_index, read_index
 from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
 
@@ -213,6 +220,26 @@ class TestInferAndEval:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out_map.exists()
 
+    def test_infer_rejects_zero_filter_checkpoint(self, tmp_path, capsys):
+        entry = DatasetManifest.load(synth(tmp_path / "raw", count=1)).entries[0]
+        ckpt = self._checkpoint(tmp_path)
+        tensors = read_checkpoint_tensors(ckpt)
+        # block two has no channels; every tensor is shaped to match
+        tensors["meta.filters"] = np.array([3, 0, 5], dtype=np.float32)
+        for key in tensors:
+            if key.startswith(("conv2.", "bn2.")):
+                tensors[key] = tensors[key][:0]
+        tensors["conv3.weight"] = tensors["conv3.weight"][:, :0]
+        write_checkpoint_tensors(ckpt, tensors)
+        capsys.readouterr()
+        out_map = tmp_path / "scene.dmp"
+        assert run("infer", "--ckpt", ckpt, "--granule", entry.granule, "--out", out_map,
+                   "--preprocess") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out_map.exists()
+
     def test_infer_rejects_raw_granule_without_flag(self, tmp_path, capsys):
         manifest = synth(tmp_path / "raw", count=1, nan_fraction=0.2)
         ckpt = self._checkpoint(tmp_path)
@@ -250,6 +277,19 @@ class TestTrainCli:
         assert (run_dir / "final.dck").exists()
         assert (run_dir / "best.dck").exists()
         assert (run_dir / "log.csv").read_text().count("\n") == 3  # header + 2 rows
+
+    @pytest.mark.parametrize("filters", ["0,4,4", "-1,4,4"])
+    def test_non_positive_filter_count_is_one_line_diagnostic(self, tmp_path, capsys, filters):
+        train_manifest = synth(tmp_path / "train", seed=1, count=1, nan_fraction=0)
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--manifest-train", train_manifest,
+                   "--manifest-val", train_manifest, "--out", run_dir,
+                   f"--filters={filters}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: filters") and captured.err.count("\n") == 1
+        assert not run_dir.exists()
 
 
 class TestBenchCli:

@@ -2,12 +2,17 @@
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
 import inspect
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dustpipe
 from dustpipe import model3d
 from dustpipe.errors import (
     BadMagicError,
@@ -20,10 +25,13 @@ from dustpipe.model3d import (
     ModelParams,
     backward,
     batchnorm_forward,
+    conv3d_backward,
     conv3d_forward,
     describe_checkpoint,
     fold_conv,
     forward,
+    global_avgpool_backward,
+    global_avgpool_forward,
     init_params,
     load_checkpoint,
     maxpool3d_backward,
@@ -88,6 +96,17 @@ class TestInit:
             assert (params.tensors[f"bn{i}.running_var"] == 1).all()
             assert (params.tensors[f"conv{i}.bias"] == 0).all()
         assert (params.tensors["fc.bias"] == 0).all()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("fields", [
+        dict(filters=()), dict(filters=(0, 4, 4)), dict(filters=(-1, 4, 4)),
+        dict(filters=(3, 4, 0)), dict(in_depth=0), dict(in_depth=-2),
+    ], ids=["no-filters", "zero-filter", "negative-filter", "zero-last-filter",
+            "zero-depth", "negative-depth"])
+    def test_empty_or_non_positive_counts_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ModelConfig(**fields)
 
 
 class TestForward:
@@ -334,6 +353,124 @@ class TestBackward:
         with pytest.raises(ShapeMismatchError):
             backward(params, trace, np.zeros(7))
 
+    def test_trace_is_single_use(self):
+        params, x, y = self._setup()
+        preds, trace = forward(params, x, mode="train", update_running_stats=False)
+        _, dpreds = wmse_loss(preds, y, LossConfig(1.0))
+        backward(params, trace, dpreds)
+        assert trace.caches == {}
+        with pytest.raises(ValueError, match="consumed"):
+            backward(params, trace, dpreds)
+
+
+def reference_batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
+                                eps, momentum, update_running):
+    """Train-mode batch norm into fresh arrays, leaving ``x`` as it was."""
+    c = x.shape[-1]
+    hw = x.shape[2] * x.shape[3]
+    x2 = model3d._rows(x)
+    m = x.size // c
+    mean = model3d._channel_sum(x2, c) / m
+    xhat = x2 - np.tile(mean, hw)
+    var = model3d._channel_sum(xhat, c, xhat) / m
+    if update_running:
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= np.tile(inv, hw)
+    y = np.tile(gamma, hw) * xhat
+    y += np.tile(beta, hw)
+    return y.reshape(x.shape), (xhat, inv)
+
+
+def reference_batchnorm_backward(dy, gamma, cache):
+    """Batch-norm gradients into a fresh input gradient."""
+    xhat, inv = cache
+    c = dy.shape[-1]
+    hw = dy.shape[2] * dy.shape[3]
+    dy2 = model3d._rows(dy)
+    dgamma = model3d._channel_sum(dy2, c, xhat)
+    dbeta = model3d._channel_sum(dy2, c)
+    m = dy.size // c
+    dx = xhat * np.tile(-dgamma / m, hw)
+    dx += dy2
+    dx -= np.tile(dbeta / m, hw)
+    dx *= np.tile(gamma * inv, hw)
+    return dx.reshape(dy.shape), dgamma, dbeta
+
+
+def reference_train_step(params, x, targets):
+    """Train-mode forward and backward composed from the primitives with
+    out-of-place batch norm, taking each ReLU mask after batch norm (which
+    leaves the ReLU output intact).  Returns predictions and gradients, and
+    updates the running estimates in ``params``."""
+    cfg = params.config
+    t = params.tensors
+    n_blocks = len(cfg.filters)
+    a = x.reshape(x.shape[0], *x.shape[2:], 1)
+    blocks = []
+    for i in range(1, n_blocks + 1):
+        fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
+        y, conv_cache = conv3d_forward(a, fold)
+        np.maximum(y, 0, out=y)
+        a, bn_cache = reference_batchnorm_forward(
+            y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
+            t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
+            eps=cfg.bn_eps, momentum=cfg.bn_momentum, update_running=True)
+        pool_cache = None
+        if i < n_blocks:
+            a, pool_cache = maxpool3d_forward(a)
+        blocks.append((conv_cache, y > 0, bn_cache, pool_cache))
+    pooled, avg_cache = global_avgpool_forward(a)
+    preds = model3d._head(pooled, t)
+
+    _, dpreds = wmse_loss(preds, targets, LossConfig(1.0))
+    dz = (dpreds * preds * (1.0 - preds))[:, None]
+    grads = {"fc.weight": dz.T @ pooled, "fc.bias": dz.sum(axis=0)}
+    da = global_avgpool_backward(dz @ t["fc.weight"], avg_cache)
+    for i in range(n_blocks, 0, -1):
+        conv_cache, mask, bn_cache, pool_cache = blocks[i - 1]
+        if i < n_blocks:
+            da = maxpool3d_backward(da, pool_cache)
+        da, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = reference_batchnorm_backward(
+            da, t[f"bn{i}.gamma"], bn_cache)
+        da = da * mask
+        da, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = conv3d_backward(
+            da, conv_cache, need_dx=(i > 1))
+    return preds, grads
+
+
+class TestInPlaceStep:
+    """The in-place train step does the same floating-point operations in
+    the same order as out-of-place batch norm, so it matches bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("base", [TINY, SMALL_MODEL, ModelConfig()],
+                             ids=["tiny", "small", "default"])
+    def test_matches_out_of_place_oracle_bitwise(self, base, patch_size, dtype):
+        config = replace(base, patch_size=patch_size)
+        params = eval_params(patch_size, config, dtype)
+        oracle = params.copy()
+        rng = np.random.default_rng(patch_size)
+        x = rng.uniform(0, 1, (6, 1, config.in_depth, patch_size, patch_size)).astype(dtype)
+        targets = rng.uniform(0, 1, 6).astype(dtype)
+
+        want_preds, want_grads = reference_train_step(oracle, x, targets)
+        preds, trace = forward(params, x, mode="train")
+        _, dpreds = wmse_loss(preds, targets, LossConfig(1.0))
+        grads = backward(params, trace, dpreds)
+
+        assert preds.tobytes() == want_preds.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+        for name, arr in params.tensors.items():
+            assert arr.tobytes() == oracle.tensors[name].tobytes(), name
+
 
 class TestPredictPaths:
     def test_per_sample_equals_single_batch_forward(self):
@@ -557,6 +694,27 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,value", [
+        ("meta.filters", np.array([2, 0, 4], dtype=np.float32)),
+        ("meta.filters", np.array([2, -3, 4], dtype=np.float32)),
+        ("meta.in_depth", np.float32(0)),
+    ], ids=["zero-filter", "negative-filter", "zero-depth"])
+    def test_non_positive_counts_are_format_error(self, tmp_path, name, value):
+        path = tmp_path / "m.dck"
+        save_checkpoint(path, init_params(0, TINY))
+        tensors = read_checkpoint_tensors(path)
+        tensors[name] = value
+        if value.size == 3 and value[1] == 0:
+            # tensors shaped for zero block-two channels, so only the
+            # metadata check can refuse the file
+            for key in tensors:
+                if key.startswith(("conv2.", "bn2.")):
+                    tensors[key] = tensors[key][:0]
+            tensors["conv3.weight"] = tensors["conv3.weight"][:, :0]
+        write_checkpoint_tensors(path, tensors)
+        with pytest.raises(FormatError, match="architecture metadata"):
+            load_checkpoint(path)
+
     def test_eval_after_roundtrip_identical(self, tmp_path):
         params = init_params(31, TINY)
         x = np.random.default_rng(4).uniform(0, 1, (5, 1, 6, 3, 3)).astype(np.float32)
@@ -566,3 +724,46 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(path)
         got, _ = forward(loaded, x, mode="eval")
         assert np.array_equal(want, got)
+
+
+# One default-model train step at B = 128 after a 2-sample warm-up step;
+# prints the ru_maxrss growth over the step and the block-1 activation's
+# size, in bytes (Linux reports KiB).
+STEP_PROBE = """
+import resource
+import numpy as np
+from dustpipe.model3d import ModelConfig, backward, forward, init_params
+cfg = ModelConfig()
+params = init_params(0, cfg)
+rng = np.random.default_rng(0)
+def batch(b):
+    return rng.uniform(0, 1, (b, 1, cfg.in_depth, cfg.patch_size, cfg.patch_size)).astype(np.float32)
+preds, trace = forward(params, batch(2))
+backward(params, trace, preds - 0.5)
+x = batch(128)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+preds, trace = forward(params, x)
+backward(params, trace, preds - 0.5)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, 128 * cfg.in_depth * cfg.patch_size ** 2 * cfg.filters[0] * 4)
+"""
+
+# ru_maxrss of a new process starts at the forking parent's resident size,
+# so the probe is launched from a thin relay rather than from the test run.
+RELAY = "import subprocess, sys; sys.exit(subprocess.call([sys.executable] + sys.argv[1:]))"
+
+
+def test_train_step_working_set_is_bounded():
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+    env = dict(os.environ)
+    src = str(Path(dustpipe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", STEP_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    growth, nbytes = (int(v) for v in proc.stdout.split())
+    # the step holds the normalized block-1 activation, its batch-norm
+    # output and one gradient of that size at once; anything below one
+    # activation means the high-water mark was set before the probe ran
+    assert nbytes <= growth <= 4.5 * nbytes, f"peak grew by {growth / nbytes:.2f}x block 1"

@@ -355,6 +355,17 @@ class TestTrainLoop:
               train_cfg=cfg, batch_hook=lambda *a: steps.append(1))
         assert len(steps) == 1
 
+    def test_two_runs_write_identical_files(self, tmp_path):
+        m_train = tiny_training_dataset(tmp_path / "t", seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=6)
+        cfg = TrainConfig(passes=2, partitions=2, sub_epochs=2, batch_size=16,
+                          seed=4)
+        for run in ("a", "b"):
+            train(m_train, m_val, tmp_path / run, model_config=TINY_MODEL,
+                  train_cfg=cfg, loss_cfg=LossConfig(1.0))
+        for name in ("final.dck", "best.dck", "log.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_divergence_aborts_with_diagnostic(self, tmp_path, monkeypatch):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=9)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=10)
