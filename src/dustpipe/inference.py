@@ -2,14 +2,16 @@
 
 Every interior pixel (at least half a patch away from each edge) gets the
 eval-mode network output for the patch centered on it; the border band where
-no full patch fits is a NaN sentinel rather than fabricated padding.  Pixels
-go through ``predict``, whose output for a patch does not depend on how
-patches are grouped into batches, so maps are bitwise identical for any
-batch size.
+no full patch fits is a NaN sentinel rather than fabricated padding.
 
-Patches come from ``patch_index.patch_windows``, the strided view the
-training gather also uses, one chunk of flat interior positions at a time.
-No full-scene array is built besides the output map, so ``dustpipe infer``
+The interior is covered in 2-D tiles of at most ``model3d.EVAL_TILE``
+pixels.  Each tile reads one slab of the granule, its pixels plus a halo of
+P - 1 rows and cols, checks it, and hands it to ``model3d.predict_slabs``,
+which computes block one once per slab position and class instead of once
+per patch, then runs blocks two and three as one GEMM per conv over the
+tile.  A pixel's value is bitwise the same as a lone ``predict`` call on its
+patch, so maps do not depend on the tiling or the batch size.  No
+full-scene array is built besides the output map, so ``dustpipe infer``
 reads the granule through a memory map.
 
 Map container layout (little-endian): the label map's 2-D grid under its
@@ -23,6 +25,7 @@ for eyeballing results without image libraries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,8 +33,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
-from .model3d import ModelParams, predict
-from .patch_index import patch_windows
+from .model3d import EVAL_TILE, ModelParams, eval_plan, predict_slabs
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
@@ -50,8 +52,9 @@ def infer_scene(params: ModelParams, granule: Granule,
 
     The granule must be finite in [0, 1] with the channel count the
     checkpoint was trained on; patches are the checkpoint's patch size.
-    Patches are gathered in chunks of ``batch_size`` pixels; the result
-    does not depend on it.
+    Tiles hold at most ``batch_size`` pixels (see ``tile_shape``); the
+    result does not depend on it.  Every granule value is checked, in the
+    tile slab that reads it.
     """
     cfg = params.config
     p = cfg.patch_size
@@ -62,23 +65,42 @@ def infer_scene(params: ModelParams, granule: Granule,
         raise ShapeMismatchError(
             f"granule has {data.shape[0]} channels, checkpoint expects {cfg.in_depth}"
         )
-    # the one full-granule scan comes after the cheap checks; NaN fails
-    # both comparisons
-    if not (data.min() >= 0.0 and data.max() <= 1.0):
-        raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
 
     h = p // 2
     out = np.full(data.shape[1:], np.nan, dtype=np.float32)
     if min(out.shape) < p:
+        _check_unit_range(data)
         return DetectionMap(out)
 
-    windows = patch_windows(data, p)
+    plan = eval_plan(params)
     interior = out[h:out.shape[0] - h, h:out.shape[1] - h]
-    for start in range(0, interior.size, batch_size):
-        stop = min(start + batch_size, interior.size)
-        ys, xs = np.divmod(np.arange(start, stop), interior.shape[1])
-        interior[ys, xs] = predict(params, windows[ys, xs])
+    rows, cols = interior.shape
+    th, tw = tile_shape(rows, cols, batch_size)
+    for y in range(0, rows, th):
+        for x in range(0, cols, tw):
+            ty, tx = min(th, rows - y), min(tw, cols - x)
+            # the slabs cover the granule, border band included
+            slab = np.array(data[:, y:y + ty + p - 1, x:x + tx + p - 1], dtype=params.dtype)
+            _check_unit_range(slab)
+            interior[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
     return DetectionMap(out)
+
+
+def tile_shape(rows: int, cols: int, batch_size: int) -> tuple[int, int]:
+    """(height, width) of the tiles that cover a rows x cols interior: at
+    most ``min(batch_size, EVAL_TILE)`` pixels, about twice as wide as high
+    (4 x 8 for 32), clipped to the interior.  At P >= 3 block one computes
+    (2 * height + P - 3) * (2 * width + P - 3) class positions per tile, so
+    the squarer the tile, the fewer per pixel."""
+    n = min(batch_size, EVAL_TILE)
+    width = min(cols, n // max(1, math.isqrt(n // 2)))
+    return min(rows, n // width), width
+
+
+def _check_unit_range(values: np.ndarray) -> None:
+    # NaN fails both comparisons
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
 
 
 def write_map(dmap: DetectionMap, path: str | Path) -> None:

@@ -8,11 +8,12 @@ as convolution depth, so the input tensor is (B, 1, C, P, P) and one kernel
 mixes adjacent bands and pixels jointly.
 
 Inside ``forward`` and ``backward`` activations are channels-last,
-(B, D, H, W, C).  Every conv is one spectral 1-D convolution: the block's
-whole H x W window is folded into the feature axis, so the 3x3x3 kernel
-becomes a single (3*H*W*Cin, H*W*Cout) matrix (zeros where a tap would fall
-outside the window) applied to three depth-shifted copies of the input, and
-its product is already channels-last.  Batch norm and global pooling reduce
+(B, D, H, W, C).  Every train-mode conv, and every eval conv after block
+one, is one spectral 1-D convolution: the block's whole H x W window is
+folded into the feature axis, so the 3x3x3 kernel becomes a single
+(3*H*W*Cin, H*W*Cout) matrix (zeros where a tap would fall outside the
+window) applied to three depth-shifted copies of the input, and its
+product is already channels-last.  Batch norm and global pooling reduce
 over every axis but the last; max pooling reduces strided views.  Stage
 shapes (``ForwardTrace.shapes``, ``shape_ledger``) are still reported per
 sample as (C, D, H, W), and checkpoints keep the (Cout, Cin, 3, 3, 3)
@@ -26,17 +27,30 @@ gradient into that cached buffer.  ``backward`` pops each cache from the
 trace as it uses it, so block one's buffers are freed as soon as they are
 consumed, and a trace is consumed by one ``backward``.
 
-Evaluation has one path, an eval plan built once per ``predict`` call (and
-per eval-mode ``forward``) and used for every tile of that call.  Per block
-it holds the folded kernel, the conv bias tiled over the output positions,
-and batch norm from the running estimates as a tiled per-channel scale
-``gamma / sqrt(var + eps)`` and shift ``beta - mean * scale``.  A tile runs
-each block as the per-sample conv, then ReLU, scale and shift in place on
-its product, then pooling.  Floor-mode max pooling never reads the
-trailing row and column of an odd extent, so a pooled block folds its
-kernel for the output positions pooling reads only (4 x 4 of 5 x 5 in
-block one at P = 5).  Training computes every position, because its
-batch statistics include them all.
+Evaluation has one path, an eval plan (``eval_plan``) built once per
+``predict`` call, eval-mode ``forward`` or scene, and run by
+``predict_slabs`` over tiles of at most ``EVAL_TILE`` patches.  A tile is
+a batch of input slabs, each holding th x tw patches: a stand-alone patch
+is a slab with th = tw = 1, a scene tile one slab of th x tw pixels plus a
+halo of P - 1.  Floor-mode max pooling never reads the trailing row and
+column of an odd extent, so block one keeps (P - 1) x (P - 1) positions per
+patch, and the same-padding taps a kept position drops depend only on
+whether it is its patch's first (or last) row and col.  So block one has
+one (27, Cout) kernel per class of position, and each class runs over the
+rectangle of slab positions that some patch of the tile keeps in that
+class: a scene position is computed once per class, not once per patch
+that shares it.  Every block-one GEMM is a (D, 27) @ (27, Cout) product for
+one position, issued as a stacked matmul, so a position's values do not
+depend on the tile.  Block one pools its conv products before bias, ReLU
+and batch norm (they commute exactly with max once the channels with a
+negative scale are negated), depth first, then each patch's 2 x 2 windows.
+Blocks two and three fold their kernel for the positions pooling reads
+and run one GEMM per conv over the tile, then ReLU and batch norm from the
+running estimates as a tiled per-channel scale ``gamma / sqrt(var + eps)``
+and shift ``beta - mean * scale``, in place, then pooling.  The test suite
+checks that these GEMMs give a patch's rows the same bits at every
+position of every tile size used.  Training computes every position,
+because its batch statistics include them all.
 
 Everything is plain numpy so the same code runs in float32 for training and
 float64 for finite-difference verification.  Checkpoint container layout
@@ -49,6 +63,7 @@ bytes left before it is read):
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -57,7 +72,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import FormatError, ShapeMismatchError
@@ -68,9 +82,9 @@ CHECKPOINT_MAGIC = b"DCK1"
 _META = ("filters", "in_depth", "patch_size", "bn_eps", "bn_momentum")
 KERNEL = 3
 POOL = 2
-# patches per eval forward in ``predict``: throughput is flat from 8 to 32
-# and falls beyond, while peak memory grows with the tile
-EVAL_TILE = 8
+# patches per eval tile, in ``predict`` and in scene inference: blocks two
+# and three run one GEMM per conv per tile
+EVAL_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -201,18 +215,39 @@ def fold_conv(weight: np.ndarray, bias: np.ndarray, h: int, w: int,
     the output positions in the top-left ``extent`` = (rows, cols) corner
     get columns (default: the whole window), so an eval block whose
     trailing row and column pooling never reads does not compute them.
+
+    Input row i and output row o are joined by tap row i - o + 1, so the
+    fold is one Toeplitz view of the taps, zero-padded along both tap
+    axes wide enough for every pair the window holds, copied once.
     """
     rows, cols = extent or (h, w)
     cout, cin = weight.shape[:2]
-    pin, pout, tap = _fold_taps(h, w, rows, cols)
-    taps = weight.transpose(3, 4, 2, 1, 0).reshape(KERNEL * KERNEL, KERNEL, cin, cout)
-    wf = np.zeros((KERNEL, h * w, cin, rows * cols, cout), dtype=weight.dtype)
-    wf[:, pin, :, pout, :] = taps[tap]
+    # i - o + 1 runs over [2 - rows, h]: tap row t sits at index t + rows - 2
+    # of the padded axis, which holds the taps in that range and zeros
+    # elsewhere (and likewise along cols)
+    pad = np.zeros((KERNEL, cin, h + rows - 1, w + cols - 1, cout), dtype=weight.dtype)
+    r0, c0 = max(0, 2 - rows), max(0, 2 - cols)
+    r1, c1 = min(KERNEL, h + 1), min(KERNEL, w + 1)
+    pad[:, :, r0 + rows - 2:r1 + rows - 2, c0 + cols - 2:c1 + cols - 2] = \
+        weight[:, :, :, r0:r1, c0:c1].transpose(2, 1, 3, 4, 0)
+    s = pad.strides
+    wf = np.ndarray((KERNEL, h, w, cin, rows, cols, cout), pad.dtype, pad,
+                    (rows - 1) * s[2] + (cols - 1) * s[3],
+                    (s[0], s[2], s[3], s[1], -s[2], -s[3], s[4])).copy()
     return ConvFold(wf.reshape(KERNEL * h * w * cin, rows * cols * cout),
                     np.tile(bias, rows * cols), (rows, cols))
 
 
-def conv3d_forward(x: np.ndarray, fold: ConvFold, per_sample: bool = False):
+def _overlapping_view(x: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """A read-only view of C-contiguous ``x`` with the given shape and byte
+    strides, whose rows may overlap: ``as_strided`` without its per-call
+    cost, which is felt at eval tile sizes."""
+    view = np.ndarray(shape, x.dtype, x, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
+def conv3d_forward(x: np.ndarray, fold: ConvFold):
     """Same-padded 3x3x3 convolution of a (B, D, H, W, Cin) batch, computed
     as one spectral 1-D convolution against ``fold`` (``fold_conv`` of the
     kernel for this H x W window).
@@ -220,11 +255,7 @@ def conv3d_forward(x: np.ndarray, fold: ConvFold, per_sample: bool = False):
     The columns are only three depth-shifted copies of the depth-padded
     input, in depth, row, col, channel order, and the product is already
     channels-last: (B, D, rows, cols, Cout) over the fold's kept extent.
-    With ``per_sample`` the product is a stacked matmul, one BLAS call per
-    sample with the same (M, K, N) for any batch size, so each sample's
-    output is independent of the batch it travels in; otherwise one GEMM
-    covers the whole batch (faster at training batch sizes, but the BLAS
-    may block the reduction differently as the batch grows).
+    One GEMM covers the whole batch.
     """
     b, d, h, w, cin = x.shape
     xp = np.zeros((b, d + 2, h * w * cin), dtype=x.dtype)
@@ -232,9 +263,8 @@ def conv3d_forward(x: np.ndarray, fold: ConvFold, per_sample: bool = False):
     # row (b, z) of the columns is the contiguous run xp[b, z:z + 3]; the
     # reshape copies the overlapping view into a BLAS-eligible matrix
     sb, sd, sk = xp.strides
-    cols = as_strided(xp, shape=(b, d, KERNEL * h * w * cin), strides=(sb, sd, sk),
-                      writeable=False).reshape(b * d, -1)
-    out = cols.reshape(b, d, -1) @ fold.wf if per_sample else cols @ fold.wf
+    cols = _overlapping_view(xp, (b, d, KERNEL * h * w * cin), (sb, sd, sk)).reshape(b * d, -1)
+    out = cols @ fold.wf
     out += fold.bias
     return out.reshape(b, d, *fold.extent, -1), (cols, fold.wf)
 
@@ -415,6 +445,21 @@ def _head(pooled: np.ndarray, t: dict) -> np.ndarray:
     return expit((pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0])
 
 
+class _BlockOne(NamedTuple):
+    """Block one's eval constants (see ``eval_plan`` and ``_block_one``)."""
+
+    runs: tuple           # a patch's kept rows (= cols) as runs (first, last) of one class
+    kernels: np.ndarray   # (runs ** 2, 27, Cout): per (row run, col run), row-major, that
+                          # class's kernel, each channel times its sign
+    grid: np.ndarray      # (keep, keep, 27, Cout): the kernel of each kept position
+    windows: tuple        # per pooled position, row-major: its window's elements as
+                          # (class, row, col), counted from the class's first row and col
+    epilogue: np.ndarray  # per channel its sign, conv bias, scale and shift, each
+                          # tiled over the out x out pooled positions
+    dwin: int             # depth pooling window; 1 when unpooled
+    out: int              # pooled rows (= cols) per patch
+
+
 class _EvalBlock(NamedTuple):
     fold: ConvFold
     scale: np.ndarray   # gamma / sqrt(running_var + eps), tiled over kept positions
@@ -422,44 +467,195 @@ class _EvalBlock(NamedTuple):
     pooled: bool        # max pooling follows
 
 
-def _eval_plan(params: ModelParams) -> list[_EvalBlock]:
-    """Each block's eval constants, built once per ``predict`` call.
+class EvalPlan(NamedTuple):
+    """Eval constants built once per ``predict`` call or scene (``eval_plan``)."""
 
-    A block followed by max pooling keeps only the output positions that
-    floor-mode pooling reads (eval batch norm is elementwise): at P = 5
-    block one computes 4 x 4 of its 5 x 5 positions.  Depth is not trimmed.
+    one: _BlockOne
+    rest: list[_EvalBlock]   # blocks two onwards
+    tensors: dict            # the params' tensors, for the head
+
+
+def _eval_bn(params: ModelParams, i: int):
+    """Block ``i``'s eval batch norm as a per-channel scale and shift."""
+    t = params.tensors
+    scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + params.config.bn_eps)
+    return scale, t[f"bn{i}.beta"] - t[f"bn{i}.running_mean"] * scale
+
+
+@lru_cache(maxsize=None)
+def _block_one_layout(size: int, pooled: bool):
+    """Block one's kept positions for a ``size`` patch: the runs of rows
+    that share a class, a (runs ** 2, 27, 1) mask of the taps each class
+    keeps, the class of each kept position, the pooling windows (see
+    ``_BlockOne``) and the pooled extent."""
+    win = min(POOL, size) if pooled else 1
+    keep = size // win * win
+    # a row's class: is it the first row (it drops the kh = 0 taps), is it
+    # the last (it drops the kh = 2 taps)
+    runs = []
+    for r in range(keep):
+        if runs and r not in (1, size - 1):
+            runs[-1] = (runs[-1][0], r)
+        else:
+            runs.append((r, r))
+    k = np.arange(KERNEL)
+    taps = [(k >= (first == 0)) & (k < KERNEL - (last == size - 1)) for first, last in runs]
+    mask = np.stack([np.broadcast_to(kh[:, None] & kw, (KERNEL,) * 3).ravel()
+                     for kh in taps for kw in taps])[:, :, None]
+    run_of = [i for i, (first, last) in enumerate(runs) for _ in range(first, last + 1)]
+    grid = np.add.outer(np.multiply(run_of, len(runs)), run_of)
+    out = keep // win
+    windows = tuple(
+        tuple((run_of[r] * len(runs) + run_of[c], r - runs[run_of[r]][0], c - runs[run_of[c]][0])
+              for r in range(win * i, win * i + win) for c in range(win * j, win * j + win))
+        for i in range(out) for j in range(out))
+    for arr in (mask, grid):
+        arr.setflags(write=False)
+    return tuple(runs), mask, grid, windows, out
+
+
+def eval_plan(params: ModelParams) -> EvalPlan:
+    """Each block's eval constants, built once per ``predict`` call or scene.
+
+    Block one keeps only the positions that floor-mode pooling reads (eval
+    batch norm is elementwise), 4 x 4 of 5 x 5 at P = 5.  The same-padding
+    taps a kept position drops depend only on whether it is its patch's
+    first or last row and col, so its rows (and cols) fall into runs of
+    one class, and block one gets one (27, Cout) kernel per pair of runs:
+    four at P >= 3, and the centre taps only at P = 1.  Later blocks fold
+    their kernel for the positions pooling reads.  Depth is not trimmed.
     """
     cfg = params.config
     t = params.tensors
-    size = cfg.patch_size
-    plan = []
-    for i in range(1, len(cfg.filters) + 1):
-        pooled = i < len(cfg.filters)
+    n_blocks = len(cfg.filters)
+    runs, mask, grid, windows, size = _block_one_layout(cfg.patch_size, n_blocks > 1)
+    scale, shift = _eval_bn(params, 1)
+    sign = np.where(scale < 0, -1, 1).astype(scale.dtype)
+    taps = t["conv1.weight"][:, 0].reshape(-1, KERNEL ** 3).T * sign
+    kernels = np.where(mask, taps, 0)
+    one = _BlockOne(runs, kernels, kernels[grid], windows,
+                    np.tile(np.stack([sign, t["conv1.bias"], scale, shift]), size * size),
+                    min(POOL, cfg.in_depth) if n_blocks > 1 else 1, size)
+    rest = []
+    for i in range(2, n_blocks + 1):
+        pooled = i < n_blocks
         win = min(POOL, size)
         keep = size // win * win if pooled else size
-        scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + cfg.bn_eps)
-        shift = t[f"bn{i}.beta"] - t[f"bn{i}.running_mean"] * scale
+        scale, shift = _eval_bn(params, i)
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], size, size, (keep, keep))
-        plan.append(_EvalBlock(fold, np.tile(scale, keep * keep), np.tile(shift, keep * keep),
+        rest.append(_EvalBlock(fold, np.tile(scale, keep * keep), np.tile(shift, keep * keep),
                                pooled))
         if pooled:
             size = keep // win
-    return plan
+    return EvalPlan(one, rest, t)
 
 
-def _run_eval_plan(plan: list[_EvalBlock], t: dict, a: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for a channels-last (B, D, P, P, 1) batch:
-    per block the per-sample conv, then ReLU, scale and shift in place on
-    its product, then pooling."""
-    for block in plan:
-        y, _ = conv3d_forward(a, block.fold, per_sample=True)
+def _depth_max(y: np.ndarray, dd: int) -> np.ndarray:
+    """Max over depth pairs of (..., D, C) values: dd of them, or the values
+    themselves where depth is not pooled (dd = D)."""
+    return y if dd == y.shape[-2] else np.maximum(y[..., 0:2 * dd:2, :], y[..., 1:2 * dd:2, :])
+
+
+def _window_max(views: list, out: np.ndarray) -> np.ndarray:
+    """Elementwise max of one pooling window's views, taken in the order
+    given: (0, 0), (0, 1), (1, 0), (1, 1) for a 2 x 2 window."""
+    np.copyto(out, views[0])
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def _block_one(one: _BlockOne, slabs: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Block one for the th x tw patches of each (D, th + P - 1, tw + P - 1)
+    slab of a (B, D, ., .) batch; a stand-alone patch is a slab with
+    th = tw = 1.  Returns the (B * th * tw, D', k, k, Cout) input of block
+    two, patches in row-major order within each slab.
+
+    Each class's kernel runs over the rectangle of slab positions that
+    some patch of the tile keeps in that class, so a position shared by
+    neighbouring patches is computed once per class, not once per patch.
+    Every GEMM is a (D, 27) @ (27, Cout) product for one position and one
+    class, issued as a stacked matmul, and row d is always depth d: a
+    position's values are bitwise the same whichever slab, tile or batch
+    computes them.
+
+    Pooling runs on the conv products, before bias, ReLU, scale and shift:
+    adding, ReLU and scaling by s >= 0 are non-decreasing under rounding,
+    so they commute exactly with max.  A channel whose scale is negative
+    has its kernel negated (exact), so its max is the conv's minimum, and
+    its sign is restored before the bias.  So the epilogue runs on pooled
+    values only.
+    """
+    b, d, h, w = slabs.shape
+    runs = one.runs
+    nr, nc = runs[-1][1] + th, runs[-1][1] + tw   # positions on the slab's grid
+    # spatial-major copy with a zero border in depth, rows and cols
+    xp = np.zeros((b, h + 2, w + 2, d + 2), dtype=slabs.dtype)
+    xp[:, 1:-1, 1:-1, 1:-1] = slabs.transpose(0, 2, 3, 1)
+    # n9[..., z, kh * 3 + kw] is the 3 x 3 neighbourhood at padded depth z,
+    # so the 27 columns of row (position, depth d) are the contiguous run
+    # n9[..., d:d + 3, :] in (kd, kh, kw) order
+    n9 = np.empty((b, nr, nc, d + 2, KERNEL * KERNEL), dtype=slabs.dtype)
+    for kh in range(KERNEL):
+        for kw in range(KERNEL):
+            n9[..., kh * KERNEL + kw] = xp[:, kh:kh + nr, kw:kw + nc]
+    cols = _overlapping_view(n9, (b, nr, nc, d, KERNEL ** 3), n9.strides).copy()
+
+    dd = d // one.dwin
+    k = one.out
+    cout = one.kernels.shape[-1]
+    a = np.empty((b, th, tw, dd, k, k, cout), dtype=slabs.dtype)
+    if th == tw == 1:
+        # stand-alone patches: each kept position is in one class only, so
+        # one stacked matmul gives every position its class's kernel
+        grid = _depth_max(np.matmul(cols, one.grid), dd)
+        win = len(one.grid) // k
+        _window_max([grid[:, u:win * k:win, v:win * k:win] for u in range(win) for v in range(win)],
+                    a[:, 0, 0].transpose(0, 2, 3, 1, 4))
+    else:
+        arrays = [_depth_max(np.matmul(cols[:, rf:rl + th, cf:cl + tw], kernel), dd)
+                  for kernel, ((rf, rl), (cf, cl)) in zip(one.kernels,
+                                                          itertools.product(runs, repeat=2))]
+        for (i, j), window in zip(itertools.product(range(k), repeat=2), one.windows):
+            _window_max([arrays[q][:, r:r + th, c:c + tw] for q, r, c in window],
+                        a[..., i, j, :])
+    a = a.reshape(b * th * tw, dd, k, k, -1)
+    sign, bias, scale, shift = one.epilogue
+    a2 = _rows(a)
+    a2 *= sign
+    a2 += bias
+    np.maximum(a2, 0, out=a2)
+    a2 *= scale
+    a2 += shift
+    return a
+
+
+def _run_blocks(plan: EvalPlan, a: np.ndarray) -> np.ndarray:
+    """Blocks two onwards and the head, for one tile of block-one outputs:
+    per block one GEMM over the tile, then ReLU, scale and shift in place
+    on its product, then pooling."""
+    for block in plan.rest:
+        y, _ = conv3d_forward(a, block.fold)
         y2 = _rows(y)
         np.maximum(y2, 0, out=y2)
         y2 *= block.scale
         y2 += block.shift
         a = maxpool3d_forward(y)[0] if block.pooled else y
     pooled, _ = global_avgpool_forward(a)
-    return _head(pooled, t)
+    return _head(pooled, plan.tensors)
+
+
+def predict_slabs(plan: EvalPlan, slabs: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Eval-mode probabilities for one tile: the th x tw patches centred in
+    each (D, th + P - 1, tw + P - 1) slab of a (B, D, ., .) batch, in the
+    plan's dtype and checked finite by the caller; row-major within each
+    slab.  A tile holds at most ``EVAL_TILE`` patches, the sizes at which
+    the GEMMs of blocks two onwards are checked to give each row the same
+    bits wherever it sits.
+    """
+    if len(slabs) * th * tw > EVAL_TILE:
+        raise ValueError(f"a tile holds at most {EVAL_TILE} patches, got {len(slabs) * th * tw}")
+    return _run_blocks(plan, _block_one(plan.one, slabs, th, tw))
 
 
 def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
@@ -469,17 +665,17 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     Returns per-sample probabilities in (0, 1) plus a trace.  Train mode
     normalizes with batch statistics (and with ``update_running_stats``
     updates the running estimates in place), and its trace holds what
-    backward needs.  Eval mode runs ``predict``'s eval plan on the whole
-    batch and returns an empty trace; it is a pure function of (params, x)
-    and is batch-invariant: each sample's output is bitwise the same
-    whatever else is in the batch.
+    backward needs.  Eval mode runs ``predict``'s eval plan over the batch
+    in tiles of ``EVAL_TILE`` and returns an empty trace; it is a pure
+    function of (params, x) and is batch-invariant: each sample's output is
+    bitwise the same whatever else is in the batch.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     a = _network_input(params, x)
-    t = params.tensors
     if mode == "eval":
-        return _run_eval_plan(_eval_plan(params), t, a), ForwardTrace()
+        return _predict_tiles(params, a.reshape(a.shape[0], 1, *a.shape[1:4])), ForwardTrace()
+    t = params.tensors
 
     cfg = params.config
     trace = ForwardTrace()
@@ -560,24 +756,30 @@ def backward(params: ModelParams, trace: ForwardTrace,
     return grads
 
 
+def _predict_tiles(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode probabilities for a (B, 1, C, P, P) batch, checked and run
+    ``EVAL_TILE`` patches at a time through one eval plan."""
+    plan = eval_plan(params)
+    out = np.empty(len(x), dtype=params.dtype)
+    for start in range(0, len(x), EVAL_TILE):
+        tile = _network_input(params, x[start:start + EVAL_TILE])
+        out[start:start + EVAL_TILE] = predict_slabs(plan, tile[..., 0], 1, 1)
+    return out
+
+
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     """Eval-mode probabilities for (B, C, P, P) patches.
 
-    One eval plan (``_eval_plan``) is built per call: each block's folded
-    kernel and tiled bias, and batch norm from the running estimates as a
-    tiled per-channel scale and shift.  Patches then go through it in
-    tiles of ``EVAL_TILE``.  The plan is batch-invariant by construction
-    (per-sample conv GEMMs, a fixed-order head reduction, everything else
-    elementwise or reduced per sample), so outputs are bitwise identical
-    for any batch split, including lone single-patch calls.
+    One eval plan (``eval_plan``) is built per call, and patches go
+    through it in tiles of ``EVAL_TILE``, each patch as a one-pixel slab
+    of ``predict_slabs``, the function scene inference runs on tiles of a
+    granule.  Outputs are bitwise identical for any batch split, lone
+    single-patch calls included: block one is computed per position by
+    construction, and the GEMMs of blocks two onwards give each row the
+    same bits wherever it sits in a tile (checked by the test suite for
+    every tile size used).
     """
-    patches = np.asarray(patches)
-    plan = _eval_plan(params)
-    out = np.empty(len(patches), dtype=params.dtype)
-    for start in range(0, len(patches), EVAL_TILE):
-        tile = _network_input(params, patches[start:start + EVAL_TILE, None])
-        out[start:start + EVAL_TILE] = _run_eval_plan(plan, params.tensors, tile)
-    return out
+    return _predict_tiles(params, np.asarray(patches)[:, None])
 
 
 def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:

@@ -9,8 +9,9 @@ centers, sorted by (f, y, x), with no duplicates.
 
 The window rule lives in one function: ``patch_windows(data, P)`` is a
 read-only strided view of a (C, H, W) volume whose element [y - h, x - h]
-is the patch centered on (y, x).  Training gathers and scene inference both
-index it; valid centers come from the same interior slice [h:H-h, h:W-h].
+is the patch centered on (y, x).  Training gathers index it; valid centers
+come from the interior slice [h:H-h, h:W-h], the pixels scene inference
+maps.
 
 Index container layout (little-endian, framed by ``granule_io``):
 

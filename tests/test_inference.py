@@ -2,6 +2,7 @@
 PGM export, and boundary-vs-core scoring."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from dustpipe.inference import (
     infer_scene,
     read_map,
     score_map,
+    tile_shape,
     write_map,
     write_pgm,
 )
 from dustpipe.model3d import ModelConfig, init_params, load_checkpoint, predict
 from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
+from test_model3d import signed_params
 
 SMALL_MODEL = ModelConfig(filters=(3, 4, 5), in_depth=6, patch_size=5)
 
@@ -112,6 +115,53 @@ class TestInferScene:
         g = Granule(np.full((6, 4, 9), 0.5, dtype=np.float32))
         dmap = infer_scene(init_params(6, SMALL_MODEL), g)
         assert np.isnan(dmap.values).all()
+
+    @pytest.mark.parametrize("where, value", [((5, -1, 6), np.nan), ((0, 7, 0), 1.5)],
+                             ids=["nan-last-row", "above-one-first-col"])
+    def test_value_check_reaches_the_border_band(self, tmp_path, where, value):
+        # values are checked in the tile slabs that read them; the slabs
+        # cover the border band too
+        g, _ = processed_granule(tmp_path / "d")
+        bad = Granule(g.data.copy())
+        bad.data[where] = value
+        with pytest.raises(ValueError, match="not finite in"):
+            infer_scene(init_params(5, SMALL_MODEL), bad)
+
+    def test_value_check_scans_scene_smaller_than_patch(self):
+        g = Granule(np.full((6, 4, 9), 0.5, dtype=np.float32))
+        g.data[3, 2, 8] = np.nan
+        with pytest.raises(ValueError, match="not finite in"):
+            infer_scene(init_params(6, SMALL_MODEL), g)
+
+
+class TestTileBoundaries:
+    """A tile computes block one once per slab position and class and runs
+    blocks two and three as one GEMM over its patches.  Every interior
+    pixel must still equal a lone ``predict`` call on its patch, bitwise,
+    on a scene two or more tiles across both ways whose last tile is
+    ragged in both, with batch-norm scales and conv biases of both signs."""
+
+    @pytest.mark.parametrize("config, dtype", [
+        (replace(SMALL_MODEL, patch_size=1), np.float32),
+        (replace(SMALL_MODEL, patch_size=3), np.float32),
+        (SMALL_MODEL, np.float32),
+        (SMALL_MODEL, np.float64),
+        (replace(SMALL_MODEL, patch_size=7), np.float32),
+        (ModelConfig(), np.float32),
+    ], ids=["small-1", "small-3", "small-5", "small-5-f64", "small-7", "default-5"])
+    def test_scene_equals_lone_predict_bitwise(self, config, dtype):
+        p, h = config.patch_size, config.patch_size // 2
+        th, tw = tile_shape(1 << 20, 1 << 20, 256)
+        rows, cols = 2 * th + 3, 2 * tw + 3
+        assert th >= 2 and tw >= 2 and rows % th and cols % tw
+        params = signed_params(p, config, dtype)
+        data = np.random.default_rng(p).uniform(
+            0, 1, (config.in_depth, rows + p - 1, cols + p - 1)).astype(np.float32)
+        dmap = infer_scene(params, Granule(data))
+        lone = np.array([[predict(params, data[:, y - h:y + h + 1, x - h:x + h + 1][None])[0]
+                          for x in range(h, h + cols)] for y in range(h, h + rows)],
+                        dtype=np.float32)
+        assert dmap.values[h:h + rows, h:h + cols].tobytes() == lone.tobytes()
 
 
 class TestMapContainer:

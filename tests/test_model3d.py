@@ -1,7 +1,6 @@
 """Network layers and assembly: shape contracts, analytic gradients against
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
-import inspect
 import os
 import struct
 import subprocess
@@ -250,9 +249,8 @@ class TestLayerProperties:
         w = rng.uniform(-1, 1, size=(2, cin, 3, 3, 3))
         bias = rng.uniform(-1, 1, size=2)
         want = conv_oracle(x, w, bias)
-        for per_sample in (False, True):
-            y, _ = conv3d_forward(x, fold_conv(w, bias, size, size), per_sample=per_sample)
-            assert np.allclose(y, want, rtol=1e-12, atol=1e-12), per_sample
+        y, _ = conv3d_forward(x, fold_conv(w, bias, size, size))
+        assert np.allclose(y, want, rtol=1e-12, atol=1e-12)
 
 
 class TestBackward:
@@ -493,6 +491,23 @@ def eval_params(seed: int, config: ModelConfig, dtype) -> ModelParams:
     return params
 
 
+def signed_params(seed: int, config: ModelConfig, dtype) -> ModelParams:
+    """Random kernels, with batch-norm gamma, beta and running mean and the
+    conv biases of both signs in every block (half of each tensor's
+    channels negative, in an order drawn per tensor), and running
+    variances in [0.5, 1.5]."""
+    params = init_params(seed, config, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.tensors.items():
+        if name.endswith(("gamma", "beta", "running_mean")) or (
+                name.startswith("conv") and name.endswith("bias")):
+            signs = rng.permutation(np.where(np.arange(arr.size) % 2 == 0, -1.0, 1.0))
+            arr[...] = (signs * rng.uniform(0.2, 1.0, arr.size)).astype(dtype)
+        elif name.endswith("running_var"):
+            arr[...] = rng.uniform(0.5, 1.5, arr.size).astype(dtype)
+    return params
+
+
 class TestBatchInvariance:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
@@ -527,7 +542,7 @@ def full_extent_eval(params: ModelParams, x: np.ndarray) -> np.ndarray:
     a = x.reshape(x.shape[0], *x.shape[2:], 1)
     for i in range(1, len(cfg.filters) + 1):
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
-        y, _ = conv3d_forward(a, fold, per_sample=True)
+        y, _ = conv3d_forward(a, fold)
         y = np.maximum(y, 0)
         y = ((y - t[f"bn{i}.running_mean"]) / np.sqrt(t[f"bn{i}.running_var"] + cfg.bn_eps)
              * t[f"bn{i}.gamma"] + t[f"bn{i}.beta"])
@@ -554,35 +569,86 @@ class TestEvalPlan:
         assert np.abs(predict(params, x[:, 0]) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("base", [TINY, SMALL_MODEL, ModelConfig()],
+                             ids=["tiny", "small", "default"])
+    def test_matches_full_extent_oracle_with_signed_batch_norm(self, base, patch_size):
+        # block one pools before its epilogue, negating the kernel of each
+        # channel whose batch-norm scale is negative
+        config = replace(base, patch_size=patch_size)
+        params = signed_params(patch_size, config, np.float64)
+        t = params.tensors
+        for i in range(1, 4):
+            scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + config.bn_eps)
+            assert (scale < 0).any() and (scale > 0).any()
+        x = np.random.default_rng(patch_size).uniform(
+            0, 1, (11, 1, config.in_depth, patch_size, patch_size))
+        want = full_extent_eval(params, x)
+        got, _ = forward(params, x, mode="eval")
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(predict(params, x[:, 0]) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
     def test_blocks_keep_only_what_pooling_reads(self, patch_size):
         params = init_params(0, replace(ModelConfig(), patch_size=patch_size))
-        extents = [block.fold.extent for block in model3d._eval_plan(params)]
+        plan = model3d.eval_plan(params)
+        # block one's kept positions, then the folded extents of blocks two and three
+        extents = [plan.one.grid.shape[:2]] + [block.fold.extent for block in plan.rest]
         assert extents == [(k, k) for k in self.KEPT[patch_size]]
 
 
-class TestEvalConvsRunPerSample:
-    def test_per_sample_gemm_iff_eval(self, monkeypatch):
-        # bitwise batch invariance needs one GEMM per sample in eval mode;
-        # some BLAS builds give equal bytes either way, so check the calls
-        real = model3d.conv3d_forward
-        signature = inspect.signature(real)
-        seen = []
+class TestEvalRowsIndependentOfTilePosition:
+    """Blocks two and three run one GEMM per conv over a tile of up to
+    ``EVAL_TILE`` patches, so a patch's rows sit at a different place of
+    the GEMM in every tile it travels in, and block one's stacked
+    (D, 27) @ (27, Cout) products run over the same tiles.  A probe patch
+    at every position of every tile size from 1 to ``EVAL_TILE``, among
+    random companions, must get the bits of a lone call in block one's
+    output, in every conv's output and in its probability.  Scene tiles
+    are no larger (see ``test_inference.TestTileBoundaries``).  Some BLAS
+    builds block a GEMM by its row count, so this is checked, not assumed."""
 
-        def spy(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append(bound.arguments["per_sample"])
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("base, patch_size", [
+        (TINY, 1), (TINY, 3), (SMALL_MODEL, 5), (SMALL_MODEL, 7), (ModelConfig(), 5)],
+        ids=["tiny-1", "tiny-3", "small-5", "small-7", "default-5"])
+    def test_probe_at_every_tile_position(self, monkeypatch, base, patch_size, dtype):
+        outputs = []
 
-        monkeypatch.setattr(model3d, "conv3d_forward", spy)
-        params = eval_params(4, SMALL_MODEL, np.float32)
-        x = np.random.default_rng(4).uniform(0, 1, (11, 1, 6, 5, 5)).astype(np.float32)
-        forward(params, x, mode="eval")
-        predict(params, x[:, 0])
-        assert seen == [True] * 3 * (1 + 2)  # one eval pass, then two tiles
-        seen.clear()
-        forward(params, x, mode="train", update_running_stats=False)
-        assert seen == [False] * 3
+        def record(fn):
+            def recorded(*args):
+                result = fn(*args)
+                outputs.append(result[0] if isinstance(result, tuple) else result)
+                return result
+            return recorded
+
+        monkeypatch.setattr(model3d, "_block_one", record(model3d._block_one))
+        monkeypatch.setattr(model3d, "conv3d_forward", record(model3d.conv3d_forward))
+        config = replace(base, patch_size=patch_size)
+        params = signed_params(4, config, dtype)
+
+        def rows(batch, i):
+            outputs.clear()
+            probs = predict(params, batch)
+            assert len(outputs) == len(config.filters)
+            return [out[i].tobytes() for out in outputs] + [probs[i:i + 1].tobytes()]
+
+        rng = np.random.default_rng(patch_size)
+        shape = (config.in_depth, patch_size, patch_size)
+        probe = rng.uniform(0, 1, (1, *shape)).astype(dtype)
+        want = rows(probe, 0)
+        companions = rng.uniform(0, 1, (model3d.EVAL_TILE, *shape)).astype(dtype)
+        for n in range(2, model3d.EVAL_TILE + 1):
+            for i in range(n):
+                tile = companions[:n].copy()
+                tile[i] = probe[0]
+                assert rows(tile, i) == want, (n, i)
+
+    def test_larger_tile_is_refused(self):
+        plan = model3d.eval_plan(init_params(0, SMALL_MODEL))
+        slabs = np.zeros((1, 6, 8, 8), dtype=np.float32)   # 4 x 4 patches
+        assert model3d.predict_slabs(plan, slabs, 4, 4).shape == (16,)
+        with pytest.raises(ValueError, match="at most"):
+            model3d.predict_slabs(plan, np.zeros((3, 6, 8, 8), dtype=np.float32), 4, 4)
 
 
 class TestCheckpoints:
