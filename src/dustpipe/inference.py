@@ -10,9 +10,11 @@ P - 1 rows and cols, checks it, and hands it to ``model3d.predict_slabs``,
 which computes block one once per slab position and class instead of once
 per patch, then runs blocks two and three as one GEMM per conv over the
 tile.  A pixel's value is bitwise the same as a lone ``predict`` call on its
-patch, so maps do not depend on the tiling or the batch size.  No
-full-scene array is built besides the output map, so ``dustpipe infer``
-reads the granule through a memory map.
+patch, so maps do not depend on the tiling or the batch size, wherever the
+BLAS gives a GEMM row the same bits at every tile size (see
+``model3d.predict``; the test suite checks it for the architectures it
+covers).  No full-scene array is built besides the output map, so
+``dustpipe infer`` reads the granule through a memory map.
 
 Map container layout (little-endian): the label map's 2-D grid under its
 own magic,
@@ -53,8 +55,9 @@ def infer_scene(params: ModelParams, granule: Granule,
     The granule must be finite in [0, 1] with the channel count the
     checkpoint was trained on; patches are the checkpoint's patch size.
     Tiles hold at most ``batch_size`` pixels (see ``tile_shape``); the
-    result does not depend on it.  Every granule value is checked, in the
-    tile slab that reads it.
+    result does not depend on it on a BLAS that gives a GEMM row the same
+    bits at every tile size (see ``model3d.predict``).  Every granule
+    value is checked, in the tile slab that reads it.
     """
     cfg = params.config
     p = cfg.patch_size

@@ -591,8 +591,11 @@ class TestEvalPlan:
     def test_blocks_keep_only_what_pooling_reads(self, patch_size):
         params = init_params(0, replace(ModelConfig(), patch_size=patch_size))
         plan = model3d.eval_plan(params)
-        # block one's kept positions, then the folded extents of blocks two and three
-        extents = [plan.one.grid.shape[:2]] + [block.fold.extent for block in plan.rest]
+        # block one's kept rows (= cols), in runs of one class each, then
+        # the folded extents of blocks two and three
+        kept = [r for first, last in plan.one.runs for r in range(first, last + 1)]
+        assert kept == list(range(len(kept)))
+        extents = [(len(kept), len(kept))] + [block.fold.extent for block in plan.rest]
         assert extents == [(k, k) for k in self.KEPT[patch_size]]
 
 
