@@ -8,10 +8,13 @@ The streaming path advises the kernel to drop a file's mapped pages as
 soon as a batch gather leaves it, which is what keeps a long epoch's
 footprint near the batch size instead of the dataset size.  Benchmarks
 never modify dataset files; checksums are verified before and after.
+
+``python -m dustpipe.bench`` runs one such probe (``_probe``).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -34,7 +37,7 @@ from .patch_index import (
 )
 
 try:
-    import resource  # noqa: F401  (presence gates RSS accounting)
+    import resource  # presence gates RSS accounting
 
     _HAVE_RUSAGE = True
 except ImportError:  # non-Unix platform
@@ -44,17 +47,9 @@ except ImportError:  # non-Unix platform
 DEFAULT_SLACK_BYTES = 64 * 1024 * 1024
 
 
-def _manifest_files(manifest: DatasetManifest) -> list[Path]:
-    files = []
-    for e in manifest:
-        files.append(Path(e.granule))
-        files.append(Path(e.labels))
-    return files
-
-
 def dataset_checksums(manifest: DatasetManifest) -> dict[str, str]:
     out = {}
-    for p in _manifest_files(manifest):
+    for p in (Path(path) for e in manifest for path in (e.granule, e.labels)):
         digest = hashlib.sha256()
         with open(p, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -75,12 +70,47 @@ def available_memory_bytes() -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def _probe(argv=None) -> int:
+    """Stream one epoch over a manifest (mmap or full-load path) and print
+    this process's peak RSS and what it read as JSON: the entry point
+    ``python -m dustpipe.bench`` that ``_run_probe`` starts."""
+    parser = argparse.ArgumentParser(prog="dustpipe-memprobe")
+    parser.add_argument("--manifest", required=True)
+    parser.add_argument("--mode", choices=["mmap", "full"], required=True)
+    parser.add_argument("--batch", type=int, required=True)
+    parser.add_argument("--patch-size", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    manifest = DatasetManifest.load(args.manifest)
+    store = GranuleStore(manifest, use_mmap=(args.mode == "mmap"),
+                         release_after_gather=(args.mode == "mmap"))
+    index = build_index(manifest, args.patch_size)
+    touched = 0.0
+    batches = 0
+    samples = 0
+    for batch in sample_batches(index, store, args.batch, args.seed, partitions=1):
+        touched += float(batch.inputs.ravel()[0])
+        batches += 1
+        samples += len(batch.targets)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    json.dump({
+        "peak_bytes": int(peak_kib) * 1024,
+        "payload_bytes": store.payload_bytes,
+        "batches": batches,
+        "samples": samples,
+        "touched": touched,
+    }, sys.stdout)
+    sys.stdout.write("\n")
+    return 0
+
+
 # ru_maxrss of a new process starts at the forking parent's resident size,
 # so launching the probe straight from a large caller would report the
 # caller's footprint.  A thin stdlib-only relay process isolates it.
 _RELAY = (
     "import subprocess, sys; "
-    "r = subprocess.run([sys.executable, '-m', 'dustpipe._memprobe'] + sys.argv[1:], "
+    "r = subprocess.run([sys.executable, '-m', 'dustpipe.bench'] + sys.argv[1:], "
     "capture_output=True, text=True); "
     "sys.stdout.write(r.stdout); sys.stderr.write(r.stderr); sys.exit(r.returncode)"
 )
@@ -156,32 +186,14 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
         )
 
     r_batch = batch_footprint_bytes(batch_size, channels, patch_size)
-    if not _HAVE_RUSAGE:
-        return MemoryBenchReport(
-            batch_size=batch_size, patch_size=patch_size, channels=channels,
-            r_batch_bytes=r_batch, slack_bytes=DEFAULT_SLACK_BYTES,
-            small_payload_bytes=small_payload, large_payload_bytes=large_payload,
-            available_memory_bytes=available_memory_bytes(),
-            mmap_peak_small_bytes=0, mmap_peak_large_bytes=0,
-            full_peak_small_bytes=0, full_peak_large_bytes=0,
-            mmap_growth_bytes=0, full_growth_bytes=0,
-            r_overhead_estimate_bytes=0,
-            mmap_decoupled=False, full_load_scales=False,
-            files_unchanged=dataset_checksums(small) | dataset_checksums(large) == before,
-            partial=True,
-            notes=["resident-memory accounting unavailable on this platform; "
-                   "assertions skipped"],
-        )
-
-    mmap_small = _run_probe(manifest_small, "mmap", batch_size, patch_size, seed)
-    mmap_large = _run_probe(manifest_large, "mmap", batch_size, patch_size, seed)
-    full_small = _run_probe(manifest_small, "full", batch_size, patch_size, seed)
-    full_large = _run_probe(manifest_large, "full", batch_size, patch_size, seed)
-
-    after = dataset_checksums(small) | dataset_checksums(large)
-    mmap_growth = mmap_large["peak_bytes"] - mmap_small["peak_bytes"]
-    full_growth = full_large["peak_bytes"] - full_small["peak_bytes"]
-    added_payload = large_payload - small_payload
+    peak = {}
+    for mode in ("mmap", "full"):
+        for size, path in (("small", manifest_small), ("large", manifest_large)):
+            # without resident-memory accounting every measured field reads 0
+            peak[mode, size] = (_run_probe(path, mode, batch_size, patch_size, seed)["peak_bytes"]
+                                if _HAVE_RUSAGE else 0)
+    mmap_growth = peak["mmap", "large"] - peak["mmap", "small"]
+    full_growth = peak["full", "large"] - peak["full", "small"]
 
     return MemoryBenchReport(
         batch_size=batch_size,
@@ -192,16 +204,19 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
         small_payload_bytes=small_payload,
         large_payload_bytes=large_payload,
         available_memory_bytes=available_memory_bytes(),
-        mmap_peak_small_bytes=mmap_small["peak_bytes"],
-        mmap_peak_large_bytes=mmap_large["peak_bytes"],
-        full_peak_small_bytes=full_small["peak_bytes"],
-        full_peak_large_bytes=full_large["peak_bytes"],
+        mmap_peak_small_bytes=peak["mmap", "small"],
+        mmap_peak_large_bytes=peak["mmap", "large"],
+        full_peak_small_bytes=peak["full", "small"],
+        full_peak_large_bytes=peak["full", "large"],
         mmap_growth_bytes=mmap_growth,
         full_growth_bytes=full_growth,
-        r_overhead_estimate_bytes=mmap_small["peak_bytes"] - r_batch,
-        mmap_decoupled=mmap_growth < r_batch + DEFAULT_SLACK_BYTES,
-        full_load_scales=full_growth >= added_payload,
-        files_unchanged=after == before,
+        r_overhead_estimate_bytes=peak["mmap", "small"] - r_batch if _HAVE_RUSAGE else 0,
+        mmap_decoupled=_HAVE_RUSAGE and mmap_growth < r_batch + DEFAULT_SLACK_BYTES,
+        full_load_scales=_HAVE_RUSAGE and full_growth >= large_payload - small_payload,
+        files_unchanged=dataset_checksums(small) | dataset_checksums(large) == before,
+        partial=not _HAVE_RUSAGE,
+        notes=[] if _HAVE_RUSAGE else ["resident-memory accounting unavailable on this "
+                                       "platform; assertions skipped"],
     )
 
 
@@ -298,3 +313,7 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
         multisets_equal=multisets_equal,
         files_unchanged=dataset_checksums(manifest) == before,
     )
+
+
+if __name__ == "__main__":
+    sys.exit(_probe())

@@ -87,15 +87,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    manifest = DatasetManifest.load(args.manifest_test)
-    report = evaluate(args.ckpt, manifest, alpha=args.alpha)
+def _report(report, path: str | None) -> int:
+    """Print a report dataclass as JSON, first writing it to ``path`` if given."""
     payload = json.dumps(asdict(report), indent=2)
-    if args.report:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
-        print(f"report written to {args.report}")
+    if path:
+        Path(path).write_text(payload + "\n", encoding="utf-8")
+        print(f"report written to {path}")
     print(payload)
     return 0
+
+
+def _cmd_eval(args) -> int:
+    manifest = DatasetManifest.load(args.manifest_test)
+    return _report(evaluate(args.ckpt, manifest, alpha=args.alpha), args.report)
 
 
 def _cmd_infer(args) -> int:
@@ -103,7 +107,7 @@ def _cmd_infer(args) -> int:
     granule = read_granule(args.granule, use_mmap=True)
     if args.preprocess:
         granule = preprocess_pipeline(granule, PreprocessConfig(rng_seed=args.seed))
-    dmap = infer_scene(params, granule, batch_size=args.batch)
+    dmap = infer_scene(params, granule)
     write_map(dmap, args.out)
     print(f"detection map written to {args.out}")
     if args.pgm:
@@ -115,26 +119,16 @@ def _cmd_infer(args) -> int:
 def _cmd_bench_memory(args) -> int:
     from .bench import bench_memory
 
-    report = bench_memory(args.small, args.large, batch_size=args.batch,
-                          patch_size=args.patch_size, seed=args.seed)
-    payload = json.dumps(asdict(report), indent=2)
-    if args.report:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
-    print(payload)
-    return 0
+    return _report(bench_memory(args.small, args.large, batch_size=args.batch,
+                                patch_size=args.patch_size, seed=args.seed), args.report)
 
 
 def _cmd_bench_sampling(args) -> int:
     from .bench import bench_sampling
 
-    report = bench_sampling(args.manifest, batch_size=args.batch,
-                            seed=args.seed, duration_seconds=args.seconds,
-                            patch_size=args.patch_size)
-    payload = json.dumps(asdict(report), indent=2)
-    if args.report:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
-    print(payload)
-    return 0
+    return _report(bench_sampling(args.manifest, batch_size=args.batch,
+                                  seed=args.seed, duration_seconds=args.seconds,
+                                  patch_size=args.patch_size), args.report)
 
 
 def _cmd_model_describe(args) -> int:
@@ -210,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granule", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")
-    p.add_argument("--batch", type=int, default=256)
     p.add_argument("--preprocess", action="store_true",
                    help="normalize and impute the granule before inference")
     p.add_argument("--seed", type=int, default=0)

@@ -28,6 +28,7 @@ defines the folder index ``f``.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import struct
@@ -74,12 +75,7 @@ class Granule:
         return self.data.shape[2]
 
     def validate(self) -> None:
-        if self.data.ndim != 3:
-            raise FormatError(f"granule data must be (C, H, W), got shape {self.data.shape}")
-        if self.data.dtype != np.float32:
-            raise FormatError(f"granule data must be float32, got {self.data.dtype}")
-        if min(self.data.shape) < 1:
-            raise FormatError(f"granule dims must all be >= 1, got {self.data.shape}")
+        _check_array(self.data, "granule data", "(C, H, W)", "granule")
 
 
 @dataclass
@@ -89,12 +85,18 @@ class LabelMap:
     values: np.ndarray  # (H, W) float32
 
     def validate(self) -> None:
-        if self.values.ndim != 2:
-            raise FormatError(f"label map must be (H, W), got shape {self.values.shape}")
-        if self.values.dtype != np.float32:
-            raise FormatError(f"label map must be float32, got {self.values.dtype}")
-        if min(self.values.shape) < 1:
-            raise FormatError(f"label dims must all be >= 1, got {self.values.shape}")
+        _check_array(self.values, "label map", "(H, W)", "label")
+
+
+def _check_array(values: np.ndarray, name: str, layout: str, noun: str) -> None:
+    """Require a float32 array of ``layout`` with every dim >= 1; ``name``
+    and ``noun`` ("granule data", "granule") begin the error messages."""
+    if values.ndim != layout.count(",") + 1:
+        raise FormatError(f"{name} must be {layout}, got shape {values.shape}")
+    if values.dtype != np.float32:
+        raise FormatError(f"{name} must be float32, got {values.dtype}")
+    if min(values.shape) < 1:
+        raise FormatError(f"{noun} dims must all be >= 1, got {values.shape}")
 
 
 @dataclass
@@ -301,24 +303,33 @@ def read_labels(path: str | Path) -> LabelMap:
     return lm
 
 
+def normalize_planes(planes: np.ndarray) -> np.ndarray:
+    """Scale each plane ``planes[k]`` of a (K, ...) float32 array in place
+    into [0, 1] by its own finite min and max; NaN and +-inf pass through,
+    and a constant plane's finite values become 0.  Returns the (K,) mask of
+    planes with no finite value (left as they were).  Bands and label maps
+    share this one rule (``normalize_bands``, ``normalize_label_values``)."""
+    axes = tuple(range(1, planes.ndim))
+    per_plane = (-1,) + (1,) * len(axes)
+    finite = np.isfinite(planes)
+    lo = np.where(finite, planes, np.float32(np.inf)).min(axis=axes)
+    span = np.where(finite, planes, np.float32(-np.inf)).max(axis=axes) - lo
+    scaled = span > 0  # neither constant nor without finite values
+    planes -= np.where(scaled, lo, 0).reshape(per_plane)
+    planes /= np.where(scaled, span, 1).reshape(per_plane)
+    planes[finite & ~scaled.reshape(per_plane)] = 0.0
+    return lo == np.inf
+
+
 def normalize_label_values(values: np.ndarray) -> np.ndarray:
     """Min-max normalize finite label values per file into [0, 1].
 
-    NaN passes through.  A constant map collapses to all zeros, mirroring the
-    degenerate-band rule used for radiance normalization.  Maps that already
+    NaN passes through.  A constant map collapses to all zeros, as a
+    constant band does (both run ``normalize_planes``).  Maps that already
     span [0, 1] are returned unchanged by construction of the affine map.
     """
-    values = np.asarray(values, dtype=np.float32)
-    finite = np.isfinite(values)
-    if not finite.any():
-        return values.copy()
-    lo = values[finite].min()
-    hi = values[finite].max()
-    out = values.copy()
-    if hi > lo:
-        out[finite] = (values[finite] - lo) / (hi - lo)
-    else:
-        out[finite] = 0.0
+    out = np.array(values, dtype=np.float32)
+    normalize_planes(out[None])
     return out
 
 
@@ -339,7 +350,9 @@ class SyntheticConfig:
     holes across the whole volume; ``label_density`` keeps only that
     fraction of label pixels finite (1.0 = fully labeled).  Plume shape and
     the reactive channels are the fixed ``PLUME_*`` and
-    ``DUST_CHANNEL_STRIDE`` constants.
+    ``DUST_CHANNEL_STRIDE`` constants.  A plume count outside
+    0 <= min_plumes <= max_plumes, a fraction outside [0, 1] or a negative
+    or non-finite ``noise_sigma`` raises ``ValueError`` naming the field.
     """
 
     min_plumes: int = 0
@@ -348,6 +361,16 @@ class SyntheticConfig:
     noise_sigma: float = 0.02
     nan_fraction: float = 0.05
     label_density: float = 1.0
+
+    def __post_init__(self):
+        if not 0 <= self.min_plumes <= self.max_plumes:
+            raise ValueError(f"min_plumes and max_plumes must satisfy 0 <= min_plumes <= "
+                             f"max_plumes, got {self.min_plumes} and {self.max_plumes}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("nan_fraction", "label_density"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def generate_synthetic_dataset(

@@ -39,6 +39,9 @@ from .model3d import EVAL_TILE, ModelParams, eval_plan, predict_slabs
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
+# score_map counts a pixel as boundary (a plume edge) where the label
+# gradient magnitude exceeds this, in normalized label units per pixel
+EDGE_GRADIENT_THRESHOLD = 0.05
 
 
 @dataclass
@@ -132,21 +135,20 @@ def write_pgm(dmap: DetectionMap, path: str | Path) -> None:
 class ScoreReport:
     """Detection-map quality overall and split by label-edge proximity.
 
-    Boundary pixels are those whose label-gradient magnitude exceeds the
-    threshold (plume edges); the rest are core.  Pixels with an undefined
-    gradient (NaN neighbors) count as core.  A band's report is None when
-    the band is empty.
+    Boundary pixels are those whose label-gradient magnitude exceeds
+    ``EDGE_GRADIENT_THRESHOLD`` (plume edges); the rest are core.  Pixels
+    with an undefined gradient (NaN neighbors) count as core.  A band's
+    report is None when the band is empty.
     """
 
     overall: MetricsReport
     boundary: MetricsReport | None
     core: MetricsReport | None
-    gradient_threshold: float
 
 
-def score_map(dmap: DetectionMap, labels: LabelMap, alpha: float = 1.0,
-              gradient_threshold: float = 0.05) -> ScoreReport:
-    """Metrics over pixels where both the map and the labels are finite."""
+def score_map(dmap: DetectionMap, labels: LabelMap) -> ScoreReport:
+    """Metrics over pixels where both the map and the labels are finite,
+    weighted as ``compute_metrics`` weights them by default."""
     if dmap.values.shape != labels.values.shape:
         raise ShapeMismatchError(
             f"map {dmap.values.shape} vs labels {labels.values.shape}"
@@ -156,15 +158,14 @@ def score_map(dmap: DetectionMap, labels: LabelMap, alpha: float = 1.0,
     if not valid.any():
         raise EmptyDatasetError("no overlapping finite pixels between map and labels")
 
-    overall = compute_metrics(dmap.values[valid], truth[valid], alpha)
+    overall = compute_metrics(dmap.values[valid], truth[valid])
     gy, gx = np.gradient(truth.astype(np.float64))
     with np.errstate(invalid="ignore"):
-        edge = np.hypot(gy, gx) > gradient_threshold
+        edge = np.hypot(gy, gx) > EDGE_GRADIENT_THRESHOLD
     boundary_mask = valid & edge
     core_mask = valid & ~edge
-    boundary = (compute_metrics(dmap.values[boundary_mask], truth[boundary_mask], alpha)
+    boundary = (compute_metrics(dmap.values[boundary_mask], truth[boundary_mask])
                 if boundary_mask.any() else None)
-    core = (compute_metrics(dmap.values[core_mask], truth[core_mask], alpha)
+    core = (compute_metrics(dmap.values[core_mask], truth[core_mask])
             if core_mask.any() else None)
-    return ScoreReport(overall=overall, boundary=boundary, core=core,
-                       gradient_threshold=gradient_threshold)
+    return ScoreReport(overall=overall, boundary=boundary, core=core)

@@ -106,6 +106,10 @@ class ModelConfig:
             raise ValueError(f"filters must be one or more counts >= 1, got {self.filters}")
         if self.in_depth < 1:
             raise ValueError(f"in_depth must be >= 1, got {self.in_depth}")
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
+            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
 
 
 @dataclass
@@ -406,19 +410,29 @@ def _sample_shape(a: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _checked_shape(params: ModelParams, x, channel_axis: bool = True) -> np.ndarray:
+    """``x`` as an array, required to be a (B, 1, C, P, P) batch, or
+    (B, C, P, P) without ``channel_axis``."""
+    cfg = params.config
+    x = np.asarray(x)
+    sample = (1,) * channel_axis + (cfg.in_depth, cfg.patch_size, cfg.patch_size)
+    if x.ndim != len(sample) + 1 or x.shape[1:] != sample:
+        raise ShapeMismatchError(
+            f"expected input (B, {', '.join(map(str, sample))}), got {x.shape}")
+    return x
+
+
+def _finite_values(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Check ``x`` finite and return it in the params' dtype."""
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite values in network input")
+    return x if x.dtype == params.dtype else x.astype(params.dtype)
+
+
 def _network_input(params: ModelParams, x) -> np.ndarray:
     """Check a (B, 1, C, P, P) batch and return it channels-last,
     (B, C, P, P, 1), in the params' dtype."""
-    cfg = params.config
-    x = np.asarray(x)
-    if x.ndim != 5 or x.shape[1] != 1 or x.shape[2:] != (cfg.in_depth, cfg.patch_size, cfg.patch_size):
-        raise ShapeMismatchError(
-            f"expected input (B, 1, {cfg.in_depth}, {cfg.patch_size}, {cfg.patch_size}), got {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite values in network input")
-    if x.dtype != params.dtype:
-        x = x.astype(params.dtype)
+    x = _finite_values(params, _checked_shape(params, x))
     # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
     return x.reshape(x.shape[0], *x.shape[2:], 1)
 
@@ -644,7 +658,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
-        return _predict_tiles(params, np.asarray(x)), ForwardTrace()
+        return _predict_tiles(params, _checked_shape(params, x)[:, 0]), ForwardTrace()
     a = _network_input(params, x)
     t = params.tensors
 
@@ -728,13 +742,14 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 
 def _predict_tiles(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for a (B, 1, C, P, P) batch, checked and run
-    ``EVAL_TILE`` patches at a time through one eval plan."""
+    """Eval-mode probabilities for a (B, C, P, P) batch whose shape is
+    checked, run ``EVAL_TILE`` patches at a time, each tile checked finite,
+    through one eval plan."""
     plan = eval_plan(params)
     out = np.empty(len(x), dtype=params.dtype)
     for start in range(0, len(x), EVAL_TILE):
-        tile = _network_input(params, x[start:start + EVAL_TILE])
-        out[start:start + EVAL_TILE] = predict_slabs(plan, tile[..., 0], 1, 1)
+        tile = _finite_values(params, x[start:start + EVAL_TILE])
+        out[start:start + EVAL_TILE] = predict_slabs(plan, tile, 1, 1)
     return out
 
 
@@ -753,7 +768,7 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     size used, for the architectures it covers; another BLAS or
     architecture may differ in the last bits.
     """
-    return _predict_tiles(params, np.asarray(patches)[:, None])
+    return _predict_tiles(params, _checked_shape(params, patches, channel_axis=False))
 
 
 def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -834,10 +849,9 @@ def load_checkpoint(path: str | Path,
     counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
     if (any(len(meta[k]) != 1 for k in _META[1:])
             or not all(v.is_integer() for v in counts)
-            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)
-            or not all(math.isfinite(v) for v in meta["bn_eps"] + meta["bn_momentum"])):
-        raise FormatError(f"{path}: architecture metadata {meta} must be finite, "
-                          "with integer filters and in_depth and an odd patch_size >= 1")
+            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)):
+        raise FormatError(f"{path}: architecture metadata {meta} must have integer "
+                          "filters and in_depth and an odd patch_size >= 1")
     try:
         config = ModelConfig(
             filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]

@@ -146,7 +146,7 @@ def validate_index(index: PatchIndex, manifest: DatasetManifest,
         if not np.isfinite(label_maps[f][y, x]):
             problems.append(f"triplet {i}: label at (f={f}, y={y}, x={x}) is not finite")
     if check_complete:
-        expected = build_index(manifest, index.patch_size).triplets
+        expected = _triplets(label_maps, index.patch_size)
         if expected.shape != index.triplets.shape or not np.array_equal(expected, index.triplets):
             problems.append(
                 f"index does not equal the full sorted center set "

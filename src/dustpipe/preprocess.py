@@ -18,7 +18,8 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import FormatError
-from .granule_io import DatasetManifest, Granule, ManifestEntry, read_granule, write_granule
+from .granule_io import (DatasetManifest, Granule, ManifestEntry, normalize_planes,
+                         read_granule, write_granule)
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +52,8 @@ def _slabs(data: np.ndarray):
 
 
 def normalize_bands(granule: Granule) -> Granule:
-    """Scale each band to [0, 1] by its own finite min/max.
+    """Scale each band to [0, 1] by its own finite min/max
+    (``granule_io.normalize_planes``, one slab of bands at a time).
 
     NaN passes through.  A constant band maps to all zeros.  A band with no
     finite value at all is left all-NaN (logged; imputation fallback will
@@ -60,14 +62,7 @@ def normalize_bands(granule: Granule) -> Granule:
     out = granule.data.copy()
     empty = []
     for first, slab in _slabs(out):
-        finite = np.isfinite(slab)
-        lo = np.where(finite, slab, np.float32(np.inf)).min(axis=(1, 2))
-        span = np.where(finite, slab, np.float32(-np.inf)).max(axis=(1, 2)) - lo
-        empty += (first + np.flatnonzero(lo == np.inf)).tolist()
-        scaled = span > 0  # neither constant nor without finite values
-        slab -= np.where(scaled, lo, 0)[:, None, None]
-        slab /= np.where(scaled, span, 1)[:, None, None]
-        slab[finite & ~scaled[:, None, None]] = 0.0
+        empty += (first + np.flatnonzero(normalize_planes(slab))).tolist()
     if empty:
         log.warning("bands with no finite values left all-NaN: %s", empty)
     return Granule(out)

@@ -75,6 +75,16 @@ class TestSynth:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+    def test_plume_range_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "raw"
+        assert run("synth", "--out", out, "--count", 1, "--height", 14, "--width", 14,
+                   "--min-plumes", 3, "--max-plumes", 1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: min_plumes") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestPreprocess:
     def test_outputs_are_finite_unit_interval(self, tmp_path, capsys):
         manifest = synth(tmp_path / "raw", nan_fraction=0.1)
@@ -200,7 +210,7 @@ class TestInferAndEval:
         monkeypatch.setattr(cli, "read_granule", spy)
         out_map = tmp_path / "scene.dmp"
         assert run("infer", "--ckpt", ckpt, "--granule", source, "--out", out_map,
-                   "--batch", 7, *flags) == 0
+                   *flags) == 0
         capsys.readouterr()
         assert reads == [{"use_mmap": True}]
         want = tmp_path / "want.dmp"

@@ -248,6 +248,22 @@ class TestSyntheticGenerator:
             generate_synthetic_dataset(tmp_path, seed=0, count=0, height=10,
                                        width=10, channels=4)
 
+    @pytest.mark.parametrize("fields, field", [
+        (dict(min_plumes=3, max_plumes=1), "min_plumes"),
+        (dict(min_plumes=-1, max_plumes=-1), "min_plumes"),
+        (dict(nan_fraction=-0.1), "nan_fraction"),
+        (dict(nan_fraction=1.5), "nan_fraction"),
+        (dict(label_density=float("nan")), "label_density"),
+        (dict(label_density=2.0), "label_density"),
+        (dict(noise_sigma=-0.01), "noise_sigma"),
+        (dict(noise_sigma=float("inf")), "noise_sigma"),
+    ], ids=["min-above-max", "negative-plumes", "negative-nan-fraction",
+            "nan-fraction-above-one", "nan-density", "density-above-one",
+            "negative-noise", "infinite-noise"])
+    def test_out_of_range_config_rejected(self, fields, field):
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(**fields)
+
     def test_labels_lie_in_unit_interval(self, tmp_path):
         m = generate_synthetic_dataset(tmp_path, seed=3, count=2, height=16,
                                        width=16, channels=4)

@@ -2,6 +2,7 @@
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -101,8 +102,12 @@ class TestConfig:
     @pytest.mark.parametrize("fields", [
         dict(filters=()), dict(filters=(0, 4, 4)), dict(filters=(-1, 4, 4)),
         dict(filters=(3, 4, 0)), dict(in_depth=0), dict(in_depth=-2),
+        dict(bn_eps=0.0), dict(bn_eps=-1.0), dict(bn_eps=float("inf")),
+        dict(bn_eps=float("nan")), dict(bn_momentum=-0.1), dict(bn_momentum=1.5),
+        dict(bn_momentum=float("nan")),
     ], ids=["no-filters", "zero-filter", "negative-filter", "zero-last-filter",
-            "zero-depth", "negative-depth"])
+            "zero-depth", "negative-depth", "zero-eps", "negative-eps", "inf-eps",
+            "nan-eps", "negative-momentum", "momentum-above-one", "nan-momentum"])
     def test_empty_or_non_positive_counts_rejected(self, fields):
         with pytest.raises(ValueError):
             ModelConfig(**fields)
@@ -471,6 +476,13 @@ class TestInPlaceStep:
 
 
 class TestPredictPaths:
+    @pytest.mark.parametrize("shape", [(38, 5, 5), (40, 1, 38, 5, 5), (3, 38, 5, 4)],
+                             ids=["no-batch-axis", "extra-axis", "wrong-patch"])
+    def test_shape_error_names_the_shape_passed(self, shape):
+        params = init_params(0)
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"got {shape}")):
+            predict(params, np.zeros(shape, dtype=np.float32))
+
     def test_per_sample_equals_single_batch_forward(self):
         params = init_params(21)
         rng = np.random.default_rng(2)
@@ -752,8 +764,13 @@ class TestCheckpoints:
         ("meta.in_depth", np.array([6, 6], dtype=np.float32)),
         ("meta.bn_eps", np.float32(np.inf)),
         ("meta.bn_momentum", np.float32(np.nan)),
+        ("meta.bn_eps", np.float32(-1)),
+        ("meta.bn_eps", np.float32(0)),
+        ("meta.bn_momentum", np.float32(-0.5)),
+        ("meta.bn_momentum", np.float32(2)),
     ], ids=["inf-depth", "nan-patch", "fractional-patch", "even-patch", "zero-patch",
-            "inf-filter", "no-filters", "two-depths", "inf-eps", "nan-momentum"])
+            "inf-filter", "no-filters", "two-depths", "inf-eps", "nan-momentum",
+            "negative-eps", "zero-eps", "negative-momentum", "momentum-above-one"])
     def test_bad_metadata_is_format_error(self, tmp_path, name, value):
         path = tmp_path / "m.dck"
         save_checkpoint(path, init_params(0, TINY))
