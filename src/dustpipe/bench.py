@@ -74,7 +74,7 @@ def _probe(argv=None) -> int:
     """Stream one epoch over a manifest (mmap or full-load path) and print
     this process's peak RSS and what it read as JSON: the entry point
     ``python -m dustpipe.bench`` that ``_run_probe`` starts."""
-    parser = argparse.ArgumentParser(prog="dustpipe-memprobe")
+    parser = argparse.ArgumentParser(prog="python -m dustpipe.bench")
     parser.add_argument("--manifest", required=True)
     parser.add_argument("--mode", choices=["mmap", "full"], required=True)
     parser.add_argument("--batch", type=int, required=True)

@@ -63,8 +63,6 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_train(args) -> int:
     filters = tuple(int(v) for v in args.filters.split(","))
-    if len(filters) != 3:
-        raise DustpipeError(f"--filters needs three comma-separated counts, got {args.filters!r}")
     manifest_train = DatasetManifest.load(args.manifest_train)
     manifest_val = DatasetManifest.load(args.manifest_val)
     # mapped, so only the header is read

@@ -352,7 +352,8 @@ class SyntheticConfig:
     the reactive channels are the fixed ``PLUME_*`` and
     ``DUST_CHANNEL_STRIDE`` constants.  A plume count outside
     0 <= min_plumes <= max_plumes, a fraction outside [0, 1] or a negative
-    or non-finite ``noise_sigma`` raises ``ValueError`` naming the field.
+    or non-finite ``amplitude`` or ``noise_sigma`` raises ``ValueError``
+    naming the field.
     """
 
     min_plumes: int = 0
@@ -366,8 +367,9 @@ class SyntheticConfig:
         if not 0 <= self.min_plumes <= self.max_plumes:
             raise ValueError(f"min_plumes and max_plumes must satisfy 0 <= min_plumes <= "
                              f"max_plumes, got {self.min_plumes} and {self.max_plumes}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("amplitude", "noise_sigma"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("nan_fraction", "label_density"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")

@@ -46,7 +46,7 @@ and batch norm (they commute exactly with max once the channels with a
 negative scale are negated), depth first, then each patch's 2 x 2 windows.
 Blocks two and three fold their kernel for the positions pooling reads
 and run one GEMM per conv over the tile, then ReLU and batch norm from the
-running estimates as a tiled per-channel scale ``gamma / sqrt(var + eps)``
+running estimates as a tiled per-channel scale ``gamma / sqrt(var + BN_EPS)``
 and shift ``beta - mean * scale``, in place, then pooling.  That these
 GEMMs give a patch's rows the same bits wherever they sit in a tile is
 not structural: it depends on the BLAS summing a row the same way for
@@ -89,6 +89,10 @@ POOL = 2
 # patches per eval tile, in ``predict`` and in scene inference: blocks two
 # and three run one GEMM per conv per tile
 EVAL_TILE = 32
+# batch norm's variance floor and running-estimate momentum; checkpoints
+# store both (as float32) and are refused when they hold other values
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,14 @@ class ModelConfig:
     filters: tuple[int, int, int] = (32, 64, 128)
     in_depth: int = 38   # spectral channels, used as convolution depth
     patch_size: int = 5
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         # patch_size is not checked here: a config may name an even patch,
         # which the readers of patches and checkpoints reject themselves
-        if not self.filters or any(f < 1 for f in self.filters):
-            raise ValueError(f"filters must be one or more counts >= 1, got {self.filters}")
+        if len(self.filters) != 3 or any(f < 1 for f in self.filters):
+            raise ValueError(f"filters must be three counts >= 1, got {self.filters}")
         if self.in_depth < 1:
             raise ValueError(f"in_depth must be >= 1, got {self.in_depth}")
-        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
-            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
-        if not 0 <= self.bn_momentum <= 1:
-            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
 
 
 @dataclass
@@ -337,13 +335,13 @@ def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.nda
     return s.reshape(-1, c).sum(axis=0)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
-                      eps: float, momentum: float, update_running: bool):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, update_running: bool):
     """Train-mode batch norm over the last (channel) axis of a
     channels-last batch, computed on its row view.
 
-    Normalizes with batch statistics (and with ``update_running`` moves the
-    running estimates toward them).  It overwrites ``x``: the input is
+    Normalizes with batch statistics and ``BN_EPS`` (and with
+    ``update_running`` moves the running estimates toward them by
+    ``BN_MOMENTUM``).  It overwrites ``x``: the input is
     normalized in place into the ``xhat`` the cache holds, so a caller that
     needs the input afterwards must copy it first.  The output is a fresh
     array.  Eval mode applies the running estimates as the eval plan's
@@ -358,11 +356,11 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *,
     var = _channel_sum(xhat, c, xhat) / m
     if update_running:
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    inv = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= np.tile(inv, hw)
     y = np.tile(gamma, hw) * xhat
     y += np.tile(beta, hw)
@@ -453,13 +451,13 @@ class _BlockOne(NamedTuple):
                           # (class, row, col), counted from the class's first row and col
     epilogue: np.ndarray  # per channel its sign, conv bias, scale and shift, each
                           # tiled over the out x out pooled positions
-    dwin: int             # depth pooling window; 1 when unpooled
+    dwin: int             # depth pooling window
     out: int              # pooled rows (= cols) per patch
 
 
 class _EvalBlock(NamedTuple):
     fold: ConvFold
-    scale: np.ndarray   # gamma / sqrt(running_var + eps), tiled over kept positions
+    scale: np.ndarray   # gamma / sqrt(running_var + BN_EPS), tiled over kept positions
     shift: np.ndarray   # beta - running_mean * scale, tiled likewise
     pooled: bool        # max pooling follows
 
@@ -468,23 +466,23 @@ class EvalPlan(NamedTuple):
     """Eval constants built once per ``predict`` call or scene (``eval_plan``)."""
 
     one: _BlockOne
-    rest: list[_EvalBlock]   # blocks two onwards
+    rest: list[_EvalBlock]   # blocks two and three
     tensors: dict            # the params' tensors, for the head
 
 
 def _eval_bn(params: ModelParams, i: int):
     """Block ``i``'s eval batch norm as a per-channel scale and shift."""
     t = params.tensors
-    scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + params.config.bn_eps)
+    scale = t[f"bn{i}.gamma"] / np.sqrt(t[f"bn{i}.running_var"] + BN_EPS)
     return scale, t[f"bn{i}.beta"] - t[f"bn{i}.running_mean"] * scale
 
 
 @lru_cache(maxsize=None)
-def _block_one_layout(size: int, pooled: bool):
+def _block_one_layout(size: int):
     """Block one's kept positions for a ``size`` patch: the runs of rows
     that share a class, a (runs ** 2, 27, 1) mask of the taps each class
     keeps, the pooling windows (see ``_BlockOne``) and the pooled extent."""
-    win = min(POOL, size) if pooled else 1
+    win = min(POOL, size)
     keep = size // win * win
     # a row's class: is it the first row (it drops the kh = 0 taps), is it
     # the last (it drops the kh = 2 taps)
@@ -516,23 +514,23 @@ def eval_plan(params: ModelParams) -> EvalPlan:
     taps a kept position drops depend only on whether it is its patch's
     first or last row and col, so its rows (and cols) fall into runs of
     one class, and block one gets one (27, Cout) kernel per pair of runs:
-    four at P >= 3, and the centre taps only at P = 1.  Later blocks fold
-    their kernel for the positions pooling reads.  Depth is not trimmed.
+    four at P >= 3, and the centre taps only at P = 1.  Blocks two and
+    three fold their kernel for the positions pooling reads.  Depth is not
+    trimmed.
     """
     cfg = params.config
     t = params.tensors
-    n_blocks = len(cfg.filters)
-    runs, mask, windows, size = _block_one_layout(cfg.patch_size, n_blocks > 1)
+    runs, mask, windows, size = _block_one_layout(cfg.patch_size)
     scale, shift = _eval_bn(params, 1)
     sign = np.where(scale < 0, -1, 1).astype(scale.dtype)
     taps = t["conv1.weight"][:, 0].reshape(-1, KERNEL ** 3).T * sign
     kernels = np.where(mask, taps, 0)
     one = _BlockOne(runs, kernels, windows,
                     np.tile(np.stack([sign, t["conv1.bias"], scale, shift]), size * size),
-                    min(POOL, cfg.in_depth) if n_blocks > 1 else 1, size)
+                    min(POOL, cfg.in_depth), size)
     rest = []
-    for i in range(2, n_blocks + 1):
-        pooled = i < n_blocks
+    for i in (2, 3):
+        pooled = i == 2
         win = min(POOL, size)
         keep = size // win * win if pooled else size
         scale, shift = _eval_bn(params, i)
@@ -617,7 +615,7 @@ def _block_one(one: _BlockOne, slabs: np.ndarray, th: int, tw: int) -> np.ndarra
 
 
 def _run_blocks(plan: EvalPlan, a: np.ndarray) -> np.ndarray:
-    """Blocks two onwards and the head, for one tile of block-one outputs:
+    """Blocks two and three and the head, for one tile of block-one outputs:
     per block one GEMM over the tile, then ReLU, scale and shift in place
     on its product, then pooling."""
     for block in plan.rest:
@@ -636,7 +634,7 @@ def predict_slabs(plan: EvalPlan, slabs: np.ndarray, th: int, tw: int) -> np.nda
     each (D, th + P - 1, tw + P - 1) slab of a (B, D, ., .) batch, in the
     plan's dtype and checked finite by the caller; row-major within each
     slab.  A tile holds at most ``EVAL_TILE`` patches, the sizes at which
-    the test suite checks that the GEMMs of blocks two onwards give each
+    the test suite checks that the GEMMs of blocks two and three give each
     row the same bits wherever it sits.
     """
     if len(slabs) * th * tw > EVAL_TILE:
@@ -675,7 +673,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
         bn, bn_cache = batchnorm_forward(
             y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
             t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
-            eps=cfg.bn_eps, momentum=cfg.bn_momentum, update_running=update_running_stats,
+            update_running=update_running_stats,
         )
         trace.caches[f"conv{i}"] = conv_cache
         trace.caches[f"bn{i}"] = bn_cache
@@ -760,7 +758,7 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     through it in tiles of ``EVAL_TILE``, each patch as a one-pixel slab
     of ``predict_slabs``, the function scene inference runs on tiles of a
     granule.  Block one's values do not depend on the batch split, by
-    construction: it runs one GEMM shape per position.  Blocks two onwards
+    construction: it runs one GEMM shape per position.  Blocks two and three
     run one GEMM per conv over a tile, so a patch's probability is bitwise
     the same for any batch split, lone single-patch calls included, only
     if the BLAS gives each row the same bits wherever it sits in a tile.
@@ -828,8 +826,8 @@ def save_checkpoint(path: str | Path, params: ModelParams,
         "meta.filters": np.asarray(cfg.filters, dtype=np.float32),
         "meta.in_depth": np.float32(cfg.in_depth),
         "meta.patch_size": np.float32(cfg.patch_size),
-        "meta.bn_eps": np.float32(cfg.bn_eps),
-        "meta.bn_momentum": np.float32(cfg.bn_momentum),
+        "meta.bn_eps": np.float32(BN_EPS),
+        "meta.bn_momentum": np.float32(BN_MOMENTUM),
     }
     tensors.update(params.tensors)
     if extra:
@@ -837,9 +835,7 @@ def save_checkpoint(path: str | Path, params: ModelParams,
     write_checkpoint_tensors(path, tensors)
 
 
-def load_checkpoint(path: str | Path,
-                    expected_config: ModelConfig | None = None
-                    ) -> tuple[ModelParams, dict[str, np.ndarray]]:
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """Rebuild params (validated against the architecture) plus extras."""
     tensors = read_checkpoint_tensors(path)
     try:
@@ -849,30 +845,20 @@ def load_checkpoint(path: str | Path,
     counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
     if (any(len(meta[k]) != 1 for k in _META[1:])
             or not all(v.is_integer() for v in counts)
-            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)):
+            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)
+            or meta["bn_eps"] != [np.float32(BN_EPS)]
+            or meta["bn_momentum"] != [np.float32(BN_MOMENTUM)]):
         raise FormatError(f"{path}: architecture metadata {meta} must have integer "
-                          "filters and in_depth and an odd patch_size >= 1")
+                          "filters and in_depth, an odd patch_size >= 1, and bn_eps "
+                          f"{BN_EPS:g} and bn_momentum {BN_MOMENTUM:g} as float32")
     try:
         config = ModelConfig(
             filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
             in_depth=int(meta["in_depth"][0]),
             patch_size=int(meta["patch_size"][0]),
-            bn_eps=meta["bn_eps"][0],
-            bn_momentum=meta["bn_momentum"][0],
         )
     except ValueError as e:
         raise FormatError(f"{path}: architecture metadata: {e}") from None
-    # bn_eps and bn_momentum are stored as float32, so compare at that precision
-    if expected_config is not None and (
-        expected_config.filters != config.filters
-        or expected_config.in_depth != config.in_depth
-        or expected_config.patch_size != config.patch_size
-        or np.float32(expected_config.bn_eps) != np.float32(config.bn_eps)
-        or np.float32(expected_config.bn_momentum) != np.float32(config.bn_momentum)
-    ):
-        raise ShapeMismatchError(
-            f"{path}: checkpoint architecture {config} does not match expected {expected_config}"
-        )
     shapes = param_shapes(config)
     model_tensors = {}
     for name, shape in shapes.items():

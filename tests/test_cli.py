@@ -84,6 +84,16 @@ class TestSynth:
         assert captured.err.startswith("error: min_plumes") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["nan", "-0.5", "inf"])
+    def test_amplitude_out_of_range_rejected_before_writing(self, tmp_path, capsys, amplitude):
+        out = tmp_path / "raw"
+        assert run("synth", "--out", out, "--count", 1, "--height", 14, "--width", 14,
+                   "--min-plumes", 2, f"--amplitude={amplitude}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: amplitude") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPreprocess:
     def test_outputs_are_finite_unit_interval(self, tmp_path, capsys):
@@ -288,7 +298,7 @@ class TestTrainCli:
         assert (run_dir / "best.dck").exists()
         assert (run_dir / "log.csv").read_text().count("\n") == 3  # header + 2 rows
 
-    @pytest.mark.parametrize("filters", ["0,4,4", "-1,4,4"])
+    @pytest.mark.parametrize("filters", ["0,4,4", "-1,4,4", "4,4"])
     def test_non_positive_filter_count_is_one_line_diagnostic(self, tmp_path, capsys, filters):
         train_manifest = synth(tmp_path / "train", seed=1, count=1, nan_fraction=0)
         run_dir = tmp_path / "run"

@@ -257,9 +257,13 @@ class TestSyntheticGenerator:
         (dict(label_density=2.0), "label_density"),
         (dict(noise_sigma=-0.01), "noise_sigma"),
         (dict(noise_sigma=float("inf")), "noise_sigma"),
+        (dict(amplitude=float("nan")), "amplitude"),
+        (dict(amplitude=-0.5), "amplitude"),
+        (dict(amplitude=float("inf")), "amplitude"),
     ], ids=["min-above-max", "negative-plumes", "negative-nan-fraction",
             "nan-fraction-above-one", "nan-density", "density-above-one",
-            "negative-noise", "infinite-noise"])
+            "negative-noise", "infinite-noise", "nan-amplitude", "negative-amplitude",
+            "infinite-amplitude"])
     def test_out_of_range_config_rejected(self, fields, field):
         with pytest.raises(ValueError, match=field):
             SyntheticConfig(**fields)
