@@ -31,7 +31,6 @@ from .granule_io import (
 )
 from .inference import (
     DetectionMap,
-    ScoreReport,
     infer_scene,
     read_map,
     score_map,
@@ -52,7 +51,6 @@ from .model3d import (
 )
 from .patch_index import (
     GranuleStore,
-    PatchBatch,
     PatchIndex,
     batch_footprint_bytes,
     build_index,
@@ -73,7 +71,6 @@ from .preprocess import (
     preprocess_pipeline,
 )
 from .training import (
-    AdamState,
     LossConfig,
     MetricsReport,
     PlateauScheduler,

@@ -46,8 +46,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    cfg = PreprocessConfig(impute_window=args.window, rng_seed=args.seed,
-                           fallback=args.fallback)
+    cfg = PreprocessConfig(impute_window=args.window, rng_seed=args.seed)
     out = preprocess_dataset(DatasetManifest.load(args.manifest), args.out, cfg)
     print(f"preprocessed {len(out)} granules into {Path(args.out)}")
     return 0
@@ -61,20 +60,29 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
+# TrainConfig field -> the train flag that sets it
+_TRAIN_FLAGS = {"learning_rate": "lr", "weight_decay": "wd", "plateau_patience": "patience",
+                "passes": "passes", "partitions": "partitions", "sub_epochs": "sub_epochs",
+                "batch_size": "batch", "seed": "seed"}
+
+
 def _cmd_train(args) -> int:
-    filters = tuple(int(v) for v in args.filters.split(","))
+    try:
+        filters = tuple(int(v) for v in args.filters.split(","))
+    except ValueError:
+        raise ValueError(f"--filters must be comma-separated integers, "
+                         f"got {args.filters!r}") from None
+    try:
+        train_cfg = TrainConfig(**{f: getattr(args, dest) for f, dest in _TRAIN_FLAGS.items()})
+    except ValueError as e:
+        field = str(e).split()[0]  # TrainConfig's messages start with the field
+        raise ValueError(f"--{_TRAIN_FLAGS.get(field, field).replace('_', '-')}: {e}") from None
     manifest_train = DatasetManifest.load(args.manifest_train)
     manifest_val = DatasetManifest.load(args.manifest_val)
     # mapped, so only the header is read
     channels = read_granule(manifest_train.entries[0].granule, use_mmap=True).channels
     model_cfg = ModelConfig(filters=filters, in_depth=channels,
                             patch_size=args.patch_size)
-    train_cfg = TrainConfig(
-        learning_rate=args.lr, weight_decay=args.wd,
-        plateau_patience=args.patience, passes=args.passes,
-        partitions=args.partitions, sub_epochs=args.sub_epochs,
-        batch_size=args.batch, seed=args.seed,
-    )
     result = train(manifest_train, manifest_val, args.out,
                    model_config=model_cfg, train_cfg=train_cfg,
                    loss_cfg=LossConfig(alpha=args.alpha))
@@ -162,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int, default=5)
-    p.add_argument("--fallback", choices=["band-mean", "zero"], default="band-mean")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("index", help="patch-center index operations")

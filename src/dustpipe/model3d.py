@@ -28,9 +28,9 @@ trace as it uses it, so block one's buffers are freed as soon as they are
 consumed, and a trace is consumed by one ``backward``.
 
 Evaluation has one path, an eval plan (``eval_plan``) built once per
-``predict`` call, eval-mode ``forward`` or scene, and run by
-``predict_slabs`` over tiles of at most ``EVAL_TILE`` patches.  A tile is
-a batch of input slabs, each holding th x tw patches: a stand-alone patch
+``predict`` call or scene, and run by ``predict_slabs`` over tiles of at
+most ``EVAL_TILE`` patches; ``forward`` is the training pass only.  A tile
+is a batch of input slabs, each holding th x tw patches: a stand-alone patch
 is a slab with th = tw = 1, a scene tile one slab of th x tw pixels plus a
 halo of P - 1.  Floor-mode max pooling never reads the trailing row and
 column of an odd extent, so block one keeps (P - 1) x (P - 1) positions per
@@ -125,12 +125,11 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches and stage shapes from one train-mode forward pass.
+    """Per-layer caches and stage shapes from one ``forward`` pass.
 
     ``backward`` consumes the caches (it pops each one as it uses it, and
     batch norm's cached buffer becomes its input gradient), so a trace can
-    be back-propagated once only; ``shapes`` stay.  An eval-mode trace is
-    empty."""
+    be back-propagated once only; ``shapes`` stay."""
 
     caches: dict = field(default_factory=dict)
     shapes: list = field(default_factory=list)  # (stage, per-sample shape)
@@ -644,19 +643,16 @@ def predict_slabs(plan: EvalPlan, slabs: np.ndarray, th: int, tw: int) -> np.nda
 
 def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             update_running_stats: bool = True):
-    """Run the network on a (B, 1, C, P, P) batch.
+    """The training pass on a (B, 1, C, P, P) batch.
 
-    Returns per-sample probabilities in (0, 1) plus a trace.  Train mode
-    normalizes with batch statistics (and with ``update_running_stats``
-    updates the running estimates in place), and its trace holds what
-    backward needs.  Eval mode runs ``predict``'s eval plan over the batch
-    in tiles of ``EVAL_TILE`` and returns an empty trace; it is a pure
-    function of (params, x), and batch-invariant as ``predict`` is.
+    Returns per-sample probabilities in (0, 1) plus a trace holding what
+    ``backward`` needs.  Batch norm normalizes with batch statistics (and
+    with ``update_running_stats`` updates the running estimates in place).
+    ``mode`` must be ``"train"``: evaluation runs ``predict``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval":
-        return _predict_tiles(params, _checked_shape(params, x)[:, 0]), ForwardTrace()
+    if mode != "train":
+        raise ValueError(f"forward runs the training pass only (mode 'train'), got {mode!r}; "
+                         "evaluate with predict")
     a = _network_input(params, x)
     t = params.tensors
 
@@ -706,10 +702,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
     t = params.tensors
     caches = trace.caches
     if "sigmoid" not in caches:
-        if trace.shapes:
-            raise ValueError("this trace was consumed by an earlier backward; "
-                             "run forward again")
-        raise ValueError("backward needs a train-mode trace; eval mode keeps no caches")
+        raise ValueError("backward needs a trace from forward that no earlier backward "
+                         "consumed; run forward again")
     if dpreds.shape != caches["sigmoid"].shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {dpreds.shape} does not match "
@@ -739,20 +733,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
     return grads
 
 
-def _predict_tiles(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for a (B, C, P, P) batch whose shape is
-    checked, run ``EVAL_TILE`` patches at a time, each tile checked finite,
-    through one eval plan."""
-    plan = eval_plan(params)
-    out = np.empty(len(x), dtype=params.dtype)
-    for start in range(0, len(x), EVAL_TILE):
-        tile = _finite_values(params, x[start:start + EVAL_TILE])
-        out[start:start + EVAL_TILE] = predict_slabs(plan, tile, 1, 1)
-    return out
-
-
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for (B, C, P, P) patches.
+    """Eval-mode probabilities for (B, C, P, P) patches; training's
+    validation and ``evaluate`` run it.
 
     One eval plan (``eval_plan``) is built per call, and patches go
     through it in tiles of ``EVAL_TILE``, each patch as a one-pixel slab
@@ -766,7 +749,13 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     size used, for the architectures it covers; another BLAS or
     architecture may differ in the last bits.
     """
-    return _predict_tiles(params, _checked_shape(params, patches, channel_axis=False))
+    patches = _checked_shape(params, patches, channel_axis=False)
+    plan = eval_plan(params)
+    out = np.empty(len(patches), dtype=params.dtype)
+    for start in range(0, len(patches), EVAL_TILE):
+        tile = _finite_values(params, patches[start:start + EVAL_TILE])
+        out[start:start + EVAL_TILE] = predict_slabs(plan, tile, 1, 1)
+    return out
 
 
 def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:

@@ -192,8 +192,6 @@ class GranuleStore:
 
     def __init__(self, manifest: DatasetManifest, use_mmap: bool = True,
                  release_after_gather: bool = False):
-        self.manifest = manifest
-        self.use_mmap = use_mmap
         self.release_after_gather = release_after_gather and use_mmap
         self._granules: list[np.ndarray] = []
         self._mmaps: list[mmap.mmap] = []

@@ -23,21 +23,15 @@ from .granule_io import (DatasetManifest, Granule, ManifestEntry, normalize_plan
 
 log = logging.getLogger(__name__)
 
-FALLBACK_BAND_MEAN = "band-mean"
-FALLBACK_ZERO = "zero"
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     impute_window: int = 5  # scan distance above/below, in rows
     rng_seed: int = 0
-    fallback: str = FALLBACK_BAND_MEAN
 
     def __post_init__(self):
         if self.impute_window < 1:
             raise ValueError("impute_window must be >= 1")
-        if self.fallback not in (FALLBACK_BAND_MEAN, FALLBACK_ZERO):
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
 
 
 SLAB_BYTES = 1 << 20
@@ -75,9 +69,9 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     For a NaN at (c, y, x) the draw is uniform over [m, M], the finite min/max
     of rows y-w..y+w (clamped to the image) in column x of band c, taken from
     the pre-imputation band so fills never cascade.  Windows with no finite
-    neighbor fall back to the band mean (or zero, per config); a band with no
-    finite value at all becomes zero.  The draw for a position is a pure
-    function of (rng_seed, folder_index, granule shape, c, y, x).
+    neighbor fall back to the band mean; a band with no finite value at all
+    becomes zero.  The draw for a position is a pure function of
+    (rng_seed, folder_index, granule shape, c, y, x).
     """
     data = granule.data.copy()
     size = 2 * cfg.impute_window + 1
@@ -99,11 +93,11 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
             fill = fill.astype(np.float32)
         orphan = ~np.isfinite(lo)
         if orphan.any():
-            use_mean = ~holes.all(axis=(1, 2)) & (cfg.fallback == FALLBACK_BAND_MEAN)
-            fallback = np.zeros(len(slab), dtype=np.float32)
-            fallback[use_mean] = np.nanmean(np.where(holes, np.nan, slab)[use_mean], axis=(1, 2))
+            seen = ~holes.all(axis=(1, 2))  # an all-NaN band's mean stays zero
+            band_mean = np.zeros(len(slab), dtype=np.float32)
+            band_mean[seen] = np.nanmean(np.where(holes, np.nan, slab)[seen], axis=(1, 2))
             # holes are listed band by band, so each takes its band's value
-            fill[orphan] = np.repeat(fallback, holes.sum(axis=(1, 2)))[orphan]
+            fill[orphan] = np.repeat(band_mean, holes.sum(axis=(1, 2)))[orphan]
         slab[holes] = fill
     return Granule(data)
 

@@ -16,7 +16,9 @@ improvement threshold, are the fixed module constants below;
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,11 +75,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "batch_size", "passes", "partitions", "sub_epochs"):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        for name in ("batch_size", "passes", "partitions", "sub_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -235,16 +241,6 @@ def adam_state_to_tensors(state: AdamState) -> dict[str, np.ndarray]:
     return out
 
 
-def adam_state_from_tensors(tensors: dict[str, np.ndarray]) -> AdamState | None:
-    if "opt.step" not in tensors:
-        return None
-    return AdamState(
-        step=int(tensors["opt.step"]),
-        m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-        v={k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -297,7 +293,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     Writes ``final.dck`` (last state plus optimizer moments), ``best.dck``
     (lowest validation weighted MSE) and ``log.csv`` into ``out_dir``.
     ``log.csv`` gets its header at the start and one flushed row per
-    sub-epoch, so a run that dies keeps the rows it finished.
+    sub-epoch, so a run that dies keeps the rows it finished.  A non-finite
+    training or validation loss raises ``TrainingDivergedError``, naming
+    the pass, partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
     every optimization step, for instrumentation.
     """
@@ -306,36 +304,37 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    store_train = GranuleStore(manifest_train)
-    store_val = GranuleStore(manifest_val)
-    if model_config is None:
-        model_config = ModelConfig(in_depth=store_train.channels)
-    index_train = build_index(manifest_train, model_config.patch_size)
-    index_val = build_index(manifest_val, model_config.patch_size)
-    if len(index_train) == 0:
-        raise EmptyDatasetError("training index is empty")
-    if len(index_val) == 0:
-        raise EmptyDatasetError("validation index is empty")
+    with (closing(GranuleStore(manifest_train)) as store_train,
+          closing(GranuleStore(manifest_val)) as store_val):
+        if model_config is None:
+            model_config = ModelConfig(in_depth=store_train.channels)
+        index_train = build_index(manifest_train, model_config.patch_size)
+        index_val = build_index(manifest_val, model_config.patch_size)
+        if len(index_train) == 0:
+            raise EmptyDatasetError("training index is empty")
+        if len(index_val) == 0:
+            raise EmptyDatasetError("validation index is empty")
 
-    params = init_params(train_cfg.seed, model_config)
-    state = adam_init(params)
-    sched = PlateauScheduler(train_cfg)
-    result = TrainResult(
-        final_checkpoint=out_dir / "final.dck",
-        best_checkpoint=out_dir / "best.dck",
-        log_path=out_dir / "log.csv",
-    )
-    best_params: ModelParams | None = None
+        params = init_params(train_cfg.seed, model_config)
+        state = adam_init(params)
+        sched = PlateauScheduler(train_cfg)
+        result = TrainResult(
+            final_checkpoint=out_dir / "final.dck",
+            best_checkpoint=out_dir / "best.dck",
+            log_path=out_dir / "log.csv",
+        )
+        best_params: ModelParams | None = None
 
-    with open(result.log_path, "w", newline="") as log_file:
-        log = csv.writer(log_file)
-        log.writerow(["pass", "partition", "sub_epoch", "train_wmse", "val_wmse", "lr"])
-        log_file.flush()
-        for pass_num in range(1, train_cfg.passes + 1):
-            parts = shuffle_partitions(index_train, train_cfg.seed + pass_num,
-                                       train_cfg.partitions)
-            for part_idx, part in enumerate(parts, start=1):
-                for sub_epoch in range(1, train_cfg.sub_epochs + 1):
+        with open(result.log_path, "w", newline="") as log_file:
+            log = csv.writer(log_file)
+            log.writerow(["pass", "partition", "sub_epoch", "train_wmse", "val_wmse", "lr"])
+            log_file.flush()
+            for pass_num in range(1, train_cfg.passes + 1):
+                parts = shuffle_partitions(index_train, train_cfg.seed + pass_num,
+                                           train_cfg.partitions)
+                for (part_idx, part), sub_epoch in itertools.product(
+                        enumerate(parts, start=1), range(1, train_cfg.sub_epochs + 1)):
+                    at = f"pass {pass_num}, partition {part_idx}, sub-epoch {sub_epoch}"
                     seen_preds = []
                     seen_targets = []
                     for batch in iter_batches(index_train, store_train, part,
@@ -345,10 +344,7 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                         preds, trace = forward(params, batch.inputs[:, None], mode="train")
                         loss, dpreds = wmse_loss(preds, batch.targets, loss_cfg)
                         if not math.isfinite(loss):
-                            raise TrainingDivergedError(
-                                f"non-finite training loss at pass {pass_num}, "
-                                f"partition {part_idx}, sub-epoch {sub_epoch}"
-                            )
+                            raise TrainingDivergedError(f"non-finite training loss at {at}")
                         grads = backward(params, trace, dpreds)
                         adam_step(params, grads, state, sched.lr, train_cfg)
                         seen_preds.append(preds)
@@ -357,6 +353,8 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                                             np.concatenate(seen_targets), loss_cfg)[0]
                                   if seen_preds else math.nan)
                     val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg)
+                    if not math.isfinite(val_wmse):
+                        raise TrainingDivergedError(f"non-finite validation loss at {at}")
                     lr = sched.step(val_wmse)
                     row = LogRow(pass_num, part_idx, sub_epoch, train_wmse, val_wmse, lr)
                     result.rows.append(row)
@@ -371,8 +369,6 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     save_checkpoint(result.final_checkpoint, params,
                     extra=adam_state_to_tensors(state))
     save_checkpoint(result.best_checkpoint, best_params or params)
-    store_train.close()
-    store_val.close()
     return result
 
 
@@ -383,10 +379,9 @@ def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
         params = checkpoint
     else:
         params, _ = load_checkpoint(checkpoint)
-    store = GranuleStore(manifest)
-    index = build_index(manifest, params.config.patch_size)
-    if len(index) == 0:
-        raise EmptyDatasetError("evaluation index is empty")
-    preds, targets = _predict_index(params, index, store)
-    store.close()
+    with closing(GranuleStore(manifest)) as store:
+        index = build_index(manifest, params.config.patch_size)
+        if len(index) == 0:
+            raise EmptyDatasetError("evaluation index is empty")
+        preds, targets = _predict_index(params, index, store)
     return compute_metrics(preds, targets, alpha)

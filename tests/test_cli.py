@@ -311,6 +311,21 @@ class TestTrainCli:
         assert captured.err.startswith("error: filters") and captured.err.count("\n") == 1
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--filters", "4,4,")])
+    def test_bad_value_is_one_line_diagnostic_naming_the_flag(self, tmp_path, capsys,
+                                                               flag, value):
+        train_manifest = synth(tmp_path / "train", seed=1, count=1, nan_fraction=0)
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--manifest-train", train_manifest,
+                   "--manifest-val", train_manifest, "--out", run_dir,
+                   f"{flag}={value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
+        assert value in captured.err
+        assert not run_dir.exists()
+
 
 class TestBenchCli:
     def test_sampling_report_json(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from dustpipe.errors import (
     TruncatedFileError,
 )
 from dustpipe.model3d import (
+    ForwardTrace,
     ModelConfig,
     ModelParams,
     backward,
@@ -123,9 +124,9 @@ class TestForward:
         params.tensors["fc.weight"][:] = 0
         params.tensors["fc.bias"][:] = 0
         x = np.zeros((3, 1, 38, 5, 5), dtype=np.float32)
-        for mode in ("train", "eval"):
-            preds, _ = forward(params, x, mode=mode, update_running_stats=False)
-            assert np.array_equal(preds, np.full(3, 0.5, dtype=np.float32))
+        preds, _ = forward(params, x, mode="train", update_running_stats=False)
+        assert np.array_equal(preds, np.full(3, 0.5, dtype=np.float32))
+        assert np.array_equal(predict(params, x[:, 0]), np.full(3, 0.5, dtype=np.float32))
 
     def test_shape_ledger_matches_independent_calculator(self):
         assert shape_ledger(ModelConfig()) == expected_shapes(ModelConfig())
@@ -155,8 +156,8 @@ class TestForward:
         params = init_params(11)
         x = np.random.default_rng(1).uniform(0, 1, (4, 1, 38, 5, 5)).astype(np.float32)
         before = {k: v.copy() for k, v in params.tensors.items()}
-        p1, _ = forward(params, x, mode="eval")
-        p2, _ = forward(params, x, mode="eval")
+        p1 = predict(params, x[:, 0])
+        p2 = predict(params, x[:, 0])
         assert np.array_equal(p1, p2)
         for k in before:
             assert np.array_equal(before[k], params.tensors[k])
@@ -342,9 +343,10 @@ class TestBackward:
 
     def test_backward_requires_caches(self):
         params, x, y = self._setup()
-        preds, trace = forward(params, x, mode="eval")
+        with pytest.raises(ValueError, match="predict"):
+            forward(params, x, mode="eval")
         with pytest.raises(ValueError):
-            backward(params, trace, np.zeros_like(preds))
+            backward(params, ForwardTrace(), np.zeros(len(x)))
 
     def test_upstream_shape_mismatch_rejected(self):
         params, x, _ = self._setup()
@@ -485,7 +487,7 @@ class TestPredictPaths:
         patches = rng.uniform(0, 1, size=(6, 38, 5, 5)).astype(np.float32)
         via_predict = predict(params, patches)
         for i in range(6):
-            one, _ = forward(params, patches[i:i + 1, None], mode="eval")
+            one = predict(params, patches[i:i + 1])
             assert via_predict[i] == one[0]
 
 
@@ -530,8 +532,6 @@ class TestBatchInvariance:
         lone = np.concatenate([predict(params, patches[i:i + 1]) for i in range(n)]).tobytes()
 
         assert predict(params, patches).tobytes() == lone
-        whole, _ = forward(params, patches[:, None], mode="eval")
-        assert whole.tobytes() == lone
         splits = [np.arange(size, n, size) for size in (2, 3, 7, 8, 9, 64)]
         splits += [np.sort(rng.choice(np.arange(1, n), rng.integers(1, 8), replace=False))
                    for _ in range(6)]
@@ -572,8 +572,6 @@ class TestEvalPlan:
         x = np.random.default_rng(patch_size).uniform(
             0, 1, (11, 1, config.in_depth, patch_size, patch_size))
         want = full_extent_eval(params, x)
-        got, _ = forward(params, x, mode="eval")
-        assert np.abs(got - want).max() <= 1e-12
         assert np.abs(predict(params, x[:, 0]) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
@@ -591,8 +589,6 @@ class TestEvalPlan:
         x = np.random.default_rng(patch_size).uniform(
             0, 1, (11, 1, config.in_depth, patch_size, patch_size))
         want = full_extent_eval(params, x)
-        got, _ = forward(params, x, mode="eval")
-        assert np.abs(got - want).max() <= 1e-12
         assert np.abs(predict(params, x[:, 0]) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
@@ -802,11 +798,11 @@ class TestCheckpoints:
     def test_eval_after_roundtrip_identical(self, tmp_path):
         params = init_params(31, TINY)
         x = np.random.default_rng(4).uniform(0, 1, (5, 1, 6, 3, 3)).astype(np.float32)
-        want, _ = forward(params, x, mode="eval")
+        want = predict(params, x[:, 0])
         path = tmp_path / "m.dck"
         save_checkpoint(path, params)
         loaded, _ = load_checkpoint(path)
-        got, _ = forward(loaded, x, mode="eval")
+        got = predict(loaded, x[:, 0])
         assert np.array_equal(want, got)
 
 

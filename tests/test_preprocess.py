@@ -85,13 +85,6 @@ class TestImputeGranule:
                              PreprocessConfig(rng_seed=5)).data[0]
         assert np.array_equal(out[:, 2], np.full(11, expected_mean))
 
-    def test_zero_fallback_policy(self):
-        band = np.ones((11, 3), dtype=np.float32)
-        band[:, 1] = np.nan
-        cfg = PreprocessConfig(rng_seed=5, fallback="zero")
-        out = impute_granule(Granule(band[None]), cfg).data[0]
-        assert (out[:, 1] == 0.0).all()
-
     def test_all_nan_band_becomes_zero(self):
         g = band_granule([[np.nan, np.nan], [np.nan, np.nan]])
         out = impute_granule(g, PreprocessConfig(rng_seed=2)).data
@@ -121,8 +114,6 @@ class TestImputeGranule:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             PreprocessConfig(impute_window=0)
-        with pytest.raises(ValueError):
-            PreprocessConfig(fallback="nearest")
 
 
 class TestPipeline:
@@ -245,14 +236,11 @@ def reference_impute_granule(source, cfg, folder_index):
     data[nan_mask] = fill[nan_mask]
     orphan = nan_mask & ~np.isfinite(lo)
     if orphan.any():
-        if cfg.fallback == "band-mean":
-            snapshot = np.where(nan_mask, np.nan, source)
-            with np.errstate(invalid="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                band_mean = np.nanmean(snapshot, axis=(1, 2))
-            band_mean = np.nan_to_num(band_mean, nan=0.0).astype(np.float32)
-        else:
-            band_mean = np.zeros(data.shape[0], dtype=np.float32)
+        snapshot = np.where(nan_mask, np.nan, source)
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            band_mean = np.nanmean(snapshot, axis=(1, 2))
+        band_mean = np.nan_to_num(band_mean, nan=0.0).astype(np.float32)
         data[orphan] = np.broadcast_to(band_mean[:, None, None], data.shape)[orphan]
     return data
 
@@ -290,14 +278,13 @@ class TestWholeVolumeOracle:
                                        (5, 40, 33), (38, 64, 48)])
     def test_bitwise_equal_to_reference(self, shape, frac, slab_bytes, monkeypatch):
         monkeypatch.setattr(preprocess, "SLAB_BYTES", slab_bytes)
-        for special, order, window, fallback in itertools.product(
-                (False, True), ("C", "F"), (1, 5), ("band-mean", "zero")):
+        for special, order, window in itertools.product((False, True), ("C", "F"), (1, 5)):
             if special and shape[0] < 3:
                 continue
             seed = 97 * shape[0] + shape[1] + int(frac * 100)
             g = oracle_case(shape, frac, seed, special, order)
-            cfg = PreprocessConfig(impute_window=window, rng_seed=seed % 7, fallback=fallback)
-            case = f"special={special} order={order} window={window} fallback={fallback}"
+            cfg = PreprocessConfig(impute_window=window, rng_seed=seed % 7)
+            case = f"special={special} order={order} window={window}"
 
             normalized = normalize_bands(g).data
             expected = reference_normalize_bands(g.data)

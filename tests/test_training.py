@@ -167,6 +167,16 @@ class TestComputeMetrics:
             assert abs(rep.mean_label - ybar) < 1e-12
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("weight_decay", math.nan),
+        ("plateau_patience", 0), ("plateau_patience", -3),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TrainConfig(**{field: value})
+
+
 class TestAdam:
     def _params(self):
         return init_params(0, TINY_MODEL)
@@ -383,6 +393,24 @@ class TestTrainLoop:
             train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
                                         batch_size=32, seed=0))
+
+    def test_non_finite_validation_loss_aborts_before_checkpoints(self, tmp_path, monkeypatch):
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=9)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=10)
+        monkeypatch.setattr(training_mod, "predict",
+                            lambda params, x: np.full(len(x), np.nan, dtype=params.dtype))
+        closed = []
+        real_close = training_mod.GranuleStore.close
+        monkeypatch.setattr(training_mod.GranuleStore, "close",
+                            lambda store: (closed.append(store), real_close(store)))
+        with pytest.raises(TrainingDivergedError,
+                           match="validation loss at pass 1, partition 1, sub-epoch 1"):
+            train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+                  train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
+                                        batch_size=32, seed=0))
+        assert not (tmp_path / "run" / "best.dck").exists()
+        assert not (tmp_path / "run" / "final.dck").exists()
+        assert len(closed) == 2
 
     def test_empty_training_index_rejected(self, tmp_path):
         labels = np.full((10, 10), np.nan, dtype=np.float32)
