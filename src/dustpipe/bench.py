@@ -125,7 +125,11 @@ def _run_probe(manifest_path: str | Path, mode: str, batch_size: int,
         "--batch", str(batch_size), "--patch-size", str(patch_size),
         "--seed", str(seed),
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # the child finds this package whether or not it is installed
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise DustpipeError(
             f"memory probe ({mode}) failed: {proc.stderr.strip().splitlines()[-1:]}"

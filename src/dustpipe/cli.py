@@ -45,8 +45,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _config(cls, flags: dict[str, str], args):
+    """``cls`` built from the flags that set its fields (field -> flag dest);
+    a rejected value's error names its flag."""
+    try:
+        return cls(**{f: getattr(args, dest) for f, dest in flags.items()})
+    except ValueError as e:
+        field = str(e).split()[0]  # the configs' messages start with the field
+        raise ValueError(f"--{flags.get(field, field).replace('_', '-')}: {e}") from None
+
+
 def _cmd_preprocess(args) -> int:
-    cfg = PreprocessConfig(impute_window=args.window, rng_seed=args.seed)
+    cfg = _config(PreprocessConfig, {"impute_window": "window", "rng_seed": "seed"}, args)
     out = preprocess_dataset(DatasetManifest.load(args.manifest), args.out, cfg)
     print(f"preprocessed {len(out)} granules into {Path(args.out)}")
     return 0
@@ -72,11 +82,7 @@ def _cmd_train(args) -> int:
     except ValueError:
         raise ValueError(f"--filters must be comma-separated integers, "
                          f"got {args.filters!r}") from None
-    try:
-        train_cfg = TrainConfig(**{f: getattr(args, dest) for f, dest in _TRAIN_FLAGS.items()})
-    except ValueError as e:
-        field = str(e).split()[0]  # TrainConfig's messages start with the field
-        raise ValueError(f"--{_TRAIN_FLAGS.get(field, field).replace('_', '-')}: {e}") from None
+    train_cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
     manifest_train = DatasetManifest.load(args.manifest_train)
     manifest_val = DatasetManifest.load(args.manifest_val)
     # mapped, so only the header is read
@@ -112,7 +118,8 @@ def _cmd_infer(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     granule = read_granule(args.granule, use_mmap=True)
     if args.preprocess:
-        granule = preprocess_pipeline(granule, PreprocessConfig(rng_seed=args.seed))
+        cfg = _config(PreprocessConfig, {"rng_seed": "seed"}, args)
+        granule = preprocess_pipeline(granule, cfg)
     dmap = infer_scene(params, granule)
     write_map(dmap, args.out)
     print(f"detection map written to {args.out}")

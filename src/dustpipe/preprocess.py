@@ -3,8 +3,11 @@
 The pipeline normalizes first (so imputation draws live in [0, 1]) and then
 fills every NaN from the pre-imputation band: a uniform draw between the
 finite min and max within ``impute_window`` rows in the same column and band.
-Both steps run over slabs of consecutive bands on the output copy.  Draws
-come from one generator per granule in band order, as one (C, H, W) draw.
+Those window extrema come from a sparse table: log2 of the window's height
+passes of ``np.minimum`` / ``np.maximum`` over row-shifted views that are
+contiguous within each band.  Both steps run over slabs of consecutive bands
+on the output copy.  Draws come from one generator per granule in band order,
+as one (C, H, W) draw.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import FormatError
 from .granule_io import (DatasetManifest, Granule, ManifestEntry, normalize_planes,
@@ -32,6 +34,8 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.impute_window < 1:
             raise ValueError("impute_window must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 SLAB_BYTES = 1 << 20
@@ -62,6 +66,35 @@ def normalize_bands(granule: Granule) -> Granule:
     return Granule(out)
 
 
+def _column_window(op, pad, slab: np.ndarray, holes: np.ndarray, w: int) -> np.ndarray:
+    """``op`` (``np.minimum`` or ``np.maximum``) over rows y-w..y+w of every
+    column of every band, with holes and rows off the image reading ``pad``.
+
+    A sparse table (Bender & Farach-Colton 2000): after k passes, row i of the
+    padded buffer holds ``op`` over rows i..i+2^k-1, and two overlapping
+    blocks of the largest such span cover the 2w+1 rows.  Each pass is one
+    ufunc call over row-shifted views that are contiguous within a band, so
+    the work is about log2(2w+1) sweeps of the slab.  Min and max are exact,
+    so the result equals a direct window scan.
+    """
+    bands, h, width = slab.shape
+    w = min(w, h - 1)  # a taller window already spans the whole column
+    span = 2 * w + 1
+    a = np.empty((bands, h + 2 * w, width), dtype=slab.dtype)
+    a[:, :w] = pad
+    a[:, w + h:] = pad
+    np.copyto(a[:, w:w + h], slab)
+    a[:, w:w + h][holes] = pad
+    b = np.empty_like(a)
+    rows, s = h + 2 * w, 1  # rows of a that hold a full block of s
+    while 2 * s <= span:
+        op(a[:, :rows - s], a[:, s:rows], out=b[:, :rows - s])
+        a, b = b, a
+        rows -= s
+        s *= 2
+    return op(a[:, :h], a[:, span - s:span - s + h])
+
+
 def impute_granule(granule: Granule, cfg: PreprocessConfig,
                    folder_index: int = 0) -> Granule:
     """Replace every NaN with a uniform draw from its column window.
@@ -72,9 +105,13 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     neighbor fall back to the band mean; a band with no finite value at all
     becomes zero.  The draw for a position is a pure function of
     (rng_seed, folder_index, granule shape, c, y, x).
+
+    m and M come from ``_column_window``: log-doubling passes of
+    ``np.minimum`` / ``np.maximum`` over row-shifted, band-contiguous views
+    of the padded slab, in place of a sliding filter that walks each column
+    at the row stride.
     """
     data = granule.data.copy()
-    size = 2 * cfg.impute_window + 1
     rng = np.random.default_rng((int(cfg.rng_seed), int(folder_index)))
     for _, slab in _slabs(data):
         holes = ~np.isfinite(slab)
@@ -83,10 +120,8 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
             rng.bit_generator.advance(slab.size)
             continue
         draws = rng.random(slab.shape)
-        lo = minimum_filter1d(np.where(holes, np.float32(np.inf), slab),
-                              size=size, axis=1, mode="constant", cval=np.inf)[holes]
-        hi = maximum_filter1d(np.where(holes, np.float32(-np.inf), slab),
-                              size=size, axis=1, mode="constant", cval=-np.inf)[holes]
+        lo = _column_window(np.minimum, np.inf, slab, holes, cfg.impute_window)[holes]
+        hi = _column_window(np.maximum, -np.inf, slab, holes, cfg.impute_window)[holes]
         with np.errstate(invalid="ignore"):
             # inf arithmetic at no-neighbor positions is replaced below
             fill = (lo.astype(np.float64) + draws[holes] * (hi - lo).astype(np.float64))

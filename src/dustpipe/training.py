@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.plateau_patience < 1:
             raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("batch_size", "passes", "partitions", "sub_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -341,7 +343,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                                               train_cfg.batch_size):
                         if batch_hook is not None:
                             batch_hook(pass_num, part_idx, sub_epoch, batch)
-                        preds, trace = forward(params, batch.inputs[:, None], mode="train")
+                        # a diverging model overflows; the loss check below names it
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            preds, trace = forward(params, batch.inputs[:, None], mode="train")
                         loss, dpreds = wmse_loss(preds, batch.targets, loss_cfg)
                         if not math.isfinite(loss):
                             raise TrainingDivergedError(f"non-finite training loss at {at}")
@@ -352,7 +356,8 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                     train_wmse = (wmse_loss(np.concatenate(seen_preds),
                                             np.concatenate(seen_targets), loss_cfg)[0]
                                   if seen_preds else math.nan)
-                    val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg)
                     if not math.isfinite(val_wmse):
                         raise TrainingDivergedError(f"non-finite validation loss at {at}")
                     lr = sched.step(val_wmse)

@@ -8,6 +8,7 @@ import pytest
 
 from dustpipe.bench import (
     SamplingBenchReport,
+    bench_memory,
     bench_sampling,
     dataset_checksums,
 )
@@ -62,6 +63,20 @@ class TestSamplingBench:
     def test_nonpositive_duration_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             bench_sampling(small_dataset, batch_size=8, duration_seconds=0.0)
+
+
+class TestMemoryBench:
+    def test_probe_finds_the_package_without_pythonpath(self, tmp_path, monkeypatch):
+        # the probe runs in fresh interpreters, which see only the environment
+        cfg = SyntheticConfig(nan_fraction=0.0, label_density=0.3)
+        for name, count in (("small", 1), ("large", 4)):
+            generate_synthetic_dataset(tmp_path / name, seed=5, count=count, height=16,
+                                       width=16, channels=4, config=cfg)
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        report = bench_memory(tmp_path / "small" / "manifest.json",
+                              tmp_path / "large" / "manifest.json", batch_size=8)
+        assert report.files_unchanged
+        assert report.partial or report.mmap_peak_small_bytes > 0
 
 
 class TestChecksums:

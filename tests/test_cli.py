@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +131,16 @@ class TestPreprocess:
     def test_out_dir_holding_the_inputs_refused(self, tmp_path, capsys):
         manifest = synth(tmp_path / "raw")
         self.assert_refused_untouched(manifest, tmp_path / "raw", tmp_path, capsys)
+
+    def test_negative_seed_is_one_line_diagnostic_naming_the_flag(self, tmp_path, capsys):
+        manifest = synth(tmp_path / "raw")
+        capsys.readouterr()
+        assert run("preprocess", "--manifest", manifest,
+                   "--out", tmp_path / "proc", "--seed", -1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed") and captured.err.count("\n") == 1
+        assert not (tmp_path / "proc").exists()
 
 
 class TestIndexBuild:
@@ -311,7 +324,8 @@ class TestTrainCli:
         assert captured.err.startswith("error: filters") and captured.err.count("\n") == 1
         assert not run_dir.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--filters", "4,4,")])
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--filters", "4,4,"),
+                                             ("--seed", "-5")])
     def test_bad_value_is_one_line_diagnostic_naming_the_flag(self, tmp_path, capsys,
                                                                flag, value):
         train_manifest = synth(tmp_path / "train", seed=1, count=1, nan_fraction=0)
@@ -325,6 +339,24 @@ class TestTrainCli:
         assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
         assert value in captured.err
         assert not run_dir.exists()
+
+    def test_divergence_is_one_stderr_line(self, tmp_path, capsys):
+        # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        manifest = synth(tmp_path / "raw", count=2, height=12, width=12, nan_fraction=0)
+        capsys.readouterr()
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dustpipe.cli", "train", "--manifest-train", str(manifest),
+             "--manifest-val", str(manifest), "--out", str(tmp_path / "run"),
+             "--filters", "2,2,2", "--passes", "1", "--partitions", "1",
+             "--sub-epochs", "1", "--lr", "1e38"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: non-finite"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "run" / "best.dck").exists()
 
 
 class TestBenchCli:

@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -114,6 +115,21 @@ class TestImputeGranule:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             PreprocessConfig(impute_window=0)
+
+    def test_window_taller_than_the_image_pads_nothing(self):
+        # rows beyond a column add nothing to a window that already spans it
+        g = oracle_case((3, 11, 6), 0.3, 5, False, "C")
+        tracemalloc.start()
+        got = impute_granule(g, PreprocessConfig(impute_window=10**6, rng_seed=1)).data
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        want = impute_granule(g, PreprocessConfig(impute_window=10, rng_seed=1)).data
+        assert got.tobytes() == want.tobytes()
+        assert peak < 1 << 20
+
+    def test_negative_seed_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match="^rng_seed "):
+            PreprocessConfig(rng_seed=-1)
 
 
 class TestPipeline:
@@ -278,7 +294,8 @@ class TestWholeVolumeOracle:
                                        (5, 40, 33), (38, 64, 48)])
     def test_bitwise_equal_to_reference(self, shape, frac, slab_bytes, monkeypatch):
         monkeypatch.setattr(preprocess, "SLAB_BYTES", slab_bytes)
-        for special, order, window in itertools.product((False, True), ("C", "F"), (1, 5)):
+        for special, order, window in itertools.product((False, True), ("C", "F"),
+                                                        (1, 2, 5, 20)):
             if special and shape[0] < 3:
                 continue
             seed = 97 * shape[0] + shape[1] + int(frac * 100)

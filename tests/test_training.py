@@ -170,7 +170,7 @@ class TestComputeMetrics:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("weight_decay", math.nan),
-        ("plateau_patience", 0), ("plateau_patience", -3),
+        ("plateau_patience", 0), ("plateau_patience", -3), ("seed", -5),
     ])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
