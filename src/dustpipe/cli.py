@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .errors import DustpipeError
@@ -27,36 +27,62 @@ from .preprocess import PreprocessConfig, preprocess_dataset, preprocess_pipelin
 from .training import LossConfig, TrainConfig, evaluate, train
 
 
+# each config field -> the dest of the flag that sets it; every flag defaults
+# to its field's default (ModelConfig.in_depth comes from the data)
+_FLAGS = {
+    SyntheticConfig: {f.name: f.name for f in fields(SyntheticConfig)},
+    PreprocessConfig: {"impute_window": "window", "rng_seed": "seed"},
+    TrainConfig: {"learning_rate": "lr", "weight_decay": "wd", "plateau_patience": "patience",
+                  "passes": "passes", "partitions": "partitions", "sub_epochs": "sub_epochs",
+                  "batch_size": "batch", "seed": "seed"},
+    LossConfig: {"alpha": "alpha"},
+    ModelConfig: {"filters": "filters", "patch_size": "patch_size"},
+}
+
+
+def _add_flags(parser, cls, *names) -> None:
+    """Add the flags that set ``cls``'s fields ``names`` (default: all in
+    ``_FLAGS``), typed and defaulted by the class's defaults."""
+    defaults = cls()
+    for name in names or _FLAGS[cls]:
+        value = getattr(defaults, name)
+        parser.add_argument("--" + _FLAGS[cls][name].replace("_", "-"), default=value,
+                            type=str if isinstance(value, tuple) else type(value))
+
+
+def _config(cls, args):
+    """``cls`` built from the flags of ``args`` that set its fields; a
+    rejected value's error names its flag."""
+    flags = {f: dest for f, dest in _FLAGS[cls].items() if hasattr(args, dest)}
+    values = {}
+    for field, dest in flags.items():
+        value = getattr(args, dest)
+        if isinstance(value, str):  # a tuple field's flag, given as text
+            try:
+                value = tuple(int(v) for v in value.split(","))
+            except ValueError:
+                raise ValueError(f"--{dest} must be comma-separated integers, "
+                                 f"got {value!r}") from None
+        values[field] = value
+    try:
+        return cls(**values)
+    except ValueError as e:
+        field = str(e).split()[0]  # the configs' messages start with the field
+        raise ValueError(f"--{flags.get(field, field).replace('_', '-')}: {e}") from None
+
+
 def _cmd_synth(args) -> int:
-    cfg = SyntheticConfig(
-        min_plumes=args.min_plumes,
-        max_plumes=args.max_plumes,
-        amplitude=args.amplitude,
-        noise_sigma=args.noise_sigma,
-        nan_fraction=args.nan_fraction,
-        label_density=args.label_density,
-    )
     manifest = generate_synthetic_dataset(
         args.out, seed=args.seed, count=args.count, height=args.height,
-        width=args.width, channels=args.channels, config=cfg,
+        width=args.width, channels=args.channels, config=_config(SyntheticConfig, args),
         patch_size=args.patch_size,
     )
     print(f"wrote {len(manifest)} granule/label pairs under {args.out}")
     return 0
 
 
-def _config(cls, flags: dict[str, str], args):
-    """``cls`` built from the flags that set its fields (field -> flag dest);
-    a rejected value's error names its flag."""
-    try:
-        return cls(**{f: getattr(args, dest) for f, dest in flags.items()})
-    except ValueError as e:
-        field = str(e).split()[0]  # the configs' messages start with the field
-        raise ValueError(f"--{flags.get(field, field).replace('_', '-')}: {e}") from None
-
-
 def _cmd_preprocess(args) -> int:
-    cfg = _config(PreprocessConfig, {"impute_window": "window", "rng_seed": "seed"}, args)
+    cfg = _config(PreprocessConfig, args)
     out = preprocess_dataset(DatasetManifest.load(args.manifest), args.out, cfg)
     print(f"preprocessed {len(out)} granules into {Path(args.out)}")
     return 0
@@ -70,28 +96,16 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-# TrainConfig field -> the train flag that sets it
-_TRAIN_FLAGS = {"learning_rate": "lr", "weight_decay": "wd", "plateau_patience": "patience",
-                "passes": "passes", "partitions": "partitions", "sub_epochs": "sub_epochs",
-                "batch_size": "batch", "seed": "seed"}
-
-
 def _cmd_train(args) -> int:
-    try:
-        filters = tuple(int(v) for v in args.filters.split(","))
-    except ValueError:
-        raise ValueError(f"--filters must be comma-separated integers, "
-                         f"got {args.filters!r}") from None
-    train_cfg = _config(TrainConfig, _TRAIN_FLAGS, args)
+    train_cfg, loss_cfg = _config(TrainConfig, args), _config(LossConfig, args)
+    model_cfg = _config(ModelConfig, args)
     manifest_train = DatasetManifest.load(args.manifest_train)
     manifest_val = DatasetManifest.load(args.manifest_val)
     # mapped, so only the header is read
     channels = read_granule(manifest_train.entries[0].granule, use_mmap=True).channels
-    model_cfg = ModelConfig(filters=filters, in_depth=channels,
-                            patch_size=args.patch_size)
     result = train(manifest_train, manifest_val, args.out,
-                   model_config=model_cfg, train_cfg=train_cfg,
-                   loss_cfg=LossConfig(alpha=args.alpha))
+                   model_config=replace(model_cfg, in_depth=channels),
+                   train_cfg=train_cfg, loss_cfg=loss_cfg)
     print(f"final checkpoint: {result.final_checkpoint}")
     print(f"best checkpoint:  {result.best_checkpoint} "
           f"(val wmse {result.best_val_wmse:.6g})")
@@ -110,15 +124,16 @@ def _report(report, path: str | None) -> int:
 
 
 def _cmd_eval(args) -> int:
+    alpha = _config(LossConfig, args).alpha
     manifest = DatasetManifest.load(args.manifest_test)
-    return _report(evaluate(args.ckpt, manifest, alpha=args.alpha), args.report)
+    return _report(evaluate(args.ckpt, manifest, alpha=alpha), args.report)
 
 
 def _cmd_infer(args) -> int:
+    cfg = _config(PreprocessConfig, args)
     params, _ = load_checkpoint(args.ckpt)
     granule = read_granule(args.granule, use_mmap=True)
     if args.preprocess:
-        cfg = _config(PreprocessConfig, {"rng_seed": "seed"}, args)
         granule = preprocess_pipeline(granule, cfg)
     dmap = infer_scene(params, granule)
     write_map(dmap, args.out)
@@ -162,28 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--channels", type=int, default=38)
-    p.add_argument("--patch-size", type=int, default=5)
-    p.add_argument("--nan-fraction", type=float, default=0.05)
-    p.add_argument("--min-plumes", type=int, default=0)
-    p.add_argument("--max-plumes", type=int, default=3)
-    p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--label-density", type=float, default=1.0)
+    p.add_argument("--channels", type=int, default=ModelConfig.in_depth)
+    p.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
+    _add_flags(p, SyntheticConfig)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("preprocess", help="normalize and impute a dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=5)
+    _add_flags(p, PreprocessConfig)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("index", help="patch-center index operations")
     isub = p.add_subparsers(dest="index_command", required=True)
     pb = isub.add_parser("build", help="build and write an index")
     pb.add_argument("--manifest", required=True)
-    pb.add_argument("--patch-size", type=int, default=5)
+    pb.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_index_build)
 
@@ -191,24 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest-train", required=True)
     p.add_argument("--manifest-val", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--passes", type=int, default=3)
-    p.add_argument("--partitions", type=int, default=5)
-    p.add_argument("--sub-epochs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--wd", type=float, default=1e-6)
-    p.add_argument("--patience", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patch-size", type=int, default=5)
-    p.add_argument("--filters", default="32,64,128")
+    for cls in (TrainConfig, LossConfig, ModelConfig):
+        _add_flags(p, cls)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a test manifest")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest-test", required=True)
     p.add_argument("--report")
-    p.add_argument("--alpha", type=float, default=1.0)
+    _add_flags(p, LossConfig)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("infer", help="full-scene detection map")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgm")
     p.add_argument("--preprocess", action="store_true",
                    help="normalize and impute the granule before inference")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, PreprocessConfig, "rng_seed")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("bench", help="performance benchmarks")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--small", required=True)
     pm.add_argument("--large", required=True)
     pm.add_argument("--batch", type=int, default=256)
-    pm.add_argument("--patch-size", type=int, default=5)
+    pm.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--report")
     pm.set_defaults(func=_cmd_bench_memory)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--batch", type=int, default=256)
     ps.add_argument("--seconds", type=float, default=10.0)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--patch-size", type=int, default=5)
+    ps.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
     ps.add_argument("--report")
     ps.set_defaults(func=_cmd_bench_sampling)
 

@@ -52,7 +52,7 @@ class DetectionMap:
 
 
 def infer_scene(params: ModelParams, granule: Granule,
-                batch_size: int = 256) -> DetectionMap:
+                batch_size: int = EVAL_TILE) -> DetectionMap:
     """Slide the model over every interior pixel of a preprocessed granule.
 
     The granule must be finite in [0, 1] with the channel count the

@@ -80,6 +80,7 @@ from scipy.special import expit
 
 from .errors import FormatError, ShapeMismatchError
 from .granule_io import Records, read_header, write_container
+from .patch_index import require_odd
 
 CHECKPOINT_MAGIC = b"DCK1"
 # architecture fields stored as ``meta.<field>`` tensors; all but filters are scalars
@@ -102,8 +103,7 @@ class ModelConfig:
     patch_size: int = 5
 
     def __post_init__(self):
-        # patch_size is not checked here: a config may name an even patch,
-        # which the readers of patches and checkpoints reject themselves
+        require_odd(self.patch_size)
         if len(self.filters) != 3 or any(f < 1 for f in self.filters):
             raise ValueError(f"filters must be three counts >= 1, got {self.filters}")
         if self.in_depth < 1:
@@ -484,13 +484,9 @@ def _block_one_layout(size: int):
     win = min(POOL, size)
     keep = size // win * win
     # a row's class: is it the first row (it drops the kh = 0 taps), is it
-    # the last (it drops the kh = 2 taps)
-    runs = []
-    for r in range(keep):
-        if runs and r not in (1, size - 1):
-            runs[-1] = (runs[-1][0], r)
-        else:
-            runs.append((r, r))
+    # the last (it drops the kh = 2 taps); an odd patch keeps no last row
+    # but at P = 1, so its rows fall into at most two runs
+    runs = ((0, 0), (1, keep - 1)) if keep > 1 else ((0, 0),)
     k = np.arange(KERNEL)
     taps = [(k >= (first == 0)) & (k < KERNEL - (last == size - 1)) for first, last in runs]
     mask = np.stack([np.broadcast_to(kh[:, None] & kw, (KERNEL,) * 3).ravel()
@@ -502,7 +498,7 @@ def _block_one_layout(size: int):
               for r in range(win * i, win * i + win) for c in range(win * j, win * j + win))
         for i in range(out) for j in range(out))
     mask.setflags(write=False)
-    return tuple(runs), mask, windows, out
+    return runs, mask, windows, out
 
 
 def eval_plan(params: ModelParams) -> EvalPlan:
@@ -834,11 +830,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
     counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
     if (any(len(meta[k]) != 1 for k in _META[1:])
             or not all(v.is_integer() for v in counts)
-            or not (meta["patch_size"][0] >= 1 and meta["patch_size"][0] % 2 == 1)
             or meta["bn_eps"] != [np.float32(BN_EPS)]
             or meta["bn_momentum"] != [np.float32(BN_MOMENTUM)]):
         raise FormatError(f"{path}: architecture metadata {meta} must have integer "
-                          "filters and in_depth, an odd patch_size >= 1, and bn_eps "
+                          "filters, in_depth and patch_size, and bn_eps "
                           f"{BN_EPS:g} and bn_momentum {BN_MOMENTUM:g} as float32")
     try:
         config = ModelConfig(

@@ -72,17 +72,17 @@ class PatchBatch:
     triplets: np.ndarray  # (B, 3) int64
 
 
-def _require_odd(patch_size: int) -> None:
+def require_odd(patch_size: int) -> None:  # the one patch-size rule
     if patch_size < 1 or patch_size % 2 == 0:
         raise ValueError(
-            f"patch size must be odd and >= 1 (center pixel undefined otherwise), got {patch_size}"
+            f"patch_size must be odd and >= 1 (center pixel undefined otherwise), got {patch_size}"
         )
 
 
 def patch_windows(data: np.ndarray, patch_size: int) -> np.ndarray:
     """Read-only (H-P+1, W-P+1, C, P, P) view of a (C, H, W) volume's full
     windows; element [y - h, x - h] is the patch centered on (y, x)."""
-    _require_odd(patch_size)
+    require_odd(patch_size)
     c, height, width = data.shape
     sc, sy, sx = data.strides
     return as_strided(data, shape=(height - patch_size + 1, width - patch_size + 1,
@@ -101,7 +101,7 @@ def valid_centers(label_values: np.ndarray, patch_size: int) -> np.ndarray:
 
     Returned in row-major order, which is sorted by (y, x).
     """
-    _require_odd(patch_size)
+    require_odd(patch_size)
     h = patch_size // 2
     height, width = label_values.shape
     return np.argwhere(np.isfinite(label_values[h:height - h, h:width - h])) + h
@@ -109,7 +109,7 @@ def valid_centers(label_values: np.ndarray, patch_size: int) -> np.ndarray:
 
 def _triplets(label_maps: Iterable[np.ndarray], patch_size: int) -> np.ndarray:
     """(f, y, x) of every valid center of every map, sorted by (f, y, x)."""
-    _require_odd(patch_size)
+    require_odd(patch_size)
     rows = [np.insert(valid_centers(labels, patch_size), 0, f, axis=1)
             for f, labels in enumerate(label_maps)]
     return np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int64)
@@ -156,7 +156,7 @@ def validate_index(index: PatchIndex, manifest: DatasetManifest,
 
 
 def write_index(index: PatchIndex, path: str | Path) -> None:
-    _require_odd(index.patch_size)
+    require_odd(index.patch_size)
     t = np.ascontiguousarray(index.triplets, dtype=np.int64)
     if len(t) and (t.min() < 0 or t.max() > 2**32 - 1):
         raise FormatError("triplet fields do not fit in u32")
@@ -166,8 +166,10 @@ def write_index(index: PatchIndex, path: str | Path) -> None:
 def read_index(path: str | Path) -> PatchIndex:
     with open(path, "rb") as f:
         patch_size, count = read_header(f, path, INDEX_MAGIC, "<IQ")
-        if patch_size % 2 == 0:
-            raise FormatError(f"{path}: patch size must be odd and >= 1, got {patch_size}")
+        try:
+            require_odd(patch_size)
+        except ValueError as e:
+            raise FormatError(f"{path}: {e}") from None
         check_size(f, path, 12 * count)
         data = np.fromfile(f, dtype="<u4", count=3 * count)
     return PatchIndex(data.astype(np.int64).reshape(-1, 3), patch_size)

@@ -33,7 +33,7 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if self.impute_window < 1:
-            raise ValueError("impute_window must be >= 1")
+            raise ValueError(f"impute_window must be >= 1, got {self.impute_window}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 

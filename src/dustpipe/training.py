@@ -85,7 +85,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("batch_size", "passes", "partitions", "sub_epochs"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -299,12 +299,12 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     training or validation loss raises ``TrainingDivergedError``, naming
     the pass, partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
-    every optimization step, for instrumentation.
+    every optimization step, for instrumentation.  Mismatched channel
+    counts and empty indexes are refused before ``out_dir`` is created.
     """
     train_cfg = train_cfg or TrainConfig()
     loss_cfg = loss_cfg or LossConfig()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     with (closing(GranuleStore(manifest_train)) as store_train,
           closing(GranuleStore(manifest_val)) as store_val):
@@ -316,6 +316,11 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
             raise EmptyDatasetError("training index is empty")
         if len(index_val) == 0:
             raise EmptyDatasetError("validation index is empty")
+        if not store_train.channels == store_val.channels == model_config.in_depth:
+            raise ShapeMismatchError(
+                f"channel counts differ: training manifest {store_train.channels}, validation "
+                f"manifest {store_val.channels}, model config in_depth {model_config.in_depth}")
+        out_dir.mkdir(parents=True, exist_ok=True)
 
         params = init_params(train_cfg.seed, model_config)
         state = adam_init(params)
@@ -377,13 +382,11 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     return result
 
 
-def evaluate(checkpoint: str | Path | ModelParams, manifest: DatasetManifest,
+def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
              alpha: float = 1.0) -> MetricsReport:
     """Eval-mode metrics over every valid patch center of a manifest."""
-    if isinstance(checkpoint, ModelParams):
-        params = checkpoint
-    else:
-        params, _ = load_checkpoint(checkpoint)
+    LossConfig(alpha)  # a bad alpha is refused before anything is read
+    params, _ = load_checkpoint(checkpoint)
     with closing(GranuleStore(manifest)) as store:
         index = build_index(manifest, params.config.patch_size)
         if len(index) == 0:

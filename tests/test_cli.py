@@ -13,7 +13,7 @@ import pytest
 
 from dustpipe import cli
 from dustpipe.cli import main
-from dustpipe.granule_io import DatasetManifest, read_granule, write_granule
+from dustpipe.granule_io import DatasetManifest, SyntheticConfig, read_granule, write_granule
 from dustpipe.inference import infer_scene, read_map, write_map
 from dustpipe.model3d import (
     ModelConfig,
@@ -25,6 +25,7 @@ from dustpipe.model3d import (
 )
 from dustpipe.patch_index import build_index, read_index
 from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
+from dustpipe.training import LossConfig, TrainConfig
 
 
 def run(*args) -> int:
@@ -47,6 +48,58 @@ def synth(out, seed=7, count=2, height=14, width=14, channels=6, **flags):
         args += [f"--{k.replace('_', '-')}", v]
     assert run(*args) == 0
     return Path(out) / "manifest.json"
+
+
+def required_flags(command, root):
+    """``command`` and the flags it requires; every input named does not exist."""
+    missing = root / "missing"
+    return [command, *{
+        "synth": ["--out", root / "raw", "--count", 1, "--height", 14, "--width", 14],
+        "preprocess": ["--manifest", missing, "--out", root / "proc"],
+        "train": ["--manifest-train", missing, "--manifest-val", missing, "--out", root / "run"],
+        "eval": ["--ckpt", missing, "--manifest-test", missing, "--report", root / "r.json"],
+        "infer": ["--ckpt", missing, "--granule", missing, "--out", root / "scene.dmp",
+                  "--preprocess"],
+    }[command]]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command, classes", [
+        ("synth", {SyntheticConfig}), ("preprocess", {PreprocessConfig}),
+        ("train", {TrainConfig, LossConfig, ModelConfig}), ("eval", {LossConfig}),
+        ("infer", {PreprocessConfig}),
+    ])
+    def test_required_flags_alone_build_default_configs(self, tmp_path, capsys, monkeypatch,
+                                                         command, classes):
+        built = []
+        real_config = cli._config
+
+        def spy(cls, args):
+            built.append(real_config(cls, args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_config", spy)
+        run(*required_flags(command, tmp_path))  # stops at the missing inputs, if any
+        capsys.readouterr()
+        assert {type(cfg) for cfg in built} == classes
+        for cfg in built:
+            assert cfg == type(cfg)()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--nan-fraction", "2"), ("train", "--alpha", "-1"),
+        ("train", "--patch-size", "4"), ("train", "--patch-size", "0"),
+        ("eval", "--alpha", "nan"), ("preprocess", "--window", "0"),
+        ("infer", "--seed", "-1"),
+    ])
+    def test_bad_value_refused_first_naming_its_flag(self, tmp_path, capsys,
+                                                      command, flag, value):
+        # the inputs do not exist, so the value must be refused before any is read
+        assert run(*required_flags(command, tmp_path), f"{flag}={value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
+        assert value in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -84,7 +137,7 @@ class TestSynth:
                    "--min-plumes", 3, "--max-plumes", 1) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: min_plumes") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --min-plumes") and captured.err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("amplitude", ["nan", "-0.5", "inf"])
@@ -94,7 +147,7 @@ class TestSynth:
                    "--min-plumes", 2, f"--amplitude={amplitude}") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: amplitude") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --amplitude") and captured.err.count("\n") == 1
         assert not out.exists()
 
 
@@ -243,7 +296,10 @@ class TestInferAndEval:
 
     def test_infer_rejects_even_patch_checkpoint(self, tmp_path, capsys):
         entry = DatasetManifest.load(synth(tmp_path / "raw", count=1)).entries[0]
-        ckpt = self._checkpoint(tmp_path, patch_size=4)
+        ckpt = self._checkpoint(tmp_path)
+        tensors = read_checkpoint_tensors(ckpt)
+        tensors["meta.patch_size"] = np.float32(4)  # no tensor's shape depends on it
+        write_checkpoint_tensors(ckpt, tensors)
         capsys.readouterr()
         out_map = tmp_path / "scene.dmp"
         assert run("infer", "--ckpt", ckpt, "--granule", entry.granule, "--out", out_map,
@@ -321,7 +377,7 @@ class TestTrainCli:
                    f"--filters={filters}") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: filters") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --filters") and captured.err.count("\n") == 1
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--filters", "4,4,"),
@@ -339,6 +395,27 @@ class TestTrainCli:
         assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
         assert value in captured.err
         assert not run_dir.exists()
+
+    def test_patch_larger_than_granules_refused_before_writing(self, tmp_path, capsys):
+        manifest = synth(tmp_path / "raw", count=1, height=12, width=12, nan_fraction=0)
+        capsys.readouterr()
+        assert run("train", "--manifest-train", manifest, "--manifest-val", manifest,
+                   "--out", tmp_path / "run", "--patch-size", 13) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: training index is empty\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_channel_mismatch_refused_before_writing(self, tmp_path, capsys):
+        train_manifest = synth(tmp_path / "train", count=1, channels=6, nan_fraction=0)
+        val_manifest = synth(tmp_path / "val", count=1, channels=8, nan_fraction=0)
+        capsys.readouterr()
+        assert run("train", "--manifest-train", train_manifest, "--manifest-val", val_manifest,
+                   "--out", tmp_path / "run", "--filters", "2,2,2") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: channel counts differ: training manifest 6, "
+                                       "validation manifest 8")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_divergence_is_one_stderr_line(self, tmp_path, capsys):
         # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them

@@ -110,6 +110,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(**fields)
 
+    @pytest.mark.parametrize("patch_size", [4, 0, -1, -3])
+    def test_even_or_non_positive_patch_size_rejected(self, patch_size):
+        with pytest.raises(ValueError, match="^patch_size "):
+            ModelConfig(patch_size=patch_size)
+
 
 class TestForward:
     def test_outputs_strictly_inside_unit_interval(self):

@@ -425,6 +425,19 @@ class TestTrainLoop:
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
                                         batch_size=8, seed=0))
 
+    @pytest.mark.parametrize("val_channels, in_depth", [(8, 6), (6, 8)],
+                             ids=["validation-channels", "config-in-depth"])
+    def test_channel_mismatch_refused_before_writing(self, tmp_path, val_channels, in_depth):
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, channels=val_channels, seed=6)
+        with pytest.raises(ShapeMismatchError, match="training manifest 6, validation "
+                           f"manifest {val_channels}, model config in_depth {in_depth}"):
+            train(m_train, m_val, tmp_path / "run",
+                  model_config=ModelConfig(filters=(3, 4, 5), in_depth=in_depth, patch_size=3),
+                  train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
+                                        batch_size=8, seed=0))
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvaluate:
     def test_constant_half_model_on_zero_labels_scores_zero(self, tmp_path):
@@ -455,5 +468,7 @@ class TestEvaluate:
             write_labels(LabelMap(labels), lp)
             entries.append(ManifestEntry(gp, lp))
         manifest = DatasetManifest(entries)
-        rep = evaluate(init_params(100, TINY_MODEL), manifest)
+        ckpt = tmp_path / "untrained.dck"
+        save_checkpoint(ckpt, init_params(100, TINY_MODEL))
+        rep = evaluate(ckpt, manifest)
         assert 0.4 <= rep.accuracy <= 0.6
