@@ -75,7 +75,7 @@ def _cmd_synth(args) -> int:
     manifest = generate_synthetic_dataset(
         args.out, seed=args.seed, count=args.count, height=args.height,
         width=args.width, channels=args.channels, config=_config(SyntheticConfig, args),
-        patch_size=args.patch_size,
+        patch_size=_config(ModelConfig, args).patch_size,
     )
     print(f"wrote {len(manifest)} granule/label pairs under {args.out}")
     return 0
@@ -89,8 +89,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    manifest = DatasetManifest.load(args.manifest)
-    index = build_index(manifest, args.patch_size)
+    patch_size = _config(ModelConfig, args).patch_size
+    index = build_index(DatasetManifest.load(args.manifest), patch_size)
     write_index(index, args.out)
     print(f"indexed {len(index)} patch centers -> {args.out}")
     return 0
@@ -148,7 +148,8 @@ def _cmd_bench_memory(args) -> int:
     from .bench import bench_memory
 
     return _report(bench_memory(args.small, args.large, batch_size=args.batch,
-                                patch_size=args.patch_size, seed=args.seed), args.report)
+                                patch_size=_config(ModelConfig, args).patch_size,
+                                seed=args.seed), args.report)
 
 
 def _cmd_bench_sampling(args) -> int:
@@ -156,7 +157,8 @@ def _cmd_bench_sampling(args) -> int:
 
     return _report(bench_sampling(args.manifest, batch_size=args.batch,
                                   seed=args.seed, duration_seconds=args.seconds,
-                                  patch_size=args.patch_size), args.report)
+                                  patch_size=_config(ModelConfig, args).patch_size),
+                   args.report)
 
 
 def _cmd_model_describe(args) -> int:
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--channels", type=int, default=ModelConfig.in_depth)
-    p.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
+    _add_flags(p, ModelConfig, "patch_size")
     _add_flags(p, SyntheticConfig)
     p.set_defaults(func=_cmd_synth)
 
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="index_command", required=True)
     pb = isub.add_parser("build", help="build and write an index")
     pb.add_argument("--manifest", required=True)
-    pb.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
+    _add_flags(pb, ModelConfig, "patch_size")
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_index_build)
 
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--small", required=True)
     pm.add_argument("--large", required=True)
     pm.add_argument("--batch", type=int, default=256)
-    pm.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
+    _add_flags(pm, ModelConfig, "patch_size")
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--report")
     pm.set_defaults(func=_cmd_bench_memory)
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--batch", type=int, default=256)
     ps.add_argument("--seconds", type=float, default=10.0)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--patch-size", type=int, default=ModelConfig.patch_size)
+    _add_flags(ps, ModelConfig, "patch_size")
     ps.add_argument("--report")
     ps.set_defaults(func=_cmd_bench_sampling)
 

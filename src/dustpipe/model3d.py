@@ -55,10 +55,11 @@ every position of every tile size used, for the architectures it covers.
 Training computes every position, because its batch statistics include
 them all.
 
-Everything is plain numpy so the same code runs in float32 for training and
-float64 for finite-difference verification.  Checkpoint container layout
-(little-endian, framed by ``granule_io``; every record is checked against the
-bytes left before it is read):
+Everything is plain numpy, the output sigmoid included, so the same code
+runs in float32 for training and float64 for finite-difference
+verification.  Checkpoint container layout (little-endian, framed by
+``granule_io``; every record is checked against the bytes left before it
+is read):
 
     b"DCK1" | u32 tensor count | per tensor:
         u16 name length | ASCII name | u8 rank | rank * u32 dims | f32 payload
@@ -76,7 +77,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import expit
 
 from .errors import FormatError, ShapeMismatchError
 from .granule_io import Records, read_header, write_container
@@ -437,7 +437,10 @@ def _network_input(params: ModelParams, x) -> np.ndarray:
 def _head(pooled: np.ndarray, t: dict) -> np.ndarray:
     # elementwise product and row sum rather than a matrix-vector product,
     # whose summation order the BLAS may change with the batch size
-    return expit((pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0])
+    z = (pooled * t["fc.weight"][0]).sum(axis=1) + t["fc.bias"][0]
+    # a very negative logit overflows exp to inf, and its probability to exactly 0
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-z))
 
 
 class _BlockOne(NamedTuple):
@@ -652,11 +655,9 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     a = _network_input(params, x)
     t = params.tensors
 
-    cfg = params.config
     trace = ForwardTrace()
     trace.shapes.append(("input", _sample_shape(a)))
-    n_blocks = len(cfg.filters)
-    for i in range(1, n_blocks + 1):
+    for i in (1, 2, 3):
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, conv_cache = conv3d_forward(a, fold)
         np.maximum(y, 0, out=y)
@@ -671,7 +672,7 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
         trace.caches[f"bn{i}"] = bn_cache
         trace.shapes.append((f"block{i}", _sample_shape(bn)))
         a = bn
-        if i < n_blocks:
+        if i < 3:
             a, trace.caches[f"pool{i}"] = maxpool3d_forward(a)
             trace.shapes.append((f"pool{i}", _sample_shape(a)))
 
@@ -694,7 +695,6 @@ def backward(params: ModelParams, trace: ForwardTrace,
     norm writes its input gradient into its cached buffer.  A second call
     on the same trace raises ``ValueError``.  ``params`` is not modified.
     """
-    cfg = params.config
     t = params.tensors
     caches = trace.caches
     if "sigmoid" not in caches:
@@ -715,9 +715,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
     dpooled = dz @ t["fc.weight"]
 
     da = global_avgpool_backward(dpooled, caches.pop("avgpool"))
-    n_blocks = len(cfg.filters)
-    for i in range(n_blocks, 0, -1):
-        if i < n_blocks:
+    for i in (3, 2, 1):
+        if i < 3:
             da = maxpool3d_backward(da, caches.pop(f"pool{i}"))
         da, dgamma, dbeta = batchnorm_backward(da, t[f"bn{i}.gamma"], caches.pop(f"bn{i}"))
         grads[f"bn{i}.gamma"] = dgamma

@@ -189,11 +189,14 @@ class GranuleStore:
     ``release_after_gather`` to drop each file's pages as soon as a batch
     gather leaves it; the footprint of a streaming epoch then stays bounded
     by its batch.  Label maps are always fully loaded (they are small) and
-    min-max normalized per file.
+    min-max normalized per file.  A manifest with no entries raises
+    ``EmptyDatasetError``.
     """
 
     def __init__(self, manifest: DatasetManifest, use_mmap: bool = True,
                  release_after_gather: bool = False):
+        if len(manifest) == 0:
+            raise EmptyDatasetError("manifest has no entries")
         self.release_after_gather = release_after_gather and use_mmap
         self._granules: list[np.ndarray] = []
         self._mmaps: list[mmap.mmap] = []

@@ -53,21 +53,25 @@ def synth(out, seed=7, count=2, height=14, width=14, channels=6, **flags):
 def required_flags(command, root):
     """``command`` and the flags it requires; every input named does not exist."""
     missing = root / "missing"
-    return [command, *{
+    return [*command.split(), *{
         "synth": ["--out", root / "raw", "--count", 1, "--height", 14, "--width", 14],
         "preprocess": ["--manifest", missing, "--out", root / "proc"],
         "train": ["--manifest-train", missing, "--manifest-val", missing, "--out", root / "run"],
         "eval": ["--ckpt", missing, "--manifest-test", missing, "--report", root / "r.json"],
         "infer": ["--ckpt", missing, "--granule", missing, "--out", root / "scene.dmp",
                   "--preprocess"],
+        "index build": ["--manifest", missing, "--out", root / "centers.dix"],
+        "bench memory": ["--small", missing, "--large", missing, "--report", root / "r.json"],
+        "bench sampling": ["--manifest", missing, "--report", root / "r.json"],
     }[command]]
 
 
 class TestFlagTable:
     @pytest.mark.parametrize("command, classes", [
-        ("synth", {SyntheticConfig}), ("preprocess", {PreprocessConfig}),
+        ("synth", {SyntheticConfig, ModelConfig}), ("preprocess", {PreprocessConfig}),
         ("train", {TrainConfig, LossConfig, ModelConfig}), ("eval", {LossConfig}),
-        ("infer", {PreprocessConfig}),
+        ("infer", {PreprocessConfig}), ("index build", {ModelConfig}),
+        ("bench memory", {ModelConfig}), ("bench sampling", {ModelConfig}),
     ])
     def test_required_flags_alone_build_default_configs(self, tmp_path, capsys, monkeypatch,
                                                          command, classes):
@@ -89,7 +93,9 @@ class TestFlagTable:
         ("synth", "--nan-fraction", "2"), ("train", "--alpha", "-1"),
         ("train", "--patch-size", "4"), ("train", "--patch-size", "0"),
         ("eval", "--alpha", "nan"), ("preprocess", "--window", "0"),
-        ("infer", "--seed", "-1"),
+        ("infer", "--seed", "-1"), ("synth", "--patch-size", "4"),
+        ("index build", "--patch-size", "4"), ("bench memory", "--patch-size", "4"),
+        ("bench sampling", "--patch-size", "4"),
     ])
     def test_bad_value_refused_first_naming_its_flag(self, tmp_path, capsys,
                                                       command, flag, value):
@@ -100,6 +106,18 @@ class TestFlagTable:
         assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
         assert value in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_package_imports_numpy_without_scipy():
+    # in a fresh interpreter, so no module the test run imported is counted
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, dustpipe, dustpipe.cli, dustpipe.bench; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

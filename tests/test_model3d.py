@@ -133,6 +133,21 @@ class TestForward:
         assert np.array_equal(preds, np.full(3, 0.5, dtype=np.float32))
         assert np.array_equal(predict(params, x[:, 0]), np.full(3, 0.5, dtype=np.float32))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype, logit", [(np.float32, 100.0), (np.float64, 1000.0)])
+    def test_sigmoid_exact_at_zero_and_saturated_logits(self, dtype, logit):
+        params = init_params(4, TINY, dtype=dtype)
+        params.tensors["fc.weight"][:] = 0
+        x = np.random.default_rng(4).uniform(0, 1, (3, 1, 6, 3, 3)).astype(dtype)
+        for bias, expected in ((-logit, 0.0), (0.0, 0.5), (logit, 1.0)):
+            params.tensors["fc.bias"][:] = bias
+            want = np.full(3, expected, dtype=dtype)
+            assert np.array_equal(predict(params, x[:, 0]), want)
+            preds, _ = forward(params, x, mode="train", update_running_stats=False)
+            assert preds.dtype == dtype and np.array_equal(preds, want)
+            lone_zero = predict(params, np.zeros((1, 6, 3, 3), dtype=dtype))
+            assert lone_zero.dtype == dtype and lone_zero.tolist() == [expected]
+
     def test_shape_ledger_matches_independent_calculator(self):
         assert shape_ledger(ModelConfig()) == expected_shapes(ModelConfig())
         assert shape_ledger(TINY) == expected_shapes(TINY)

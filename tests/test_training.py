@@ -438,6 +438,12 @@ class TestTrainLoop:
                                         batch_size=8, seed=0))
         assert not (tmp_path / "run").exists()
 
+    def test_empty_training_manifest_refused_before_writing(self, tmp_path):
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=11)
+        with pytest.raises(EmptyDatasetError, match="manifest has no entries"):
+            train(DatasetManifest([]), m_val, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvaluate:
     def test_constant_half_model_on_zero_labels_scores_zero(self, tmp_path):
