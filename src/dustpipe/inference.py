@@ -5,8 +5,10 @@ eval-mode network output for the patch centered on it; the border band where
 no full patch fits is a NaN sentinel rather than fabricated padding.
 
 The interior is covered in 2-D tiles of at most ``model3d.EVAL_TILE``
-pixels.  Each tile reads one slab of the granule, its pixels plus a halo of
-P - 1 rows and cols, checks it, and hands it to ``model3d.predict_slabs``,
+pixels, walked by ``model3d.scene_tiles`` (evaluation walks the same tiles
+over each granule of a manifest; see ``training._predict_index``).  Each
+tile reads one slab of the granule, its pixels plus a halo of P - 1 rows
+and cols, checks it, and hands it to ``model3d.predict_slabs``,
 which computes block one once per slab position and class instead of once
 per patch, then runs blocks two and three as one GEMM per conv over the
 tile.  A pixel's value is bitwise the same as a lone ``predict`` call on its
@@ -27,7 +29,6 @@ for eyeballing results without image libraries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,8 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
-from .model3d import EVAL_TILE, ModelParams, eval_plan, predict_slabs
+from .model3d import EVAL_TILE, ModelParams, eval_plan, predict_slabs, scene_tiles
+from .model3d import tile_shape  # noqa: F401  (re-exported: the shape of the tiles above)
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
@@ -57,9 +59,9 @@ def infer_scene(params: ModelParams, granule: Granule,
 
     The granule must be finite in [0, 1] with the channel count the
     checkpoint was trained on; patches are the checkpoint's patch size.
-    Tiles hold at most ``batch_size`` pixels (see ``tile_shape``); the
-    result does not depend on it on a BLAS that gives a GEMM row the same
-    bits at every tile size (see ``model3d.predict``).  Every granule
+    Tiles hold at most ``batch_size`` pixels (see ``model3d.tile_shape``);
+    the result does not depend on it on a BLAS that gives a GEMM row the
+    same bits at every tile size (see ``model3d.predict``).  Every granule
     value is checked, in the tile slab that reads it.
     """
     cfg = params.config
@@ -80,27 +82,12 @@ def infer_scene(params: ModelParams, granule: Granule,
 
     plan = eval_plan(params)
     interior = out[h:out.shape[0] - h, h:out.shape[1] - h]
-    rows, cols = interior.shape
-    th, tw = tile_shape(rows, cols, batch_size)
-    for y in range(0, rows, th):
-        for x in range(0, cols, tw):
-            ty, tx = min(th, rows - y), min(tw, cols - x)
-            # the slabs cover the granule, border band included
-            slab = np.array(data[:, y:y + ty + p - 1, x:x + tx + p - 1], dtype=params.dtype)
-            _check_unit_range(slab)
-            interior[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
+    for y, x, ty, tx in scene_tiles(*interior.shape, batch_size):
+        # the slabs cover the granule, border band included
+        slab = np.array(data[:, y:y + ty + p - 1, x:x + tx + p - 1], dtype=params.dtype)
+        _check_unit_range(slab)
+        interior[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
     return DetectionMap(out)
-
-
-def tile_shape(rows: int, cols: int, batch_size: int) -> tuple[int, int]:
-    """(height, width) of the tiles that cover a rows x cols interior: at
-    most ``min(batch_size, EVAL_TILE)`` pixels, about twice as wide as high
-    (4 x 8 for 32), clipped to the interior.  At P >= 3 block one computes
-    (2 * height + P - 3) * (2 * width + P - 3) class positions per tile, so
-    the squarer the tile, the fewer per pixel."""
-    n = min(batch_size, EVAL_TILE)
-    width = min(cols, n // max(1, math.isqrt(n // 2)))
-    return min(rows, n // width), width
 
 
 def _check_unit_range(values: np.ndarray) -> None:

@@ -28,22 +28,24 @@ trace as it uses it, so block one's buffers are freed as soon as they are
 consumed, and a trace is consumed by one ``backward``.
 
 Evaluation has one path, an eval plan (``eval_plan``) built once per
-``predict`` call or scene, and run by ``predict_slabs`` over tiles of at
-most ``EVAL_TILE`` patches; ``forward`` is the training pass only.  A tile
-is a batch of input slabs, each holding th x tw patches: a stand-alone patch
-is a slab with th = tw = 1, a scene tile one slab of th x tw pixels plus a
-halo of P - 1.  Floor-mode max pooling never reads the trailing row and
-column of an odd extent, so block one keeps (P - 1) x (P - 1) positions per
-patch, and the same-padding taps a kept position drops depend only on
-whether it is its patch's first (or last) row and col.  So block one has
-one (27, Cout) kernel per class of position, and each class runs over the
-rectangle of slab positions that some patch of the tile keeps in that
-class: a scene position is computed once per class, not once per patch
-that shares it.  Every block-one GEMM is a (D, 27) @ (27, Cout) product for
-one position, issued as a stacked matmul, so a position's values do not
-depend on the tile.  Block one pools its conv products before bias, ReLU
-and batch norm (they commute exactly with max once the channels with a
-negative scale are negated), depth first, then each patch's 2 x 2 windows.
+``predict`` call, evaluation or scene, and run by ``predict_slabs`` over
+tiles of at most ``EVAL_TILE`` patches; ``forward`` is the training pass
+only.  A tile is a batch of input slabs, each holding th x tw patches: a
+stand-alone patch is a slab with th = tw = 1, a scene tile (one of
+``scene_tiles``, the walk that scene inference and evaluation share) one
+slab of th x tw pixels plus a halo of P - 1.  Floor-mode max pooling never
+reads the trailing row and column of an odd extent, so block one keeps
+(P - 1) x (P - 1) positions per patch, and the same-padding taps a kept
+position drops depend only on whether it is its patch's first (or last)
+row and col.  So block one has one (27, Cout) kernel per class of
+position, and each class runs over the rectangle of slab positions that
+some patch of the tile keeps in that class: a scene position is computed
+once per class, not once per patch that shares it.  Every block-one GEMM
+is a (D, 27) @ (27, Cout) product for one position, issued as a stacked
+matmul, so a position's values do not depend on the tile.  Block one
+pools its conv products before bias, ReLU and batch norm (they commute
+exactly with max once the channels with a negative scale are negated),
+depth first, then each patch's 2 x 2 windows.
 Blocks two and three fold their kernel for the positions pooling reads
 and run one GEMM per conv over the tile, then ReLU and batch norm from the
 running estimates as a tiled per-channel scale ``gamma / sqrt(var + BN_EPS)``
@@ -73,7 +75,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -87,8 +89,8 @@ CHECKPOINT_MAGIC = b"DCK1"
 _META = ("filters", "in_depth", "patch_size", "bn_eps", "bn_momentum")
 KERNEL = 3
 POOL = 2
-# patches per eval tile, in ``predict`` and in scene inference: blocks two
-# and three run one GEMM per conv per tile
+# patches per eval tile, in ``predict``, in evaluation and in scene
+# inference: blocks two and three run one GEMM per conv per tile
 EVAL_TILE = 32
 # batch norm's variance floor and running-estimate momentum; checkpoints
 # store both (as float32) and are refused when they hold other values
@@ -419,8 +421,9 @@ def _checked_shape(params: ModelParams, x, channel_axis: bool = True) -> np.ndar
     return x
 
 
-def _finite_values(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Check ``x`` finite and return it in the params' dtype."""
+def finite_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Check network input ``x`` finite and return it in the params' dtype;
+    ``ValueError`` otherwise."""
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in network input")
     return x if x.dtype == params.dtype else x.astype(params.dtype)
@@ -429,7 +432,7 @@ def _finite_values(params: ModelParams, x: np.ndarray) -> np.ndarray:
 def _network_input(params: ModelParams, x) -> np.ndarray:
     """Check a (B, 1, C, P, P) batch and return it channels-last,
     (B, C, P, P, 1), in the params' dtype."""
-    x = _finite_values(params, _checked_shape(params, x))
+    x = finite_input(params, _checked_shape(params, x))
     # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
     return x.reshape(x.shape[0], *x.shape[2:], 1)
 
@@ -640,6 +643,29 @@ def predict_slabs(plan: EvalPlan, slabs: np.ndarray, th: int, tw: int) -> np.nda
     return _run_blocks(plan, _block_one(plan.one, slabs, th, tw))
 
 
+def tile_shape(rows: int, cols: int, batch_size: int) -> tuple[int, int]:
+    """(height, width) of the tiles that cover a rows x cols interior: at
+    most ``min(batch_size, EVAL_TILE)`` pixels, about twice as wide as high
+    (4 x 8 for 32), clipped to the interior.  At P >= 3 block one computes
+    (2 * height + P - 3) * (2 * width + P - 3) class positions per tile, so
+    the squarer the tile, the fewer per pixel."""
+    n = min(batch_size, EVAL_TILE)
+    width = min(cols, n // max(1, math.isqrt(n // 2)))
+    return min(rows, n // width), width
+
+
+def scene_tiles(rows: int, cols: int,
+                batch_size: int = EVAL_TILE) -> Iterator[tuple[int, int, int, int]]:
+    """The tiles (y, x, ty, tx) of ``tile_shape`` that cover a non-empty
+    rows x cols interior, row-major; the last row and column of tiles are
+    clipped to it.  A tile's slab is the granule's rows y to y + ty + P - 2
+    and cols x to x + tx + P - 2, exactly the pixels its patches read."""
+    th, tw = tile_shape(rows, cols, batch_size)
+    for y in range(0, rows, th):
+        for x in range(0, cols, tw):
+            yield y, x, min(th, rows - y), min(tw, cols - x)
+
+
 def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             update_running_stats: bool = True):
     """The training pass on a (B, 1, C, P, P) batch.
@@ -729,17 +755,19 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for (B, C, P, P) patches; training's
-    validation and ``evaluate`` run it.
+    """Eval-mode probabilities for (B, C, P, P) patches, each checked
+    finite (``ValueError`` otherwise).  Training's validation and
+    ``evaluate`` run it on the patches that no scene tile covers.
 
     One eval plan (``eval_plan``) is built per call, and patches go
     through it in tiles of ``EVAL_TILE``, each patch as a one-pixel slab
-    of ``predict_slabs``, the function scene inference runs on tiles of a
-    granule.  Block one's values do not depend on the batch split, by
-    construction: it runs one GEMM shape per position.  Blocks two and three
-    run one GEMM per conv over a tile, so a patch's probability is bitwise
-    the same for any batch split, lone single-patch calls included, only
-    if the BLAS gives each row the same bits wherever it sits in a tile.
+    of ``predict_slabs``, the function that scene inference and evaluation
+    run on tiles of a granule.  Block one's values do not depend on the
+    batch split, by construction: it runs one GEMM shape per position.
+    Blocks two and three run one GEMM per conv over a tile, so a patch's
+    probability is bitwise the same for any batch split, lone single-patch
+    calls included, only if the BLAS gives each row the same bits wherever
+    it sits in a tile.
     The test suite checks this on the host that runs it, at every tile
     size used, for the architectures it covers; another BLAS or
     architecture may differ in the last bits.
@@ -748,7 +776,7 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     plan = eval_plan(params)
     out = np.empty(len(patches), dtype=params.dtype)
     for start in range(0, len(patches), EVAL_TILE):
-        tile = _finite_values(params, patches[start:start + EVAL_TILE])
+        tile = finite_input(params, patches[start:start + EVAL_TILE])
         out[start:start + EVAL_TILE] = predict_slabs(plan, tile, 1, 1)
     return out
 

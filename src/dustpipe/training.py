@@ -27,14 +27,20 @@ import numpy as np
 from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
 from .granule_io import DatasetManifest
 from .model3d import (
+    EVAL_TILE,
     ModelConfig,
     ModelParams,
     backward,
+    eval_plan,
+    finite_input,
     forward,
     init_params,
     load_checkpoint,
     predict,
+    predict_slabs,
     save_checkpoint,
+    scene_tiles,
+    tile_shape,
     trainable_names,
 )
 from .patch_index import (
@@ -51,7 +57,7 @@ ADAM_EPS = 1e-8
 PLATEAU_FACTOR = 0.5
 MIN_LR = 1e-7
 IMPROVEMENT_THRESHOLD = 1e-8  # a smaller drop in validation loss is a stall
-EVAL_BATCH = 1024  # patches gathered per batch for validation and evaluate
+EVAL_BATCH = 1024  # patches gathered per batch where no scene tile covers them
 
 
 @dataclass(frozen=True)
@@ -269,13 +275,62 @@ class TrainResult:
 
 def _predict_index(params: ModelParams, index: PatchIndex,
                    store: GranuleStore) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode predictions and targets for every triplet of ``index``, in order."""
-    preds = []
-    targets = []
-    for batch in iter_batches(index, store, np.arange(len(index)), EVAL_BATCH):
-        preds.append(predict(params, batch.inputs))
-        targets.append(batch.targets)
-    return np.concatenate(preds), np.concatenate(targets)
+    """Eval-mode predictions and targets for every triplet of ``index``, in order.
+
+    Each granule's interior is walked in the tiles of scene inference
+    (``model3d.scene_tiles``).  A tile whose centres are all in the index
+    runs as one slab of ``predict_slabs``, so block one is computed once
+    per shared position; its slab holds exactly the pixels its patches
+    read, and is checked finite as ``predict`` checks them.  Every other
+    triplet is gathered, ``EVAL_BATCH`` at a time, and run through
+    ``predict``.  Both give a patch the bits of a lone ``predict`` call
+    (see ``model3d.predict``), so the result does not depend on which path
+    a triplet takes.
+    """
+    triplets = index.triplets
+    p, h = index.patch_size, index.half
+    preds = np.empty(len(triplets), dtype=params.dtype)
+    targets = np.empty(len(triplets), dtype=np.float32)
+    tiled = np.zeros(len(triplets), dtype=bool)
+    plan = None
+    for f in range(len(store)):
+        data = store.granule(f)
+        rows, cols = data.shape[1] - p + 1, data.shape[2] - p + 1
+        at = np.flatnonzero(triplets[:, 0] == f)
+        ys, xs = triplets[at, 1] - h, triplets[at, 2] - h
+        inside = (ys >= 0) & (ys < rows) & (xs >= 0) & (xs < cols)
+        if not inside.any():
+            continue
+        at, ys, xs = at[inside], ys[inside], xs[inside]
+        # indexed centres per tile, one count for the whole granule
+        indexed = np.zeros((rows, cols), dtype=bool)
+        indexed[ys, xs] = True
+        th, tw = tile_shape(rows, cols, EVAL_TILE)
+        starts_y, starts_x = np.arange(0, rows, th), np.arange(0, cols, tw)
+        counts = np.add.reduceat(np.add.reduceat(indexed, starts_y, axis=0, dtype=np.intp),
+                                 starts_x, axis=1)
+        full = counts == np.outer(np.diff(starts_y, append=rows), np.diff(starts_x, append=cols))
+        if not full.any():
+            continue
+        if plan is None:
+            plan = eval_plan(params)
+        scene = np.empty((rows, cols), dtype=params.dtype)
+        for y, x, ty, tx in scene_tiles(rows, cols):
+            if full[y // th, x // tw]:
+                slab = finite_input(params, data[:, y:y + ty + p - 1, x:x + tx + p - 1])
+                scene[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
+        hit = full[ys // th, xs // tw]
+        at, ys, xs = at[hit], ys[hit], xs[hit]
+        preds[at] = scene[ys, xs]
+        targets[at] = store.labels(f)[ys + h, xs + h]
+        tiled[at] = True
+    rest = np.flatnonzero(~tiled)
+    for start, batch in zip(range(0, len(rest), EVAL_BATCH),
+                            iter_batches(index, store, rest, EVAL_BATCH)):
+        chunk = rest[start:start + EVAL_BATCH]
+        preds[chunk] = predict(params, batch.inputs)
+        targets[chunk] = batch.targets
+    return preds, targets
 
 
 def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
@@ -384,10 +439,22 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
 
 def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
              alpha: float = 1.0) -> MetricsReport:
-    """Eval-mode metrics over every valid patch center of a manifest."""
+    """Eval-mode metrics over every valid patch center of a manifest.
+
+    Centres run through the scene tiles of ``_predict_index`` where a tile
+    is fully indexed, and through ``predict`` otherwise; the report does
+    not depend on which.  A manifest whose channel count differs from the
+    checkpoint's ``in_depth`` raises ``ShapeMismatchError`` before any
+    prediction; a non-finite value in a patch that an indexed centre reads
+    raises ``ValueError``.
+    """
     LossConfig(alpha)  # a bad alpha is refused before anything is read
     params, _ = load_checkpoint(checkpoint)
     with closing(GranuleStore(manifest)) as store:
+        if store.channels != params.config.in_depth:
+            raise ShapeMismatchError(
+                f"manifest granules have {store.channels} channels, "
+                f"checkpoint expects {params.config.in_depth}")
         index = build_index(manifest, params.config.patch_size)
         if len(index) == 0:
             raise EmptyDatasetError("evaluation index is empty")

@@ -3,11 +3,14 @@ and logging contracts."""
 
 import csv
 import math
+from contextlib import closing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dustpipe.training as training_mod
+from dustpipe.cli import main
 from dustpipe.errors import (
     EmptyDatasetError,
     ShapeMismatchError,
@@ -23,7 +26,8 @@ from dustpipe.granule_io import (
     write_granule,
     write_labels,
 )
-from dustpipe.model3d import ModelConfig, init_params, save_checkpoint
+from dustpipe.model3d import ModelConfig, init_params, predict, save_checkpoint
+from dustpipe.patch_index import GranuleStore, PatchIndex, build_index
 from dustpipe.training import (
     ADAM_EPS,
     IMPROVEMENT_THRESHOLD,
@@ -39,6 +43,7 @@ from dustpipe.training import (
     train,
     wmse_loss,
 )
+from test_model3d import signed_params
 
 TINY_MODEL = ModelConfig(filters=(3, 4, 5), in_depth=6, patch_size=3)
 
@@ -397,8 +402,11 @@ class TestTrainLoop:
     def test_non_finite_validation_loss_aborts_before_checkpoints(self, tmp_path, monkeypatch):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=9)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=10)
+        # validation runs full scene tiles through predict_slabs, the rest through predict
         monkeypatch.setattr(training_mod, "predict",
                             lambda params, x: np.full(len(x), np.nan, dtype=params.dtype))
+        monkeypatch.setattr(training_mod, "predict_slabs",
+                            lambda plan, slabs, th, tw: np.full(len(slabs) * th * tw, np.nan))
         closed = []
         real_close = training_mod.GranuleStore.close
         monkeypatch.setattr(training_mod.GranuleStore, "close",
@@ -478,3 +486,130 @@ class TestEvaluate:
         save_checkpoint(ckpt, init_params(100, TINY_MODEL))
         rep = evaluate(ckpt, manifest)
         assert 0.4 <= rep.accuracy <= 0.6
+
+    def test_channel_mismatch_refused_before_predicting(self, tmp_path, monkeypatch):
+        manifest = tiny_training_dataset(tmp_path / "d", count=1, channels=8, seed=5)
+        ckpt = tmp_path / "six.dck"
+        save_checkpoint(ckpt, init_params(0, TINY_MODEL))
+
+        def refuse(*args):
+            raise AssertionError("predicted before the channel check")
+
+        monkeypatch.setattr(training_mod, "predict", refuse)
+        monkeypatch.setattr(training_mod, "predict_slabs", refuse)
+        with pytest.raises(ShapeMismatchError, match="8 channels, checkpoint expects 6"):
+            evaluate(ckpt, manifest)
+
+
+def write_manifest(root, granules, labels) -> DatasetManifest:
+    entries = []
+    for i, (g, lab) in enumerate(zip(granules, labels)):
+        gp, lp = root / f"g{i}.dgr", root / f"l{i}.dlb"
+        write_granule(Granule(np.asarray(g, dtype=np.float32)), gp)
+        write_labels(LabelMap(np.asarray(lab, dtype=np.float32)), lp)
+        entries.append(ManifestEntry(gp, lp))
+    return DatasetManifest(entries)
+
+
+# interior (rows, cols) and the share of labels that are NaN, per granule:
+# tiles of 4 x 8 leave ragged tiles on both axes of every multi-tile interior
+EVAL_CASES = {
+    "fully-labelled": [(13, 21, 0.0)],
+    "few-nan-labels": [(13, 21, 0.03)],
+    "sparse-2pct": [(40, 40, 0.98)],
+    "narrow-and-ragged": [(3, 5, 0.0), (6, 30, 0.0)],
+}
+
+
+class TestPredictIndexTiles:
+    """``_predict_index`` runs fully indexed scene tiles through
+    ``predict_slabs`` and gathers the rest for ``predict``.  Either way a
+    triplet must get the bits of gathered ``predict``, in triplet order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("patch_size", [1, 3, 5])
+    @pytest.mark.parametrize("case", list(EVAL_CASES))
+    def test_equals_gathered_predict_bitwise(self, tmp_path, monkeypatch, case, patch_size,
+                                             dtype):
+        rng = np.random.default_rng(patch_size)
+        granules, labels = [], []
+        for rows, cols, nan_share in EVAL_CASES[case]:
+            shape = (rows + patch_size - 1, cols + patch_size - 1)
+            granules.append(rng.uniform(0, 1, (TINY_MODEL.in_depth, *shape)))
+            lab = rng.uniform(0, 1, shape)
+            lab[rng.uniform(0, 1, shape) < nan_share] = np.nan
+            labels.append(lab)
+        manifest = write_manifest(tmp_path, granules, labels)
+        index = build_index(manifest, patch_size)
+        index = PatchIndex(index.triplets[rng.permutation(len(index))], patch_size)
+        params = signed_params(patch_size, replace(TINY_MODEL, patch_size=patch_size), dtype)
+        gathered = []
+        monkeypatch.setattr(training_mod, "predict",
+                            lambda params, x: (gathered.append(len(x)), predict(params, x))[1])
+
+        with closing(GranuleStore(manifest)) as store:
+            preds, targets = training_mod._predict_index(params, index, store)
+            inputs, want_targets = store.extract_batch(index.triplets, patch_size)
+        want = predict(params, inputs)
+        assert preds.dtype == want.dtype
+        assert preds.tobytes() == want.tobytes()
+        assert targets.tobytes() == want_targets.tobytes()
+        # each path is taken where the case says
+        if case == "few-nan-labels":
+            assert 0 < sum(gathered) < len(index)
+        elif case == "sparse-2pct":
+            assert sum(gathered) == len(index)
+        else:
+            assert gathered == []
+
+
+class TestPredictIndexNonFinite:
+    """A NaN granule value raises wherever an indexed centre's patch reads
+    it, and only there.  Interior 8 x 11 at P = 3: tiles rows 0-3 and 4-7,
+    cols 0-7 and 8-10."""
+
+    SHAPE = (10, 13)
+
+    def _manifest(self, tmp_path, nan_pixel, nan_label=None):
+        g = np.random.default_rng(0).uniform(0, 1, (TINY_MODEL.in_depth, *self.SHAPE))
+        g[3, nan_pixel[0], nan_pixel[1]] = np.nan
+        lab = np.random.default_rng(1).uniform(0, 1, self.SHAPE)
+        if nan_label is not None:
+            lab[nan_label] = np.nan
+        return write_manifest(tmp_path, [g], [lab])
+
+    @pytest.mark.parametrize("nan_pixel, nan_label", [
+        ((2, 2), None),     # inside the slab of a fully indexed tile
+        ((6, 4), (8, 8)),   # read by patches of the rows 4-7 x cols 0-7 tile only,
+                            # which centre (8, 8)'s NaN label sends to predict
+    ], ids=["full-tile", "fallback-patch"])
+    def test_value_read_by_indexed_patch_raises(self, tmp_path, nan_pixel, nan_label):
+        manifest = self._manifest(tmp_path, nan_pixel, nan_label)
+        params = init_params(0, TINY_MODEL)
+        with closing(GranuleStore(manifest)) as store:
+            index = build_index(manifest, 3)
+            with pytest.raises(ValueError, match="non-finite values in network input"):
+                training_mod._predict_index(params, index, store)
+
+    def test_value_read_by_unindexed_patches_only_is_ignored(self, tmp_path):
+        # pixel (0, 0) is read only by the patch of centre (1, 1), unindexed
+        manifest = self._manifest(tmp_path, (0, 0), (1, 1))
+        params = init_params(0, TINY_MODEL)
+        with closing(GranuleStore(manifest)) as store:
+            index = build_index(manifest, 3)
+            preds, _ = training_mod._predict_index(params, index, store)
+            inputs, _ = store.extract_batch(index.triplets, 3)
+        assert len(preds) == 8 * 11 - 1
+        assert preds.tobytes() == predict(params, inputs).tobytes()
+
+    def test_cli_eval_prints_one_error_line(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, (2, 2))
+        manifest.save(tmp_path / "manifest.json")
+        ckpt = tmp_path / "m.dck"
+        save_checkpoint(ckpt, init_params(0, TINY_MODEL))
+        report = tmp_path / "r.json"
+        assert main(["eval", "--ckpt", str(ckpt), "--manifest-test",
+                     str(tmp_path / "manifest.json"), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not report.exists()
