@@ -308,16 +308,29 @@ def normalize_planes(planes: np.ndarray) -> np.ndarray:
     into [0, 1] by its own finite min and max; NaN and +-inf pass through,
     and a constant plane's finite values become 0.  Returns the (K,) mask of
     planes with no finite value (left as they were).  Bands and label maps
-    share this one rule (``normalize_bands``, ``normalize_label_values``)."""
+    share this one rule (``normalize_bands``, ``normalize_label_values``).
+
+    The extrema are ``np.fmin`` / ``np.fmax`` reductions, which skip NaN
+    without a masked copy.  A plane whose NaN-skipping min or max is
+    non-finite (it holds +-inf, or nothing finite), or whose min is zero,
+    takes a masked reduction instead, one plane at a time: that drops +-inf,
+    and it picks between -0.0 and +0.0 as the masked min always has, which
+    decides the sign of a zero output.  (A zero max needs no such care:
+    ``hi - lo`` is the same for either zero.)"""
     axes = tuple(range(1, planes.ndim))
     per_plane = (-1,) + (1,) * len(axes)
-    finite = np.isfinite(planes)
-    lo = np.where(finite, planes, np.float32(np.inf)).min(axis=axes)
-    span = np.where(finite, planes, np.float32(-np.inf)).max(axis=axes) - lo
+    lo = np.fmin.reduce(planes, axis=axes)
+    hi = np.fmax.reduce(planes, axis=axes)
+    for k in np.flatnonzero(~np.isfinite(lo) | ~np.isfinite(hi) | (lo == 0)):
+        finite = np.isfinite(planes[k])
+        lo[k] = np.where(finite, planes[k], np.float32(np.inf)).min()
+        hi[k] = np.where(finite, planes[k], np.float32(-np.inf)).max()
+    span = hi - lo
     scaled = span > 0  # neither constant nor without finite values
     planes -= np.where(scaled, lo, 0).reshape(per_plane)
     planes /= np.where(scaled, span, 1).reshape(per_plane)
-    planes[finite & ~scaled.reshape(per_plane)] = 0.0
+    for k in np.flatnonzero(~scaled):
+        planes[k][np.isfinite(planes[k])] = 0.0
     return lo == np.inf
 
 

@@ -6,8 +6,11 @@ finite min and max within ``impute_window`` rows in the same column and band.
 Those window extrema come from a sparse table: log2 of the window's height
 passes of ``np.minimum`` / ``np.maximum`` over row-shifted views that are
 contiguous within each band.  Both steps run over slabs of consecutive bands
-on the output copy.  Draws come from one generator per granule in band order,
-as one (C, H, W) draw.
+on the output copy, and neither makes a masked copy of a slab nor indexes
+with a 3-D boolean mask: band extrema are NaN-skipping ``np.fmin`` /
+``np.fmax`` reductions, and imputation lists each slab's holes once as flat
+indices, gathers with ``take`` and writes with ``np.put``.  Draws come from
+one generator per granule in band order, as one (C, H, W) draw.
 """
 
 from __future__ import annotations
@@ -54,28 +57,31 @@ def normalize_bands(granule: Granule) -> Granule:
     (``granule_io.normalize_planes``, one slab of bands at a time).
 
     NaN passes through.  A constant band maps to all zeros.  A band with no
-    finite value at all is left all-NaN (logged; imputation fallback will
-    resolve it downstream).
+    finite value at all (only NaN and +-inf) is left as it is (logged;
+    imputation fills its holes with zero downstream).
     """
     out = granule.data.copy()
     empty = []
     for first, slab in _slabs(out):
         empty += (first + np.flatnonzero(normalize_planes(slab))).tolist()
     if empty:
-        log.warning("bands with no finite values left all-NaN: %s", empty)
+        log.warning("bands with no finite values left as they are: %s", empty)
     return Granule(out)
 
 
-def _column_window(op, pad, slab: np.ndarray, holes: np.ndarray, w: int) -> np.ndarray:
+def _column_window(op, pad, slab: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
     """``op`` (``np.minimum`` or ``np.maximum``) over rows y-w..y+w of every
-    column of every band, with holes and rows off the image reading ``pad``.
+    column of every band, with the holes at flat indices ``at`` of the slab
+    and rows off the image reading ``pad``.
 
     A sparse table (Bender & Farach-Colton 2000): after k passes, row i of the
     padded buffer holds ``op`` over rows i..i+2^k-1, and two overlapping
     blocks of the largest such span cover the 2w+1 rows.  Each pass is one
     ufunc call over row-shifted views that are contiguous within a band, so
     the work is about log2(2w+1) sweeps of the slab.  Min and max are exact,
-    so the result equals a direct window scan.
+    so the result equals a direct window scan.  The padded buffer has 2w more
+    rows per band than the slab, so hole (c, y, x) sits at flat index
+    ``at + (c * 2w + w) * W`` of it and the pad goes in with one flat put.
     """
     bands, h, width = slab.shape
     w = min(w, h - 1)  # a taller window already spans the whole column
@@ -84,7 +90,7 @@ def _column_window(op, pad, slab: np.ndarray, holes: np.ndarray, w: int) -> np.n
     a[:, :w] = pad
     a[:, w + h:] = pad
     np.copyto(a[:, w:w + h], slab)
-    a[:, w:w + h][holes] = pad
+    np.put(a, at + (at // (h * width) * 2 * w + w) * width, pad)
     b = np.empty_like(a)
     rows, s = h + 2 * w, 1  # rows of a that hold a full block of s
     while 2 * s <= span:
@@ -109,31 +115,34 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     m and M come from ``_column_window``: log-doubling passes of
     ``np.minimum`` / ``np.maximum`` over row-shifted, band-contiguous views
     of the padded slab, in place of a sliding filter that walks each column
-    at the row stride.
+    at the row stride.  The holes are listed once per slab as C-order flat
+    indices, band by band; m, M and the draws are gathered at them with
+    ``take`` and the fill is written with ``np.put``, which index any layout
+    in C order.
     """
     data = granule.data.copy()
     rng = np.random.default_rng((int(cfg.rng_seed), int(folder_index)))
     for _, slab in _slabs(data):
         holes = ~np.isfinite(slab)
-        if not holes.any():
+        at = np.flatnonzero(holes)  # C order: band by band, row by row
+        if not at.size:
             # as if drawn (one 64-bit step per double), to keep later bands' draws
             rng.bit_generator.advance(slab.size)
             continue
         draws = rng.random(slab.shape)
-        lo = _column_window(np.minimum, np.inf, slab, holes, cfg.impute_window)[holes]
-        hi = _column_window(np.maximum, -np.inf, slab, holes, cfg.impute_window)[holes]
+        lo = _column_window(np.minimum, np.inf, slab, at, cfg.impute_window).take(at)
+        hi = _column_window(np.maximum, -np.inf, slab, at, cfg.impute_window).take(at)
         with np.errstate(invalid="ignore"):
             # inf arithmetic at no-neighbor positions is replaced below
-            fill = (lo.astype(np.float64) + draws[holes] * (hi - lo).astype(np.float64))
+            fill = (lo.astype(np.float64) + draws.take(at) * (hi - lo).astype(np.float64))
             fill = fill.astype(np.float32)
         orphan = ~np.isfinite(lo)
         if orphan.any():
             seen = ~holes.all(axis=(1, 2))  # an all-NaN band's mean stays zero
             band_mean = np.zeros(len(slab), dtype=np.float32)
             band_mean[seen] = np.nanmean(np.where(holes, np.nan, slab)[seen], axis=(1, 2))
-            # holes are listed band by band, so each takes its band's value
-            fill[orphan] = np.repeat(band_mean, holes.sum(axis=(1, 2)))[orphan]
-        slab[holes] = fill
+            fill[orphan] = band_mean[at[orphan] // slab[0].size]
+        np.put(slab, at, fill)
     return Granule(data)
 
 

@@ -16,6 +16,7 @@ from dustpipe.granule_io import (
     SyntheticConfig,
     generate_synthetic_dataset,
     normalize_label_values,
+    normalize_planes,
     open_granule_mmap,
     read_granule,
     read_labels,
@@ -155,6 +156,94 @@ class TestLabelNormalization:
     def test_all_nan_passthrough(self):
         vals = np.full((2, 2), np.nan, dtype=np.float32)
         assert np.isnan(normalize_label_values(vals)).all()
+
+
+def masked_normalize(planes):
+    """The masked formulation of ``normalize_planes``: per-plane min and max
+    of a copy with non-finite values replaced by +-inf.  Returns the
+    normalized copy and the mask of planes with no finite value."""
+    axes = tuple(range(1, planes.ndim))
+    per_plane = (-1,) + (1,) * len(axes)
+    finite = np.isfinite(planes)
+    lo = np.where(finite, planes, np.float32(np.inf)).min(axis=axes)
+    span = np.where(finite, planes, np.float32(-np.inf)).max(axis=axes) - lo
+    scaled = span > 0
+    out = planes.copy()
+    out -= np.where(scaled, lo, 0).reshape(per_plane)
+    out /= np.where(scaled, span, 1).reshape(per_plane)
+    out[finite & ~scaled.reshape(per_plane)] = 0.0
+    return out, lo == np.inf
+
+
+def _plane(seed, low=-5.0, high=20.0, dtype=np.float32):
+    return np.random.default_rng(seed).uniform(low, high, size=(6, 7)).astype(dtype)
+
+
+def _with(plane, flat_values):
+    """``plane`` with its first values (in C order) replaced."""
+    plane = plane.copy()
+    plane.reshape(-1)[:len(flat_values)] = flat_values
+    return plane
+
+
+def _zero_layouts(low, high):
+    """Planes whose extreme is zero, held as 2-8 values of -0.0 and +0.0 at
+    seeded positions.  Which zero a reduction returns depends on where the
+    zeros fall in its vector lanes, so they are scattered over the plane."""
+    planes = []
+    for seed in range(12):
+        rng = np.random.default_rng(60 + seed)
+        plane = _plane(40 + seed, low, high)
+        k = int(rng.integers(2, 9))
+        at = rng.choice(plane.size, k, replace=False)
+        plane.reshape(-1)[at] = np.where(rng.random(k) < 0.5, np.float32(-0.0),
+                                         np.float32(0.0))
+        planes.append(plane)
+    return planes
+
+
+nan, inf = np.nan, np.inf
+PLANE_CASES = {
+    "finite": [_plane(1)],
+    "one_neg_inf": [_with(_plane(2), [3.0, -inf, nan])],
+    "one_pos_inf": [_with(_plane(3), [nan, inf])],
+    "both_infs": [_with(_plane(4), [inf, 1.5, nan, -inf])],
+    "only_infs_and_nan": [np.array([[inf, nan], [-inf, inf]], np.float32),
+                          np.array([[nan, inf], [nan, nan]], np.float32),
+                          np.array([[-inf, nan], [nan, -inf]], np.float32)],
+    "all_nan": [np.full((3, 4), nan, np.float32)],
+    "constant_with_nan": [_with(np.full((4, 5), 3.25, np.float32), [nan, 3.25, nan])],
+    "zero_min": _zero_layouts(0.5, 20.0),
+    "zero_max": _zero_layouts(-20.0, -0.5),
+    "float64": [_with(_plane(5, dtype=np.float64), [nan, -inf, 7.0, inf]),
+                _plane(6, dtype=np.float64)],
+}
+
+
+class TestNormalizePlanes:
+    """``normalize_planes`` takes NaN-skipping extrema and falls back to the
+    masked ones for planes that hold +-inf, nothing finite or a zero min;
+    its bytes must equal the masked formulation's in every case."""
+
+    @pytest.mark.parametrize("case", sorted(PLANE_CASES))
+    def test_equals_masked_reduction(self, case):
+        for plane in PLANE_CASES[case]:
+            neighbour = _plane(99, dtype=plane.dtype)[:plane.shape[0], :plane.shape[1]]
+            for stack in (plane[None], np.stack([plane, neighbour]),
+                          np.stack([neighbour, plane])):
+                want, want_empty = masked_normalize(stack)
+                got = stack.copy()
+                empty = normalize_planes(got)
+                assert got.dtype == stack.dtype
+                assert got.tobytes() == want.tobytes(), case
+                assert np.array_equal(empty, want_empty), case
+
+    # label maps are float32
+    @pytest.mark.parametrize("case", sorted(set(PLANE_CASES) - {"float64"}))
+    def test_label_maps_equal_masked_reduction(self, case):
+        for values in PLANE_CASES[case]:
+            want, _ = masked_normalize(values[None])
+            assert normalize_label_values(values).tobytes() == want[0].tobytes(), case
 
 
 class TestManifest:

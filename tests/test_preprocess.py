@@ -1,6 +1,7 @@
 """Normalization and imputation: worked examples, the fallback ladder, and
 randomized contract properties."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -15,7 +16,7 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 import dustpipe
 from dustpipe import preprocess
-from dustpipe.granule_io import Granule, write_granule
+from dustpipe.granule_io import Granule, read_granule, write_granule
 from dustpipe.preprocess import (
     PreprocessConfig,
     impute_granule,
@@ -49,6 +50,15 @@ class TestNormalizeBands:
         out = normalize_bands(g).data
         assert np.isnan(out[0]).all()
         assert np.array_equal(out[1], [[0.0, 1.0]])
+
+    def test_band_without_finite_values_logged_and_left_as_it_is(self, caplog):
+        g = band_granule([[1.0, 2.0]], [[np.inf, np.nan]], [[np.nan, np.inf]])
+        with caplog.at_level("WARNING", logger="dustpipe.preprocess"):
+            out = normalize_bands(g).data
+        assert out[1:].tobytes() == g.data[1:].tobytes()
+        assert np.array_equal(out[0], [[0.0, 1.0]])
+        assert [r.getMessage() for r in caplog.records] == [
+            "bands with no finite values left as they are: [1, 2]"]
 
     def test_bands_normalized_independently(self):
         g = band_granule([[0.0, 10.0]], [[100.0, 300.0]])
@@ -151,6 +161,42 @@ class TestPipeline:
         once = preprocess_pipeline(g, PreprocessConfig(rng_seed=1))
         twice = preprocess_pipeline(once, PreprocessConfig(rng_seed=1))
         assert once.data.tobytes() == twice.data.tobytes()
+
+
+class TestInputLayouts:
+    """Imputation gathers and writes by flat index; a flat write through a
+    ``reshape(-1)`` copy of a non-contiguous array would be lost without an
+    error, so every input layout must give the C-contiguous case's bytes and
+    leave its input unchanged."""
+
+    def test_every_layout_gives_the_contiguous_bytes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        data = rng.uniform(-3, 40, size=(5, 13, 11)).astype(np.float32)
+        data[rng.random(data.shape) < 0.3] = np.nan
+        data[1, :, 4] = np.nan  # an orphan column
+        path = tmp_path / "g.dgr"
+        write_granule(Granule(data), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        cfg = PreprocessConfig(impute_window=2, rng_seed=3)
+        want = preprocess_pipeline(Granule(data), cfg, folder_index=4).data.tobytes()
+        want_imputed = impute_granule(Granule(data), cfg, folder_index=4).data.tobytes()
+        wide = np.full((5, 26, 33), 7.5, dtype=np.float32)
+        wide[:, ::2, ::3] = data
+        mapped = read_granule(path, use_mmap=True).data
+        layouts = {"memory-mapped": mapped, "fortran": np.asfortranarray(data),
+                   "strided": wide[:, ::2, ::3]}
+        assert not mapped.flags.writeable
+        assert not layouts["fortran"].flags.c_contiguous
+        assert not layouts["strided"].flags.c_contiguous
+        for name, source in layouts.items():
+            before = source.tobytes()
+            got = preprocess_pipeline(Granule(source), cfg, folder_index=4).data
+            assert got.tobytes() == want, name
+            got = impute_granule(Granule(source), cfg, folder_index=4).data
+            assert got.tobytes() == want_imputed, name
+            assert source.tobytes() == before, name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRandomizedProperties:
