@@ -23,9 +23,13 @@ The train step works in place where nothing else reads a buffer, with the
 same floating-point operations in the same order as fresh arrays would
 take.  Batch norm normalizes the ReLU output into the ``xhat`` it caches
 (so the ReLU mask is taken before it), and its backward writes the input
-gradient into that cached buffer.  ``backward`` pops each cache from the
-trace as it uses it, so block one's buffers are freed as soon as they are
-consumed, and a trace is consumed by one ``backward``.
+gradient into that cached buffer.  Blocks one and two never build the
+full-size batch-norm output ``gamma * xhat + beta``: max pooling applies
+the affine to each window view as it reads it, and caches each window's
+first-max offset, one byte per pooled value, from which its backward
+routes the gradient.  ``backward`` pops each cache from the trace as it
+uses it, so block one's buffers are freed as soon as they are consumed,
+and a trace is consumed by one ``backward``.
 
 Evaluation has one path, an eval plan (``eval_plan``) built once per
 ``predict`` call, evaluation or scene, and run by ``predict_slabs`` over
@@ -129,6 +133,9 @@ class ModelParams:
 class ForwardTrace:
     """Per-layer caches and stage shapes from one ``forward`` pass.
 
+    Per block: the conv's columns, the ReLU mask, batch norm's normalized
+    ``xhat`` and, after blocks one and two, pooling's first-max offsets
+    (one uint8 per pooled value; the batch-norm output is not kept).
     ``backward`` consumes the caches (it pops each one as it uses it, and
     batch norm's cached buffer becomes its input gradient), so a trace can
     be back-propagated once only; ``shapes`` stay."""
@@ -282,40 +289,64 @@ def conv3d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     return dx.reshape(b, d, h, w, cin), dw, db
 
 
-def _pool_views(x: np.ndarray, wins: tuple):
-    """Strided views of ``x``, one per offset inside the pooling window in
-    depth, row, col order; view k holds the k-th element of every window."""
+def _pool_views(x: np.ndarray):
+    """Strided views of ``x``, one per offset inside its 2x2x2, stride 2,
+    floor-mode pooling window over (D, H, W), in depth, row, col order; view
+    k holds the k-th element of every window.  An axis shorter than the
+    window is kept as-is (the window clamps to the available extent)."""
+    wins = [min(POOL, n) for n in x.shape[1:4]]
     ext = [n // k * k for n, k in zip(x.shape[1:4], wins)]
     trimmed = x[:, :ext[0], :ext[1], :ext[2]]
-    for a in range(wins[0]):
-        for bb in range(wins[1]):
-            for cc in range(wins[2]):
-                yield trimmed[:, a::wins[0], bb::wins[1], cc::wins[2]]
+    for a, bb, cc in itertools.product(*map(range, wins)):
+        yield trimmed[:, a::wins[0], bb::wins[1], cc::wins[2]]
 
 
-def maxpool3d_forward(x: np.ndarray):
-    """2x2x2, stride 2, floor mode over (D, H, W); an axis shorter than the
-    window is kept as-is (window clamps to the available extent)."""
-    wins = tuple(min(POOL, n) for n in x.shape[1:4])
-    y = None
-    for view in _pool_views(x, wins):
-        y = view.copy() if y is None else np.maximum(y, view, out=y)
-    return y, (x, y, wins)
+# the first-max offset of a window whose max is NaN: it matches no view, so
+# the window's gradient goes nowhere
+_NAN_WINDOW = 255
+
+
+def maxpool3d_forward(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Batch norm's affine ``xhat * gamma + beta`` and max pooling over
+    ``_pool_views``, without building the full-size affine output.
+
+    Each window view gets the affine on its own, the same two roundings per
+    element as the product over the whole activation, and the running max
+    takes the views in order.  The cache holds, per window, the offset k
+    of its first maximum in view order as one uint8 (``_NAN_WINDOW`` where
+    the max is NaN) and the input's shape: no array the size of ``xhat``.
+    """
+    views = _pool_views(xhat)
+    y = next(views) * gamma
+    y += beta
+    t = np.empty_like(y)
+    hit = np.empty(y.shape, dtype=bool)
+    first = np.zeros(y.shape, dtype=np.uint8)
+    for k, view in enumerate(views, start=1):
+        np.multiply(view, gamma, out=t)
+        t += beta
+        # only a strictly greater value moves a window's max, so ties keep
+        # the first; k grows with the view, so the max of k * hit records it
+        np.greater(t, y, out=hit)
+        np.maximum(y, t, out=y)
+        moved = hit.view(np.uint8)
+        moved *= k
+        np.maximum(first, moved, out=first)
+    first[np.isnan(y)] = _NAN_WINDOW
+    return y, (first, xhat.shape)
 
 
 def maxpool3d_backward(dy: np.ndarray, cache):
     """Each window's gradient goes to its first maximum in depth, row, col
-    order (the first-argmax tie rule)."""
-    x, y, wins = cache
-    dx = np.zeros(x.shape, dtype=dy.dtype)
-    open_ = np.ones(y.shape, dtype=bool)  # windows not yet routed
-    hit = np.empty(y.shape, dtype=bool)
-    for xv, dxv in zip(_pool_views(x, wins), _pool_views(dx, wins)):
-        np.equal(xv, y, out=hit)
-        hit &= open_
-        open_ ^= hit
-        # each element of the pooled extent lies in exactly one view, so
-        # writing every element of each view fills it once
+    order (the first-argmax tie rule), from the offsets the forward pass
+    cached: view k of a zero array gets ``dy * (first == k)``."""
+    first, shape = cache
+    dx = np.zeros(shape, dtype=dy.dtype)
+    hit = np.empty(first.shape, dtype=bool)
+    # each element of the pooled extent lies in exactly one view, so writing
+    # every element of each view fills it once
+    for k, dxv in enumerate(_pool_views(dx)):
+        np.equal(first, k, out=hit)
         np.multiply(dy, hit, out=dxv)
     return dx
 
@@ -336,17 +367,20 @@ def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.nda
     return s.reshape(-1, c).sum(axis=0)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, update_running: bool):
-    """Train-mode batch norm over the last (channel) axis of a
-    channels-last batch, computed on its row view.
+def batchnorm_forward(x, running_mean, running_var, *, update_running: bool):
+    """Train-mode batch norm's normalization over the last (channel) axis of
+    a channels-last batch, computed on its row view.
 
     Normalizes with batch statistics and ``BN_EPS`` (and with
     ``update_running`` moves the running estimates toward them by
-    ``BN_MOMENTUM``).  It overwrites ``x``: the input is
-    normalized in place into the ``xhat`` the cache holds, so a caller that
-    needs the input afterwards must copy it first.  The output is a fresh
-    array.  Eval mode applies the running estimates as the eval plan's
-    per-channel scale and shift instead.
+    ``BN_MOMENTUM``).  It overwrites ``x``: the input is normalized in
+    place into the ``xhat`` it returns and caches, so a caller that needs
+    the input afterwards must copy it first.  The affine ``gamma * xhat +
+    beta`` is left to the caller: ``maxpool3d_forward`` applies it per
+    pooling window after blocks one and two, and ``forward`` applies it to
+    block three before global pooling; ``batchnorm_backward`` takes the
+    gradient at the affine's output.  Eval mode applies the running
+    estimates as the eval plan's per-channel scale and shift instead.
     """
     c = x.shape[-1]
     hw = x.shape[2] * x.shape[3]
@@ -363,9 +397,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, update_runni
         running_var += BN_MOMENTUM * unbiased
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= np.tile(inv, hw)
-    y = np.tile(gamma, hw) * xhat
-    y += np.tile(beta, hw)
-    return y.reshape(x.shape), (xhat, inv)
+    return x, (xhat, inv)
 
 
 def batchnorm_backward(dy, gamma, cache):
@@ -550,8 +582,9 @@ def _depth_max(y: np.ndarray, dd: int) -> np.ndarray:
 
 
 def _window_max(views: list, out: np.ndarray) -> np.ndarray:
-    """Elementwise max of one pooling window's views, taken in the order
-    given: (0, 0), (0, 1), (1, 0), (1, 1) for a 2 x 2 window."""
+    """Elementwise max of one pooling window's views into ``out``, taken in
+    the order given: (0, 0), (0, 1), (1, 0), (1, 1) for block one's 2 x 2
+    windows, ``_pool_views`` order for block two's."""
     np.copyto(out, views[0])
     for view in views[1:]:
         np.maximum(out, view, out=out)
@@ -618,14 +651,19 @@ def _block_one(one: _BlockOne, slabs: np.ndarray, th: int, tw: int) -> np.ndarra
 def _run_blocks(plan: EvalPlan, a: np.ndarray) -> np.ndarray:
     """Blocks two and three and the head, for one tile of block-one outputs:
     per block one GEMM over the tile, then ReLU, scale and shift in place
-    on its product, then pooling."""
+    on its product, then, after block two, the value max of its
+    ``_pool_views`` (``_window_max``; eval routes no gradient, so it keeps
+    no first-max offsets)."""
     for block in plan.rest:
         y, _ = conv3d_forward(a, block.fold)
         y2 = _rows(y)
         np.maximum(y2, 0, out=y2)
         y2 *= block.scale
         y2 += block.shift
-        a = maxpool3d_forward(y)[0] if block.pooled else y
+        a = y
+        if block.pooled:
+            views = list(_pool_views(y))
+            a = _window_max(views, np.empty(views[0].shape, dtype=y.dtype))
     pooled, _ = global_avgpool_forward(a)
     return _head(pooled, plan.tensors)
 
@@ -685,22 +723,22 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     trace.shapes.append(("input", _sample_shape(a)))
     for i in (1, 2, 3):
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
-        y, conv_cache = conv3d_forward(a, fold)
+        y, trace.caches[f"conv{i}"] = conv3d_forward(a, fold)
         np.maximum(y, 0, out=y)
         # the mask must be taken first: batch norm normalizes y in place
         trace.caches[f"relu{i}"] = y > 0
-        bn, bn_cache = batchnorm_forward(
-            y, t[f"bn{i}.gamma"], t[f"bn{i}.beta"],
-            t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
+        xhat, trace.caches[f"bn{i}"] = batchnorm_forward(
+            y, t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
             update_running=update_running_stats,
         )
-        trace.caches[f"conv{i}"] = conv_cache
-        trace.caches[f"bn{i}"] = bn_cache
-        trace.shapes.append((f"block{i}", _sample_shape(bn)))
-        a = bn
+        trace.shapes.append((f"block{i}", _sample_shape(xhat)))
+        gamma, beta = t[f"bn{i}.gamma"], t[f"bn{i}.beta"]
         if i < 3:
-            a, trace.caches[f"pool{i}"] = maxpool3d_forward(a)
+            a, trace.caches[f"pool{i}"] = maxpool3d_forward(xhat, gamma, beta)
             trace.shapes.append((f"pool{i}", _sample_shape(a)))
+        else:
+            a = xhat * gamma
+            a += beta
 
     pooled, trace.caches["avgpool"] = global_avgpool_forward(a)
     trace.shapes.append(("avgpool", (pooled.shape[1], 1, 1, 1)))

@@ -118,7 +118,8 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     at the row stride.  The holes are listed once per slab as C-order flat
     indices, band by band; m, M and the draws are gathered at them with
     ``take`` and the fill is written with ``np.put``, which index any layout
-    in C order.
+    in C order.  The band-mean fallback masks and reduces only the bands
+    that hold an orphan hole, not the whole slab.
     """
     data = granule.data.copy()
     rng = np.random.default_rng((int(cfg.rng_seed), int(folder_index)))
@@ -138,10 +139,16 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
             fill = fill.astype(np.float32)
         orphan = ~np.isfinite(lo)
         if orphan.any():
-            seen = ~holes.all(axis=(1, 2))  # an all-NaN band's mean stays zero
+            band = at[orphan] // slab[0].size
+            # only the bands that hold an orphan, each reduced over its own
+            # H x W block as a whole-slab mean reduces it; an all-NaN band's
+            # mean stays zero
+            picked = np.unique(band)
+            picked = picked[~holes[picked].all(axis=(1, 2))]
             band_mean = np.zeros(len(slab), dtype=np.float32)
-            band_mean[seen] = np.nanmean(np.where(holes, np.nan, slab)[seen], axis=(1, 2))
-            fill[orphan] = band_mean[at[orphan] // slab[0].size]
+            band_mean[picked] = np.nanmean(np.where(holes[picked], np.nan, slab[picked]),
+                                           axis=(1, 2))
+            fill[orphan] = band_mean[band]
         np.put(slab, at, fill)
     return Granule(data)
 

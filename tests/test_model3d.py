@@ -210,11 +210,9 @@ class TestLayerProperties:
     def test_batchnorm_train_stats_near_unit(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 5, size=(6, 7, 3, 3, 4)).astype(np.float64)
-        gamma = np.ones(4)
-        beta = np.zeros(4)
         rm = np.zeros(4)
         rv = np.ones(4)
-        y, _ = batchnorm_forward(x, gamma, beta, rm, rv, update_running=False)
+        y, _ = batchnorm_forward(x, rm, rv, update_running=False)
         mean = y.mean(axis=(0, 1, 2, 3))
         var = y.var(axis=(0, 1, 2, 3))
         assert np.abs(mean).max() < 1e-4
@@ -224,18 +222,23 @@ class TestLayerProperties:
         rng = np.random.default_rng(5)
         for shape in [(2, 6, 5, 4, 3), (1, 5, 2, 2, 2), (2, 3, 1, 1, 1), (1, 1, 1, 1, 1)]:
             x = rng.normal(size=shape).astype(np.float32)
-            y, (_, _, wins) = maxpool3d_forward(x)
+            gamma = rng.choice([-1.5, -0.5, 0.7], shape[-1]).astype(np.float32)
+            beta = rng.uniform(-1, 1, shape[-1]).astype(np.float32)
+            affine = x * gamma + beta
+            y, _ = maxpool3d_forward(x, gamma, beta)
+            wins = tuple(min(2, n) for n in shape[1:4])
             b, d, h, w, c = shape
             od, oh, ow = y.shape[1:4]
+            assert (od, oh, ow) == tuple(n // k for n, k in zip(shape[1:4], wins))
             for bi in range(b):
                 for ci in range(c):
                     for zi in range(od):
                         for yi in range(oh):
                             for xi in range(ow):
-                                window = x[bi,
-                                           zi * wins[0]:(zi + 1) * wins[0],
-                                           yi * wins[1]:(yi + 1) * wins[1],
-                                           xi * wins[2]:(xi + 1) * wins[2], ci]
+                                window = affine[bi,
+                                                zi * wins[0]:(zi + 1) * wins[0],
+                                                yi * wins[1]:(yi + 1) * wins[1],
+                                                xi * wins[2]:(xi + 1) * wins[2], ci]
                                 assert y[bi, zi, yi, xi, ci] == window.max()
 
     def test_maxpool_backward_routes_to_first_maximum(self):
@@ -243,17 +246,58 @@ class TestLayerProperties:
         # few distinct values, so most windows hold tied maxima
         x = rng.integers(0, 3, size=(2, 5, 4, 5, 3)).astype(np.float64)
         x[0, :2, :2, :2, 0] = 1.0  # one window that is all ties
-        y, cache = maxpool3d_forward(x)
+        gamma = np.array([0.7, -1.5, -0.5])
+        beta = rng.uniform(-1, 1, 3)
+        affine = x * gamma + beta
+        y, cache = maxpool3d_forward(x, gamma, beta)
         dy = rng.uniform(1, 2, size=y.shape)
         dx = maxpool3d_backward(dy, cache)
         want = np.zeros_like(x)
         for bi, zi, yi, xi, ci in np.ndindex(*y.shape):
             z0, y0, x0 = 2 * zi, 2 * yi, 2 * xi
-            window = x[bi, z0:z0 + 2, y0:y0 + 2, x0:x0 + 2, ci]
+            window = affine[bi, z0:z0 + 2, y0:y0 + 2, x0:x0 + 2, ci]
             a, r, c = np.unravel_index(np.argmax(window), window.shape)
             want[bi, z0 + a, y0 + r, x0 + c, ci] = dy[bi, zi, yi, xi, ci]
         assert np.array_equal(dx, want)
         assert dx[0, 0, 0, 0, 0] == dy[0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_nan_window_routes_nowhere(self, dtype):
+        # a window holding a NaN has a NaN max, which equals none of its
+        # elements: it passes no gradient, and every other window routes
+        # to its first maximum, ties and +-inf included, with the same
+        # signed zeros as the equality scan on the materialized output
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 3, size=(3, 5, 4, 5, 4)).astype(dtype)
+        x[0, 0, 0, 0, 0] = np.nan
+        x[1, 3, 2, 1, 2] = np.nan
+        x[2, :2, :2, :2, 1] = np.nan
+        x[2, 2, 0, 0, 3] = np.inf
+        x[2, 3, 1, 1, 3] = np.inf
+        x[1, 0, 0, 2, 0] = -np.inf
+        gamma = np.array([0.7, -1.5, -0.5, 1.0], dtype=dtype)
+        beta = rng.uniform(-1, 1, 4).astype(dtype)
+        y, cache = maxpool3d_forward(x, gamma, beta)
+        want_y, want_cache = reference_maxpool_forward(x * gamma + beta)
+        assert y.tobytes() == want_y.tobytes()
+        nan = np.isnan(y)
+        assert nan[0, 0, 0, 0, 0] and nan[1, 1, 1, 0, 2] and nan[2, 0, 0, 0, 1]
+        assert nan.sum() == 3
+        dy = rng.uniform(-2, 2, size=y.shape).astype(dtype)
+        dx = maxpool3d_backward(dy, cache)
+        assert dx.tobytes() == reference_maxpool_backward(dy, want_cache).tobytes()
+        for bi, zi, yi, xi, ci in zip(*np.nonzero(nan)):
+            assert not dx[bi, 2 * zi:2 * zi + 2, 2 * yi:2 * yi + 2, 2 * xi:2 * xi + 2, ci].any()
+        assert np.count_nonzero(dx) == np.count_nonzero(dy[~nan])
+
+    def test_maxpool_cache_holds_no_input_sized_array(self):
+        x = np.random.default_rng(8).normal(size=(4, 6, 5, 5, 3))
+        y, cache = maxpool3d_forward(x, np.ones(3), np.zeros(3))
+        arrays = [part for part in cache if isinstance(part, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            assert arr.size <= y.size and arr.nbytes < x.nbytes
+            assert not np.shares_memory(arr, x)
 
     def test_identity_kernel_reproduces_input(self):
         rng = np.random.default_rng(8)
@@ -423,16 +467,50 @@ def reference_batchnorm_backward(dy, gamma, cache):
     return dx.reshape(dy.shape), dgamma, dbeta
 
 
+def reference_pool_views(x):
+    """One strided view per offset of the 2x2x2 floor-mode window, in
+    depth, row, col order (a window clamps to an axis shorter than 2)."""
+    wins = [min(2, n) for n in x.shape[1:4]]
+    d, h, w = (n // k * k for n, k in zip(x.shape[1:4], wins))
+    return [x[:, a:d:wins[0], r:h:wins[1], c:w:wins[2]]
+            for a in range(wins[0]) for r in range(wins[1]) for c in range(wins[2])]
+
+
+def reference_maxpool_forward(x):
+    """Value max over the window views of the materialized batch-norm
+    output ``x``, which the cache keeps for the backward scan."""
+    y = None
+    for view in reference_pool_views(x):
+        y = view.copy() if y is None else np.maximum(y, view, out=y)
+    return y, (x, y)
+
+
+def reference_maxpool_backward(dy, cache):
+    """Equality scan: each window's gradient goes to the first view whose
+    element equals the window's max (none where the max is NaN)."""
+    x, y = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    open_ = np.ones(y.shape, dtype=bool)  # windows not yet routed
+    for xv, dxv in zip(reference_pool_views(x), reference_pool_views(dx)):
+        hit = (xv == y) & open_
+        open_ ^= hit
+        np.multiply(dy, hit, out=dxv)
+    return dx
+
+
 def reference_train_step(params, x, targets):
     """Train-mode forward and backward composed from the primitives with
     out-of-place batch norm, taking each ReLU mask after batch norm (which
-    leaves the ReLU output intact).  Returns predictions and gradients, and
-    updates the running estimates in ``params``."""
+    leaves the ReLU output intact), and pooling the materialized batch-norm
+    output with the test-local pool above.  Returns predictions, gradients
+    and the batch-norm outputs of the pooled blocks, and updates the running
+    estimates in ``params``."""
     cfg = params.config
     t = params.tensors
     n_blocks = len(cfg.filters)
     a = x.reshape(x.shape[0], *x.shape[2:], 1)
     blocks = []
+    pooled_inputs = []
     for i in range(1, n_blocks + 1):
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, conv_cache = conv3d_forward(a, fold)
@@ -443,7 +521,8 @@ def reference_train_step(params, x, targets):
             eps=model3d.BN_EPS, momentum=model3d.BN_MOMENTUM, update_running=True)
         pool_cache = None
         if i < n_blocks:
-            a, pool_cache = maxpool3d_forward(a)
+            pooled_inputs.append(a)
+            a, pool_cache = reference_maxpool_forward(a)
         blocks.append((conv_cache, y > 0, bn_cache, pool_cache))
     pooled, avg_cache = global_avgpool_forward(a)
     preds = model3d._head(pooled, t)
@@ -455,18 +534,49 @@ def reference_train_step(params, x, targets):
     for i in range(n_blocks, 0, -1):
         conv_cache, mask, bn_cache, pool_cache = blocks[i - 1]
         if i < n_blocks:
-            da = maxpool3d_backward(da, pool_cache)
+            da = reference_maxpool_backward(da, pool_cache)
         da, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = reference_batchnorm_backward(
             da, t[f"bn{i}.gamma"], bn_cache)
         da = da * mask
         da, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = conv3d_backward(
             da, conv_cache, need_dx=(i > 1))
-    return preds, grads
+    return preds, grads, pooled_inputs
+
+
+def tied_windows(x) -> int:
+    """Pooling windows of ``x`` whose maximum is held by more than one element."""
+    views = reference_pool_views(x)
+    top = np.max(views, axis=0)
+    return int(np.count_nonzero(sum(view == top for view in views) > 1))
 
 
 class TestInPlaceStep:
     """The in-place train step does the same floating-point operations in
-    the same order as out-of-place batch norm, so it matches bitwise."""
+    the same order as out-of-place batch norm followed by pooling of the
+    materialized batch-norm output, so it matches bitwise.  Its pooling
+    caches each window's first-max offset; the oracle pools by value and
+    scans for equality in backward, and shares no pooling code with it."""
+
+    @staticmethod
+    def _check_step(params, x, targets):
+        oracle = params.copy()
+        want_preds, want_grads, pooled_inputs = reference_train_step(oracle, x, targets)
+        preds, trace = forward(params, x, mode="train")
+        for i, bn_out in enumerate(pooled_inputs, start=1):
+            for part in trace.caches[f"pool{i}"]:
+                if isinstance(part, np.ndarray):
+                    assert part.nbytes < bn_out.nbytes, f"pool{i}"
+        _, dpreds = wmse_loss(preds, targets, LossConfig(1.0))
+        grads = backward(params, trace, dpreds)
+
+        dtype = params.dtype
+        assert preds.tobytes() == want_preds.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
+        for name, arr in params.tensors.items():
+            assert arr.tobytes() == oracle.tensors[name].tobytes(), name
+        return pooled_inputs
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
@@ -475,22 +585,31 @@ class TestInPlaceStep:
     def test_matches_out_of_place_oracle_bitwise(self, base, patch_size, dtype):
         config = replace(base, patch_size=patch_size)
         params = eval_params(patch_size, config, dtype)
-        oracle = params.copy()
         rng = np.random.default_rng(patch_size)
         x = rng.uniform(0, 1, (6, 1, config.in_depth, patch_size, patch_size)).astype(dtype)
         targets = rng.uniform(0, 1, 6).astype(dtype)
+        self._check_step(params, x, targets)
 
-        want_preds, want_grads = reference_train_step(oracle, x, targets)
-        preds, trace = forward(params, x, mode="train")
-        _, dpreds = wmse_loss(preds, targets, LossConfig(1.0))
-        grads = backward(params, trace, dpreds)
-
-        assert preds.tobytes() == want_preds.tobytes()
-        assert grads.keys() == want_grads.keys()
-        for name, g in grads.items():
-            assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), name
-        for name, arr in params.tensors.items():
-            assert arr.tobytes() == oracle.tensors[name].tobytes(), name
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("patch_size", [3, 5, 7])
+    @pytest.mark.parametrize("base", [TINY, SMALL_MODEL, ModelConfig()],
+                             ids=["tiny", "small", "default"])
+    def test_tied_dead_relu_maxima_match_oracle_bitwise(self, base, patch_size, dtype):
+        # a negative gamma turns the dead-ReLU value, each channel's
+        # smallest, into its window max, and every third band zeroed
+        # kills more units, so many windows hold that max more than once
+        config = replace(base, patch_size=patch_size)
+        params = eval_params(patch_size, config, dtype)
+        rng = np.random.default_rng(100 + patch_size)
+        for i in (1, 2, 3):
+            n = config.filters[i - 1]
+            params.tensors[f"bn{i}.gamma"][...] = rng.choice([-1.5, -0.5, 0.7], n)
+            params.tensors[f"bn{i}.beta"][...] = rng.uniform(-1, 1, n)
+        x = rng.uniform(0, 1, (6, 1, config.in_depth, patch_size, patch_size)).astype(dtype)
+        x[:, :, ::3] = 0
+        targets = rng.uniform(0, 1, 6).astype(dtype)
+        pooled_inputs = self._check_step(params, x, targets)
+        assert all(tied_windows(bn_out) > 0 for bn_out in pooled_inputs)
 
 
 class TestPredictPaths:
@@ -572,9 +691,9 @@ def full_extent_eval(params: ModelParams, x: np.ndarray) -> np.ndarray:
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, _ = conv3d_forward(a, fold)
         y = np.maximum(y, 0)
-        y = ((y - t[f"bn{i}.running_mean"]) / np.sqrt(t[f"bn{i}.running_var"] + model3d.BN_EPS)
-             * t[f"bn{i}.gamma"] + t[f"bn{i}.beta"])
-        a = maxpool3d_forward(y)[0] if i < len(cfg.filters) else y
+        xhat = (y - t[f"bn{i}.running_mean"]) / np.sqrt(t[f"bn{i}.running_var"] + model3d.BN_EPS)
+        gamma, beta = t[f"bn{i}.gamma"], t[f"bn{i}.beta"]
+        a = maxpool3d_forward(xhat, gamma, beta)[0] if i < len(cfg.filters) else xhat * gamma + beta
     z = a.mean(axis=(1, 2, 3)) @ t["fc.weight"][0] + t["fc.bias"][0]
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -863,7 +982,8 @@ def test_train_step_working_set_is_bounded():
     proc = subprocess.run([sys.executable, "-c", RELAY, "-c", STEP_PROBE],
                           capture_output=True, text=True, env=env, check=True)
     growth, nbytes = (int(v) for v in proc.stdout.split())
-    # the step holds the normalized block-1 activation, its batch-norm
-    # output and one gradient of that size at once; anything below one
-    # activation means the high-water mark was set before the probe ran
-    assert nbytes <= growth <= 4.5 * nbytes, f"peak grew by {growth / nbytes:.2f}x block 1"
+    # the step holds the normalized block-1 activation and one gradient of
+    # that size at once (pooling keeps a byte per window, not the batch-norm
+    # output); anything below one activation means the high-water mark was
+    # set before the probe ran
+    assert nbytes <= growth <= 3.5 * nbytes, f"peak grew by {growth / nbytes:.2f}x block 1"
