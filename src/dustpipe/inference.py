@@ -4,19 +4,18 @@ Every interior pixel (at least half a patch away from each edge) gets the
 eval-mode network output for the patch centered on it; the border band where
 no full patch fits is a NaN sentinel rather than fabricated padding.
 
-The interior is covered in 2-D tiles of at most ``model3d.EVAL_TILE``
-pixels, walked by ``model3d.scene_tiles`` (evaluation walks the same tiles
-over each granule of a manifest; see ``training._predict_index``).  Each
-tile reads one slab of the granule, its pixels plus a halo of P - 1 rows
-and cols, checks it, and hands it to ``model3d.predict_slabs``,
-which computes block one once per slab position and class instead of once
-per patch, then runs blocks two and three as one GEMM per conv over the
-tile.  A pixel's value is bitwise the same as a lone ``predict`` call on its
-patch, so maps do not depend on the tiling or the batch size, wherever the
-BLAS gives a GEMM row the same bits at every tile size (see
-``model3d.predict``; the test suite checks it for the architectures it
-covers).  No full-scene array is built besides the output map, so
-``dustpipe infer`` reads the granule through a memory map.
+The map is ``model3d.predict_scene`` over the whole granule, the predictor
+that evaluation and validation run too (see ``training._predict_index``).
+It covers the interior in 2-D tiles of at most ``model3d.EVAL_TILE``
+pixels, each read as one slab of the granule, its pixels plus a halo of
+P - 1 rows and cols, computes block one once per slab position and class
+instead of once per patch, then runs blocks two and three as one GEMM per
+conv over the tile.  A pixel's value is bitwise the same as a lone
+``predict`` call on its patch, so maps do not depend on the tiling or the
+batch size, wherever the BLAS gives a GEMM row the same bits at every tile
+size (see ``model3d.predict``; the test suite checks it for the
+architectures it covers).  Nothing the size of the granule is built, only
+(H, W) maps, so ``dustpipe infer`` reads the granule through a memory map.
 
 Map container layout (little-endian): the label map's 2-D grid under its
 own magic,
@@ -36,8 +35,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
-from .model3d import EVAL_TILE, ModelParams, eval_plan, predict_slabs, scene_tiles
-from .model3d import tile_shape  # noqa: F401  (re-exported: the shape of the tiles above)
+from .model3d import EVAL_TILE, ModelParams, predict_scene
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
@@ -59,41 +57,24 @@ def infer_scene(params: ModelParams, granule: Granule,
 
     The granule must be finite in [0, 1] with the channel count the
     checkpoint was trained on; patches are the checkpoint's patch size.
-    Tiles hold at most ``batch_size`` pixels (see ``model3d.tile_shape``);
-    the result does not depend on it on a BLAS that gives a GEMM row the
-    same bits at every tile size (see ``model3d.predict``).  Every granule
-    value is checked, in the tile slab that reads it.
+    ``batch_size`` is checked first, then the channel count, then every
+    granule value, once, before any tile runs.  Tiles hold at most
+    ``batch_size`` pixels (see ``model3d.tile_shape``); the result does not
+    depend on it on a BLAS that gives a GEMM row the same bits at every
+    tile size (see ``model3d.predict``).
     """
-    cfg = params.config
-    p = cfg.patch_size
     data = granule.data
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if data.shape[0] != cfg.in_depth:
+    if data.shape[0] != params.config.in_depth:
         raise ShapeMismatchError(
-            f"granule has {data.shape[0]} channels, checkpoint expects {cfg.in_depth}"
+            f"granule has {data.shape[0]} channels, checkpoint expects {params.config.in_depth}"
         )
-
-    h = p // 2
-    out = np.full(data.shape[1:], np.nan, dtype=np.float32)
-    if min(out.shape) < p:
-        _check_unit_range(data)
-        return DetectionMap(out)
-
-    plan = eval_plan(params)
-    interior = out[h:out.shape[0] - h, h:out.shape[1] - h]
-    for y, x, ty, tx in scene_tiles(*interior.shape, batch_size):
-        # the slabs cover the granule, border band included
-        slab = np.array(data[:, y:y + ty + p - 1, x:x + tx + p - 1], dtype=params.dtype)
-        _check_unit_range(slab)
-        interior[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
-    return DetectionMap(out)
-
-
-def _check_unit_range(values: np.ndarray) -> None:
     # NaN fails both comparisons
-    if not (values.min() >= 0.0 and values.max() <= 1.0):
+    if not (data.min() >= 0.0 and data.max() <= 1.0):
         raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
+    return DetectionMap(predict_scene(params, data, batch_size=batch_size)
+                        .astype(np.float32, copy=False))
 
 
 def write_map(dmap: DetectionMap, path: str | Path) -> None:
@@ -146,7 +127,10 @@ def score_map(dmap: DetectionMap, labels: LabelMap) -> ScoreReport:
         raise EmptyDatasetError("no overlapping finite pixels between map and labels")
 
     overall = compute_metrics(dmap.values[valid], truth[valid])
-    gy, gx = np.gradient(truth.astype(np.float64))
+    # numpy has no gradient along an axis of length 1: it counts as flat
+    t64 = truth.astype(np.float64)
+    gy, gx = (np.gradient(t64, axis=a) if t64.shape[a] > 1 else np.zeros_like(t64)
+              for a in (0, 1))
     with np.errstate(invalid="ignore"):
         edge = np.hypot(gy, gx) > EDGE_GRADIENT_THRESHOLD
     boundary_mask = valid & edge

@@ -32,19 +32,20 @@ uses it, so block one's buffers are freed as soon as they are consumed,
 and a trace is consumed by one ``backward``.
 
 Evaluation has one path, an eval plan (``eval_plan``) built once per
-``predict`` call, evaluation or scene, and run by ``predict_slabs`` over
+``predict`` or ``predict_scene`` call and run by ``predict_slabs`` over
 tiles of at most ``EVAL_TILE`` patches; ``forward`` is the training pass
 only.  A tile is a batch of input slabs, each holding th x tw patches: a
-stand-alone patch is a slab with th = tw = 1, a scene tile (one of
-``scene_tiles``, the walk that scene inference and evaluation share) one
-slab of th x tw pixels plus a halo of P - 1.  Floor-mode max pooling never
-reads the trailing row and column of an odd extent, so block one keeps
-(P - 1) x (P - 1) positions per patch, and the same-padding taps a kept
-position drops depend only on whether it is its patch's first (or last)
-row and col.  So block one has one (27, Cout) kernel per class of
-position, and each class runs over the rectangle of slab positions that
-some patch of the tile keeps in that class: a scene position is computed
-once per class, not once per patch that shares it.  Every block-one GEMM
+stand-alone patch is a slab with th = tw = 1, a scene tile (one of the
+``tile_shape`` tiles that ``predict_scene`` walks for scene inference,
+evaluation and validation) one slab of th x tw pixels plus a halo of
+P - 1.  Floor-mode max pooling never reads the trailing row and column of
+an odd extent, so block one keeps (P - 1) x (P - 1) positions per patch,
+and the same-padding taps a kept position drops depend only on whether it
+is its patch's first (or last) row and col.  So block one has one
+(27, Cout) kernel per class of position, and each class runs over the
+rectangle of slab positions that some patch of the tile keeps in that
+class: a scene position is computed once per class, not once per patch
+that shares it.  Every block-one GEMM
 is a (D, 27) @ (27, Cout) product for one position, issued as a stacked
 matmul, so a position's values do not depend on the tile.  Block one
 pools its conv products before bias, ReLU and batch norm (they commute
@@ -79,22 +80,22 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, ShapeMismatchError
 from .granule_io import Records, read_header, write_container
-from .patch_index import require_odd
+from .patch_index import patch_windows, require_odd
 
 CHECKPOINT_MAGIC = b"DCK1"
 # architecture fields stored as ``meta.<field>`` tensors; all but filters are scalars
 _META = ("filters", "in_depth", "patch_size", "bn_eps", "bn_momentum")
 KERNEL = 3
 POOL = 2
-# patches per eval tile, in ``predict``, in evaluation and in scene
-# inference: blocks two and three run one GEMM per conv per tile
+# patches per eval tile, in ``predict`` and ``predict_scene``: blocks two
+# and three run one GEMM per conv per tile
 EVAL_TILE = 32
 # batch norm's variance floor and running-estimate momentum; checkpoints
 # store both (as float32) and are refused when they hold other values
@@ -653,9 +654,14 @@ def _run_blocks(plan: EvalPlan, a: np.ndarray) -> np.ndarray:
     per block one GEMM over the tile, then ReLU, scale and shift in place
     on its product, then, after block two, the value max of its
     ``_pool_views`` (``_window_max``; eval routes no gradient, so it keeps
-    no first-max offsets)."""
+    no first-max offsets).  A conv over a single (B * D = 1) row runs it
+    beside a zero row and keeps the first: numpy sends a one-row product
+    to the BLAS's matrix-vector kernel, which may sum in another order
+    than the GEMM that every other tile size takes."""
     for block in plan.rest:
-        y, _ = conv3d_forward(a, block.fold)
+        lone = a.shape[0] * a.shape[1] == 1
+        y, _ = conv3d_forward(np.concatenate([a, np.zeros_like(a)]) if lone else a, block.fold)
+        y = y[:1] if lone else y
         y2 = _rows(y)
         np.maximum(y2, 0, out=y2)
         y2 *= block.scale
@@ -692,16 +698,50 @@ def tile_shape(rows: int, cols: int, batch_size: int) -> tuple[int, int]:
     return min(rows, n // width), width
 
 
-def scene_tiles(rows: int, cols: int,
-                batch_size: int = EVAL_TILE) -> Iterator[tuple[int, int, int, int]]:
-    """The tiles (y, x, ty, tx) of ``tile_shape`` that cover a non-empty
-    rows x cols interior, row-major; the last row and column of tiles are
-    clipped to it.  A tile's slab is the granule's rows y to y + ty + P - 2
-    and cols x to x + tx + P - 2, exactly the pixels its patches read."""
+def predict_scene(params: ModelParams, data: np.ndarray, want: np.ndarray | None = None,
+                  batch_size: int = EVAL_TILE) -> np.ndarray:
+    """Eval-mode probabilities for the patch centred on each pixel of a
+    (C, H, W) volume, as an (H, W) map in the params' dtype: NaN on the
+    border band where no full patch fits and, given an (H, W) boolean
+    ``want``, at every centre where it is False.
+
+    One eval plan is built per call.  The interior is walked row-major in
+    tiles of ``tile_shape(..., batch_size)``, the last row and column of
+    tiles clipped to it.  A tile whose centres are all wanted runs as one
+    slab, the volume's rows y to y + ty + P - 2 and cols x to x + tx + P - 2:
+    exactly the pixels its patches read, so block one is computed once per
+    shared position.  Every other wanted centre is gathered from
+    ``patch_windows``, ``EVAL_TILE`` at a time, and run as one-pixel slabs.
+    Either way a centre gets the bits of a lone ``predict`` call on its
+    patch (see ``predict``), and only values that a wanted centre's patch
+    reads are checked finite (``ValueError`` otherwise).
+    """
+    p = params.config.patch_size
+    h = p // 2
+    out = np.full(data.shape[1:], np.nan, dtype=params.dtype)
+    rows, cols = out.shape[0] - p + 1, out.shape[1] - p + 1
+    if rows < 1 or cols < 1:
+        return out
+    interior = out[h:h + rows, h:h + cols]
+    rest = (np.ones((rows, cols), dtype=bool) if want is None
+            else np.array(want[h:h + rows, h:h + cols], dtype=bool))
+    plan = eval_plan(params)
     th, tw = tile_shape(rows, cols, batch_size)
     for y in range(0, rows, th):
         for x in range(0, cols, tw):
-            yield y, x, min(th, rows - y), min(tw, cols - x)
+            tile = rest[y:y + th, x:x + tw]
+            if tile.all():
+                ty, tx = tile.shape
+                slab = finite_input(params, data[:, y:y + ty + p - 1, x:x + tx + p - 1])
+                probs = predict_slabs(plan, slab[None], ty, tx)
+                interior[y:y + ty, x:x + tx] = probs.reshape(ty, tx)
+                tile[...] = False
+    ys, xs = np.nonzero(rest)
+    windows = patch_windows(data, p)
+    for start in range(0, len(ys), EVAL_TILE):
+        y, x = ys[start:start + EVAL_TILE], xs[start:start + EVAL_TILE]
+        interior[y, x] = predict_slabs(plan, finite_input(params, windows[y, x]), 1, 1)
+    return out
 
 
 def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
@@ -794,14 +834,13 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
 def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     """Eval-mode probabilities for (B, C, P, P) patches, each checked
-    finite (``ValueError`` otherwise).  Training's validation and
-    ``evaluate`` run it on the patches that no scene tile covers.
+    finite (``ValueError`` otherwise).
 
     One eval plan (``eval_plan``) is built per call, and patches go
     through it in tiles of ``EVAL_TILE``, each patch as a one-pixel slab
-    of ``predict_slabs``, the function that scene inference and evaluation
-    run on tiles of a granule.  Block one's values do not depend on the
-    batch split, by construction: it runs one GEMM shape per position.
+    of ``predict_slabs``, the function that ``predict_scene`` runs on
+    tiles of a volume.  Block one's values do not depend on the batch
+    split, by construction: it runs one GEMM shape per position.
     Blocks two and three run one GEMM per conv over a tile, so a patch's
     probability is bitwise the same for any batch split, lone single-patch
     calls included, only if the BLAS gives each row the same bits wherever

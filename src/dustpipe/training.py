@@ -27,20 +27,14 @@ import numpy as np
 from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
 from .granule_io import DatasetManifest
 from .model3d import (
-    EVAL_TILE,
     ModelConfig,
     ModelParams,
     backward,
-    eval_plan,
-    finite_input,
     forward,
     init_params,
     load_checkpoint,
-    predict,
-    predict_slabs,
+    predict_scene,
     save_checkpoint,
-    scene_tiles,
-    tile_shape,
     trainable_names,
 )
 from .patch_index import (
@@ -57,7 +51,6 @@ ADAM_EPS = 1e-8
 PLATEAU_FACTOR = 0.5
 MIN_LR = 1e-7
 IMPROVEMENT_THRESHOLD = 1e-8  # a smaller drop in validation loss is a stall
-EVAL_BATCH = 1024  # patches gathered per batch where no scene tile covers them
 
 
 @dataclass(frozen=True)
@@ -277,59 +270,24 @@ def _predict_index(params: ModelParams, index: PatchIndex,
                    store: GranuleStore) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode predictions and targets for every triplet of ``index``, in order.
 
-    Each granule's interior is walked in the tiles of scene inference
-    (``model3d.scene_tiles``).  A tile whose centres are all in the index
-    runs as one slab of ``predict_slabs``, so block one is computed once
-    per shared position; its slab holds exactly the pixels its patches
-    read, and is checked finite as ``predict`` checks them.  Every other
-    triplet is gathered, ``EVAL_BATCH`` at a time, and run through
-    ``predict``.  Both give a patch the bits of a lone ``predict`` call
-    (see ``model3d.predict``), so the result does not depend on which path
-    a triplet takes.
+    Each granule runs through ``model3d.predict_scene`` with its indexed
+    centres wanted: tiles whose centres are all indexed run as scene slabs,
+    the other indexed centres as gathered patches, and only values that an
+    indexed centre's patch reads are checked finite.  A centre gets the
+    bits of a lone ``predict`` call either way.  The triplets must lie in
+    their granules' interiors, as every ``build_index`` triplet does.
     """
     triplets = index.triplets
-    p, h = index.patch_size, index.half
     preds = np.empty(len(triplets), dtype=params.dtype)
     targets = np.empty(len(triplets), dtype=np.float32)
-    tiled = np.zeros(len(triplets), dtype=bool)
-    plan = None
     for f in range(len(store)):
-        data = store.granule(f)
-        rows, cols = data.shape[1] - p + 1, data.shape[2] - p + 1
         at = np.flatnonzero(triplets[:, 0] == f)
-        ys, xs = triplets[at, 1] - h, triplets[at, 2] - h
-        inside = (ys >= 0) & (ys < rows) & (xs >= 0) & (xs < cols)
-        if not inside.any():
-            continue
-        at, ys, xs = at[inside], ys[inside], xs[inside]
-        # indexed centres per tile, one count for the whole granule
-        indexed = np.zeros((rows, cols), dtype=bool)
-        indexed[ys, xs] = True
-        th, tw = tile_shape(rows, cols, EVAL_TILE)
-        starts_y, starts_x = np.arange(0, rows, th), np.arange(0, cols, tw)
-        counts = np.add.reduceat(np.add.reduceat(indexed, starts_y, axis=0, dtype=np.intp),
-                                 starts_x, axis=1)
-        full = counts == np.outer(np.diff(starts_y, append=rows), np.diff(starts_x, append=cols))
-        if not full.any():
-            continue
-        if plan is None:
-            plan = eval_plan(params)
-        scene = np.empty((rows, cols), dtype=params.dtype)
-        for y, x, ty, tx in scene_tiles(rows, cols):
-            if full[y // th, x // tw]:
-                slab = finite_input(params, data[:, y:y + ty + p - 1, x:x + tx + p - 1])
-                scene[y:y + ty, x:x + tx] = predict_slabs(plan, slab[None], ty, tx).reshape(ty, tx)
-        hit = full[ys // th, xs // tw]
-        at, ys, xs = at[hit], ys[hit], xs[hit]
-        preds[at] = scene[ys, xs]
-        targets[at] = store.labels(f)[ys + h, xs + h]
-        tiled[at] = True
-    rest = np.flatnonzero(~tiled)
-    for start, batch in zip(range(0, len(rest), EVAL_BATCH),
-                            iter_batches(index, store, rest, EVAL_BATCH)):
-        chunk = rest[start:start + EVAL_BATCH]
-        preds[chunk] = predict(params, batch.inputs)
-        targets[chunk] = batch.targets
+        data = store.granule(f)
+        ys, xs = triplets[at, 1], triplets[at, 2]
+        want = np.zeros(data.shape[1:], dtype=bool)
+        want[ys, xs] = True
+        preds[at] = predict_scene(params, data, want)[ys, xs]
+        targets[at] = store.labels(f)[ys, xs]
     return preds, targets
 
 
@@ -441,9 +399,9 @@ def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
              alpha: float = 1.0) -> MetricsReport:
     """Eval-mode metrics over every valid patch center of a manifest.
 
-    Centres run through the scene tiles of ``_predict_index`` where a tile
-    is fully indexed, and through ``predict`` otherwise; the report does
-    not depend on which.  A manifest whose channel count differs from the
+    Each granule's indexed centres run through ``model3d.predict_scene``
+    (see ``_predict_index``); the report does not depend on which of its
+    paths a centre takes.  A manifest whose channel count differs from the
     checkpoint's ``in_depth`` raises ``ShapeMismatchError`` before any
     prediction; a non-finite value in a patch that an indexed centre reads
     raises ``ValueError``.

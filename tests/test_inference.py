@@ -1,6 +1,7 @@
 """Scene inference: geometry, bitwise batch invariance, map containers,
 PGM export, and boundary-vs-core scoring."""
 
+import math
 import struct
 from dataclasses import replace
 
@@ -27,11 +28,10 @@ from dustpipe.inference import (
     infer_scene,
     read_map,
     score_map,
-    tile_shape,
     write_map,
     write_pgm,
 )
-from dustpipe.model3d import ModelConfig, init_params, load_checkpoint, predict
+from dustpipe.model3d import ModelConfig, init_params, load_checkpoint, predict, tile_shape
 from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
 from test_model3d import signed_params
 
@@ -85,6 +85,16 @@ class TestInferScene:
         for bs in (7, 64):
             got = infer_scene(params, g, batch_size=bs).values
             assert np.array_equal(reference, got, equal_nan=True)
+
+    @pytest.mark.parametrize("in_depth", range(1, 9))
+    def test_default_filters_map_invariant_to_batch_size_at_shallow_depth(self, in_depth):
+        # below in_depth 8 a 1 x 1 tile reaches a conv of block two or three
+        # as a single row (batch times depth is 1)
+        params = signed_params(in_depth, ModelConfig(in_depth=in_depth), np.float32)
+        g = Granule(np.random.default_rng(in_depth).uniform(
+            0, 1, (in_depth, 16, 16)).astype(np.float32))
+        maps = [infer_scene(params, g, batch_size=bs).values.tobytes() for bs in (1, 7, 64)]
+        assert maps[0] == maps[1] == maps[2]
 
     def test_precondition_validation(self, tmp_path):
         g, _ = processed_granule(tmp_path / "d")
@@ -223,6 +233,18 @@ class TestScoreMap:
         n_bands = (report.boundary.n if report.boundary else 0) + \
                   (report.core.n if report.core else 0)
         assert n_bands == report.overall.n
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
+    def test_one_row_or_column_map_is_scored(self, shape):
+        # a length-1 axis has no label gradient: only the other axis splits
+        values = np.linspace(0, 1, math.prod(shape), dtype=np.float32).reshape(shape)
+        labels = LabelMap(np.where(values > 0.5, 1.0, 0.0).astype(np.float32))
+        report = score_map(DetectionMap(values), labels)
+        assert report.overall.n == values.size
+        n_bands = sum(band.n for band in (report.boundary, report.core) if band is not None)
+        assert n_bands == values.size
+        if values.size > 1:
+            assert report.boundary is not None
 
     def test_trained_model_struggles_most_at_plume_edges(self, desk_run):
         params, _ = load_checkpoint(desk_run["result"].best_checkpoint)

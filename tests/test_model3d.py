@@ -1,6 +1,7 @@
 """Network layers and assembly: shape contracts, analytic gradients against
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
+import ast
 import os
 import re
 import struct
@@ -679,6 +680,16 @@ class TestBatchInvariance:
             got = np.concatenate([predict(params, part) for part in parts])
             assert got.tobytes() == lone, f"split at {cuts.tolist()}"
 
+    @pytest.mark.parametrize("in_depth", range(1, 9))
+    def test_default_filters_lone_equals_batched_at_shallow_depth(self, in_depth):
+        # below in_depth 8 a lone patch reaches a conv of block two or three
+        # as a single row (batch times depth is 1)
+        params = signed_params(in_depth, ModelConfig(in_depth=in_depth), np.float32)
+        patches = np.random.default_rng(in_depth).uniform(
+            0, 1, (40, in_depth, 5, 5)).astype(np.float32)
+        lone = np.concatenate([predict(params, patches[i:i + 1]) for i in range(40)])
+        assert predict(params, patches).tobytes() == lone.tobytes()
+
 
 def full_extent_eval(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Eval forward composed from the primitives over every output
@@ -987,3 +998,15 @@ def test_train_step_working_set_is_bounded():
     # output); anything below one activation means the high-water mark was
     # set before the probe ran
     assert nbytes <= growth <= 3.5 * nbytes, f"peak grew by {growth / nbytes:.2f}x block 1"
+
+
+def test_tile_decisions_stay_behind_predict_scene():
+    # evaluation, validation and scene inference reach tiles only through
+    # model3d.predict_scene, so the tile walk and plan lifetime live in one place
+    internal = {"predict_slabs", "eval_plan", "tile_shape", "scene_tiles"}
+    for module in ("training", "inference"):
+        tree = ast.parse((Path(dustpipe.__file__).parent / f"{module}.py").read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & internal, module

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dustpipe.training as training_mod
+from dustpipe import model3d
 from dustpipe.cli import main
 from dustpipe.errors import (
     EmptyDatasetError,
@@ -402,11 +403,9 @@ class TestTrainLoop:
     def test_non_finite_validation_loss_aborts_before_checkpoints(self, tmp_path, monkeypatch):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=9)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=10)
-        # validation runs full scene tiles through predict_slabs, the rest through predict
-        monkeypatch.setattr(training_mod, "predict",
-                            lambda params, x: np.full(len(x), np.nan, dtype=params.dtype))
-        monkeypatch.setattr(training_mod, "predict_slabs",
-                            lambda plan, slabs, th, tw: np.full(len(slabs) * th * tw, np.nan))
+        # validation runs every granule through predict_scene
+        monkeypatch.setattr(training_mod, "predict_scene",
+                            lambda params, data, want: np.full(data.shape[1:], np.nan))
         closed = []
         real_close = training_mod.GranuleStore.close
         monkeypatch.setattr(training_mod.GranuleStore, "close",
@@ -495,8 +494,7 @@ class TestEvaluate:
         def refuse(*args):
             raise AssertionError("predicted before the channel check")
 
-        monkeypatch.setattr(training_mod, "predict", refuse)
-        monkeypatch.setattr(training_mod, "predict_slabs", refuse)
+        monkeypatch.setattr(training_mod, "predict_scene", refuse)
         with pytest.raises(ShapeMismatchError, match="8 channels, checkpoint expects 6"):
             evaluate(ckpt, manifest)
 
@@ -522,8 +520,8 @@ EVAL_CASES = {
 
 
 class TestPredictIndexTiles:
-    """``_predict_index`` runs fully indexed scene tiles through
-    ``predict_slabs`` and gathers the rest for ``predict``.  Either way a
+    """``_predict_index`` runs fully indexed scene tiles as scene slabs of
+    ``predict_slabs`` and gathers the rest as one-pixel slabs.  Either way a
     triplet must get the bits of gathered ``predict``, in triplet order."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -543,13 +541,20 @@ class TestPredictIndexTiles:
         index = build_index(manifest, patch_size)
         index = PatchIndex(index.triplets[rng.permutation(len(index))], patch_size)
         params = signed_params(patch_size, replace(TINY_MODEL, patch_size=patch_size), dtype)
-        gathered = []
-        monkeypatch.setattr(training_mod, "predict",
-                            lambda params, x: (gathered.append(len(x)), predict(params, x))[1])
+        one_pixel = []
+        real_slabs = model3d.predict_slabs
 
+        def count_one_pixel_slabs(plan, slabs, th, tw):
+            if th == tw == 1:
+                one_pixel.append(len(slabs))
+            return real_slabs(plan, slabs, th, tw)
+
+        monkeypatch.setattr(model3d, "predict_slabs", count_one_pixel_slabs)
         with closing(GranuleStore(manifest)) as store:
             preds, targets = training_mod._predict_index(params, index, store)
             inputs, want_targets = store.extract_batch(index.triplets, patch_size)
+        # gathered centres run as one-pixel slabs, and so does the oracle below
+        gathered = list(one_pixel)
         want = predict(params, inputs)
         assert preds.dtype == want.dtype
         assert preds.tobytes() == want.tobytes()
