@@ -9,13 +9,20 @@ contiguous within each band.  Both steps run over slabs of consecutive bands
 on the output copy, and neither makes a masked copy of a slab nor indexes
 with a 3-D boolean mask: band extrema are NaN-skipping ``np.fmin`` /
 ``np.fmax`` reductions, and imputation lists each slab's holes once as flat
-indices, gathers with ``take`` and writes with ``np.put``.  Draws come from
-one generator per granule in band order, as one (C, H, W) draw.
+indices, gathers with ``take`` and writes with ``np.put``.  The draws are
+those of one generator per granule read in band order: each slab with a hole
+seeds its own generator and advances it past the draws of the bands before
+it, so the bytes depend neither on the slab size nor on which worker ran a
+slab.  A granule of more than one slab runs on one worker thread per usable
+core (the CPU affinity mask, at most ``_MAX_WORKERS``); worker k takes slabs
+k, k+n, ... and copies each from the input into the output before working
+on it there.  A granule of one slab runs inline, with no pool.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,14 +49,42 @@ class PreprocessConfig:
 
 
 SLAB_BYTES = 1 << 20
+# A worker's scratch arrays take about 4.3x its slab, so four of them stay
+# within half a granule of 38 one-band slabs; more cores go unused.
+_MAX_WORKERS = 4
 
 
-def _slabs(data: np.ndarray):
-    """(first band, view) pairs covering the bands in order, each at most
-    SLAB_BYTES or one band: a small granule is one slab, as a call per band
-    costs ~1 ms per 38x30x30 granule, and a large one's temporaries stay small."""
-    step = max(1, SLAB_BYTES * len(data) // max(1, data.nbytes))
-    return ((c, data[c:c + step]) for c in range(0, len(data), step))
+def _usable_cores() -> int:
+    """CPUs this process may run on: its CPU affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slab_plan(data: np.ndarray) -> tuple[range, int, int]:
+    """(first band of each slab, bands per slab, workers) for ``data``.
+
+    Each slab is at most SLAB_BYTES or one band: a small granule is one slab,
+    as a call per band costs ~1 ms per 38x30x30 granule, and a large one's
+    temporaries stay small.  One slab runs inline; more run on one worker per
+    usable core, at most one per slab and at most ``_MAX_WORKERS``."""
+    size = max(1, SLAB_BYTES * len(data) // max(1, data.nbytes))
+    firsts = range(0, len(data), size)
+    workers = 1 if len(firsts) < 2 else min(_usable_cores(), len(firsts), _MAX_WORKERS)
+    return firsts, size, workers
+
+
+def _on_workers(work, workers: int) -> list:
+    """``[work(k) for k in range(workers)]``: inline for one worker, else on
+    one thread each.  The first worker exception, in worker order, reaches the
+    caller once every worker has stopped.  numpy releases the GIL in the slab
+    steps' large array calls, so the threads overlap."""
+    if workers == 1:
+        return [work(0)]
+    from concurrent.futures import ThreadPoolExecutor  # only multi-slab calls import it
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work, k) for k in range(workers)]
+        return [f.result() for f in futures]
 
 
 def normalize_bands(granule: Granule) -> Granule:
@@ -57,48 +92,107 @@ def normalize_bands(granule: Granule) -> Granule:
     (``granule_io.normalize_planes``, one slab of bands at a time).
 
     NaN passes through.  A constant band maps to all zeros.  A band with no
-    finite value at all (only NaN and +-inf) is left as it is (logged;
-    imputation fills its holes with zero downstream).
+    finite value at all (only NaN and +-inf) is left as it is (logged once,
+    in band order; imputation fills its holes with zero downstream).
+    Worker k copies slabs k, k+n, ... of the input into the output and
+    normalizes them there.
     """
-    out = granule.data.copy()
-    empty = []
-    for first, slab in _slabs(out):
-        empty += (first + np.flatnonzero(normalize_planes(slab))).tolist()
+    data = granule.data
+    out = np.empty(data.shape, data.dtype)
+    firsts, size, workers = _slab_plan(data)
+
+    def work(k):
+        empty = []
+        for first in firsts[k::workers]:
+            slab = out[first:first + size]
+            np.copyto(slab, data[first:first + size])
+            empty += (first + np.flatnonzero(normalize_planes(slab))).tolist()
+        return empty
+
+    empty = sorted(c for bands in _on_workers(work, workers) for c in bands)
     if empty:
         log.warning("bands with no finite values left as they are: %s", empty)
     return Granule(out)
 
 
-def _column_window(op, pad, slab: np.ndarray, at: np.ndarray, w: int) -> np.ndarray:
-    """``op`` (``np.minimum`` or ``np.maximum``) over rows y-w..y+w of every
-    column of every band, with the holes at flat indices ``at`` of the slab
-    and rows off the image reading ``pad``.
+def _column_window(op, pad, slab: np.ndarray, pos: np.ndarray, w: int,
+                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``op`` (``np.minimum`` or ``np.maximum``) over rows y-w..y+w of column
+    x of band c, for each hole (c, y, x) of the slab, with holes and rows off
+    the image reading ``pad``.  ``a`` and ``b`` are scratch buffers with 2w
+    more rows per band than the slab, and ``pos`` is each hole's flat index
+    at row y of its band in them.
 
     A sparse table (Bender & Farach-Colton 2000): after k passes, row i of the
     padded buffer holds ``op`` over rows i..i+2^k-1, and two overlapping
-    blocks of the largest such span cover the 2w+1 rows.  Each pass is one
-    ufunc call over row-shifted views that are contiguous within a band, so
-    the work is about log2(2w+1) sweeps of the slab.  Min and max are exact,
-    so the result equals a direct window scan.  The padded buffer has 2w more
-    rows per band than the slab, so hole (c, y, x) sits at flat index
-    ``at + (c * 2w + w) * W`` of it and the pad goes in with one flat put.
+    blocks of the largest such span cover the 2w+1 rows, so the last ``op``
+    reads just the two blocks of each hole.  Each pass is one ufunc call over
+    row-shifted views that are contiguous within a band, so the work is about
+    log2(2w+1) sweeps of the slab.  Min and max are exact, so the result
+    equals a direct window scan.
     """
-    bands, h, width = slab.shape
-    w = min(w, h - 1)  # a taller window already spans the whole column
+    h, width = slab.shape[1:]
     span = 2 * w + 1
-    a = np.empty((bands, h + 2 * w, width), dtype=slab.dtype)
     a[:, :w] = pad
     a[:, w + h:] = pad
     np.copyto(a[:, w:w + h], slab)
-    np.put(a, at + (at // (h * width) * 2 * w + w) * width, pad)
-    b = np.empty_like(a)
+    np.put(a, pos + w * width, pad)
     rows, s = h + 2 * w, 1  # rows of a that hold a full block of s
     while 2 * s <= span:
         op(a[:, :rows - s], a[:, s:rows], out=b[:, :rows - s])
         a, b = b, a
         rows -= s
         s *= 2
-    return op(a[:, :h], a[:, span - s:span - s + h])
+    return op(a.take(pos), a.take(pos + (span - s) * width))
+
+
+def _scratch(data: np.ndarray, size: int, w: int, workers: int) -> list[tuple]:
+    """Each worker's scratch arrays for slabs of up to ``size`` bands of
+    ``data``: the hole mask, the float64 draws and two window buffers with 2w
+    more rows per band.  The calling thread allocates them, since an array
+    allocated in a worker thread grows that thread's own malloc arena."""
+    bands, h, width = data.shape
+    shape = (min(size, bands), h, width)
+    padded = (shape[0], h + 2 * w, width)
+    return [(np.empty(shape, bool), np.empty(shape), np.empty(padded, data.dtype),
+             np.empty(padded, data.dtype)) for _ in range(workers)]
+
+
+def _impute_slab(slab: np.ndarray, first: int, space: tuple, w: int, key: tuple) -> None:
+    """Fill the holes of ``slab``, bands ``first``... of the granule, in
+    place, with a worker's ``_scratch`` arrays; ``key`` seeds the generator."""
+    holes, draws, a, b = (x[:len(slab)] for x in space)
+    np.isfinite(slab, out=holes)
+    np.logical_not(holes, out=holes)
+    at = np.flatnonzero(holes)  # C order: band by band, row by row
+    if not at.size:
+        return
+    rng = np.random.default_rng(key)
+    # random() takes one 64-bit step per double, so this is where one stream
+    # drawn over the whole granule in band order reaches this slab
+    rng.bit_generator.advance(first * slab[0].size)
+    rng.random(out=draws)
+    h, width = slab.shape[1:]
+    pos = at + at // (h * width) * 2 * w * width
+    lo = _column_window(np.minimum, np.inf, slab, pos, w, a, b)
+    hi = _column_window(np.maximum, -np.inf, slab, pos, w, a, b)
+    with np.errstate(invalid="ignore"):  # per thread, so set in the step
+        # inf arithmetic at no-neighbor positions is replaced below
+        fill = (lo.astype(np.float64) + draws.take(at) * (hi - lo).astype(np.float64))
+        fill = fill.astype(np.float32)
+    orphan = ~np.isfinite(lo)
+    if orphan.any():
+        band = at[orphan] // slab[0].size
+        # only the bands that hold an orphan, each reduced over its own
+        # H x W block as a whole-slab mean reduces it; an all-NaN band's
+        # mean stays zero
+        picked = np.unique(band)
+        picked = picked[~holes[picked].all(axis=(1, 2))]
+        band_mean = np.zeros(len(slab), dtype=np.float32)
+        band_mean[picked] = np.nanmean(np.where(holes[picked], np.nan, slab[picked]),
+                                       axis=(1, 2))
+        fill[orphan] = band_mean[band]
+    np.put(slab, at, fill)
 
 
 def impute_granule(granule: Granule, cfg: PreprocessConfig,
@@ -110,7 +204,10 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     the pre-imputation band so fills never cascade.  Windows with no finite
     neighbor fall back to the band mean; a band with no finite value at all
     becomes zero.  The draw for a position is a pure function of
-    (rng_seed, folder_index, granule shape, c, y, x).
+    (rng_seed, folder_index, granule shape, c, y, x), whatever the slab size
+    and the number of workers.  That number follows the CPU affinity mask (at
+    most ``_MAX_WORKERS``) and is not settable; ``DUSTPIPE_THREADS`` is not
+    read.
 
     m and M come from ``_column_window``: log-doubling passes of
     ``np.minimum`` / ``np.maximum`` over row-shifted, band-contiguous views
@@ -119,38 +216,25 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     indices, band by band; m, M and the draws are gathered at them with
     ``take`` and the fill is written with ``np.put``, which index any layout
     in C order.  The band-mean fallback masks and reduces only the bands
-    that hold an orphan hole, not the whole slab.
+    that hold an orphan hole, not the whole slab.  Worker k copies slabs k,
+    k+n, ... into the output and fills them there, with scratch arrays that
+    the calling thread allocates once per call.
     """
-    data = granule.data.copy()
-    rng = np.random.default_rng((int(cfg.rng_seed), int(folder_index)))
-    for _, slab in _slabs(data):
-        holes = ~np.isfinite(slab)
-        at = np.flatnonzero(holes)  # C order: band by band, row by row
-        if not at.size:
-            # as if drawn (one 64-bit step per double), to keep later bands' draws
-            rng.bit_generator.advance(slab.size)
-            continue
-        draws = rng.random(slab.shape)
-        lo = _column_window(np.minimum, np.inf, slab, at, cfg.impute_window).take(at)
-        hi = _column_window(np.maximum, -np.inf, slab, at, cfg.impute_window).take(at)
-        with np.errstate(invalid="ignore"):
-            # inf arithmetic at no-neighbor positions is replaced below
-            fill = (lo.astype(np.float64) + draws.take(at) * (hi - lo).astype(np.float64))
-            fill = fill.astype(np.float32)
-        orphan = ~np.isfinite(lo)
-        if orphan.any():
-            band = at[orphan] // slab[0].size
-            # only the bands that hold an orphan, each reduced over its own
-            # H x W block as a whole-slab mean reduces it; an all-NaN band's
-            # mean stays zero
-            picked = np.unique(band)
-            picked = picked[~holes[picked].all(axis=(1, 2))]
-            band_mean = np.zeros(len(slab), dtype=np.float32)
-            band_mean[picked] = np.nanmean(np.where(holes[picked], np.nan, slab[picked]),
-                                           axis=(1, 2))
-            fill[orphan] = band_mean[band]
-        np.put(slab, at, fill)
-    return Granule(data)
+    data = granule.data
+    out = np.empty(data.shape, data.dtype)
+    firsts, size, workers = _slab_plan(data)
+    w = max(0, min(cfg.impute_window, data.shape[1] - 1))  # taller spans the column
+    spaces = _scratch(data, size, w, workers)
+    key = (int(cfg.rng_seed), int(folder_index))
+
+    def work(k):
+        for first in firsts[k::workers]:
+            slab = out[first:first + size]
+            np.copyto(slab, data[first:first + size])
+            _impute_slab(slab, first, spaces[k], w, key)
+
+    _on_workers(work, workers)
+    return Granule(out)
 
 
 def preprocess_pipeline(granule: Granule, cfg: PreprocessConfig,

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -360,6 +361,126 @@ class TestWholeVolumeOracle:
             want = reference_impute_granule(expected, cfg, 1)
             assert got.tobytes() == want.tobytes(), case
 
+    # the default slab holds each grid granule whole, which runs inline
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("slab_bytes", [1, 2000])
+    @pytest.mark.parametrize("frac", [0.0, 0.05, 0.9])
+    @pytest.mark.parametrize("shape", [(1, 7, 1), (3, 11, 6), (6, 14, 14), (5, 40, 33)])
+    def test_bitwise_equal_at_every_worker_count(self, shape, frac, slab_bytes, workers,
+                                                 monkeypatch):
+        """The grid above with the usable cores forced, so that the
+        multi-worker cases run on any host."""
+        ran = record_workers(monkeypatch, workers)
+        self.test_bitwise_equal_to_reference(shape, frac, slab_bytes, monkeypatch)
+        slabs = len(preprocess._slab_plan(np.empty(shape, np.float32))[0])
+        assert ran == {1 if slabs == 1 else min(workers, slabs)}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hole_free_middle_slabs(self, workers, monkeypatch):
+        """A slab with no hole draws nothing, so the next slab's generator
+        must still start at its own first band."""
+        ran = record_workers(monkeypatch, workers)
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
+        rng = np.random.default_rng(31)
+        data = rng.uniform(0, 1, size=(9, 12, 10)).astype(np.float32)
+        for c in (0, 1, 7, 8):
+            data[c][rng.random((12, 10)) < 0.2] = np.nan
+        assert np.isfinite(data[2:7]).all()
+        cfg = PreprocessConfig(impute_window=2, rng_seed=5)
+        got = impute_granule(Granule(data), cfg, folder_index=3).data
+        assert got.tobytes() == reference_impute_granule(data, cfg, 3).tobytes()
+        assert ran == {workers}
+
+    def test_fewer_slabs_than_workers(self, monkeypatch):
+        ran = record_workers(monkeypatch, 4)
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
+        g = oracle_case((2, 30, 17), 0.3, 8, False, "C")
+        cfg = PreprocessConfig(impute_window=3, rng_seed=2)
+        normalized = normalize_bands(g).data
+        assert normalized.tobytes() == reference_normalize_bands(g.data).tobytes()
+        got = impute_granule(Granule(normalized), cfg, folder_index=6).data
+        assert got.tobytes() == reference_impute_granule(normalized, cfg, 6).tobytes()
+        assert ran == {2}
+
+
+def record_workers(monkeypatch, cores):
+    """Force ``cores`` usable cores; returns the set of worker counts that
+    the slab loops then run on."""
+    ran = set()
+    run = preprocess._on_workers
+
+    def recording(work, workers):
+        ran.add(workers)
+        return run(work, workers)
+
+    monkeypatch.setattr(preprocess, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(preprocess, "_on_workers", recording)
+    return ran
+
+
+class TestWorkers:
+    """The slab loops on more than one worker: errors, logging and input
+    layouts behave as on one."""
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        record_workers(monkeypatch, 3)
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
+        error = ArithmeticError("slab of band 4")
+        normalize = preprocess.normalize_planes
+
+        def failing(planes):
+            if (planes == 4.0).any():
+                raise error
+            return normalize(planes)
+
+        monkeypatch.setattr(preprocess, "normalize_planes", failing)
+        data = np.arange(6, dtype=np.float32)[:, None, None] * np.ones((6, 3, 5), np.float32)
+        with pytest.raises(ArithmeticError) as raised:
+            normalize_bands(Granule(data))
+        assert raised.value is error
+
+    def test_empty_bands_logged_once_in_order_from_the_caller(self, monkeypatch, caplog):
+        ran = record_workers(monkeypatch, 3)
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
+        data = np.ones((8, 4, 4), dtype=np.float32)
+        data[[1, 2, 6, 7]] = np.nan
+        data[5] = np.inf
+        with caplog.at_level("WARNING", logger="dustpipe.preprocess"):
+            normalize_bands(Granule(data))
+        assert ran == {3}
+        assert [r.getMessage() for r in caplog.records] == [
+            "bands with no finite values left as they are: [1, 2, 5, 6, 7]"]
+        assert caplog.records[0].thread == threading.get_ident()
+
+    def test_input_layouts_on_workers(self, tmp_path, monkeypatch):
+        """``TestInputLayouts`` with one band per slab on two workers; the
+        worker grid above ties the contiguous case to the inline bytes."""
+        ran = record_workers(monkeypatch, 2)
+        monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
+        TestInputLayouts().test_every_layout_gives_the_contiguous_bytes(tmp_path)
+        assert ran == {2}
+
+    def test_one_slab_imports_no_pool(self, tmp_path):
+        """``dustpipe.cli`` and a one-slab granule leave ``concurrent.futures``
+        unloaded; the first multi-slab call loads it."""
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import dustpipe.cli\n"
+            "from dustpipe import preprocess\n"
+            "from dustpipe.granule_io import Granule\n"
+            "loaded = lambda: 'concurrent.futures' in sys.modules\n"
+            "assert not loaded(), 'import'\n"
+            "g = Granule(np.full((38, 36, 36), np.nan, np.float32))\n"
+            "preprocess.preprocess_pipeline(g, preprocess.PreprocessConfig())\n"
+            "assert not loaded(), 'one slab'\n"
+            "preprocess._usable_cores = lambda: 2\n"
+            "preprocess.SLAB_BYTES = 1\n"
+            "preprocess.preprocess_pipeline(g, preprocess.PreprocessConfig())\n"
+            "assert loaded(), 'two slabs'\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True)
+
 
 # Reads the granule, then runs the pipeline; prints the ru_maxrss growth over
 # the pipeline and the granule's payload size, in bytes (Linux reports KiB).
@@ -399,4 +520,45 @@ def test_pipeline_working_set_is_bounded(tmp_path):
     growth, nbytes = (int(v) for v in proc.stdout.split())
     # the pipeline holds two output copies; anything below one copy means
     # the high-water mark was already set before the probe ran
+    assert nbytes <= growth <= 3 * nbytes, f"peak grew by {growth / nbytes:.2f}x the granule"
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(dustpipe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_worker_scratch_within_half_the_granule():
+    """At the worker cap, on a granule of one band per slab, the scratch
+    arrays of all workers together take at most half the granule."""
+    data = np.empty((38, 512, 512), np.float32)  # never touched
+    firsts, size, _ = preprocess._slab_plan(data)
+    assert size == 1
+    spaces = preprocess._scratch(data, size, PreprocessConfig().impute_window,
+                                 preprocess._MAX_WORKERS)
+    assert sum(a.nbytes for space in spaces for a in space) <= 0.5 * data.nbytes
+
+
+def test_pipeline_working_set_is_bounded_on_four_workers(tmp_path):
+    """``test_pipeline_working_set_is_bounded`` with four usable cores forced."""
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+    shape = (38, 512, 512)
+    rng = np.random.default_rng(0)
+    data = rng.uniform(0, 300, size=shape).astype(np.float32)
+    data[rng.random(shape) < 0.05] = np.nan
+    path = tmp_path / "g.dgr"
+    write_granule(Granule(data), path)
+    del data
+
+    forced = ("from dustpipe import preprocess\n"
+              "preprocess._usable_cores = lambda: 4\n"
+              "assert preprocess._slab_plan(preprocess.np.empty((38, 512, 512)))[2] == 4\n")
+    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", forced + MEMORY_PROBE, str(path)],
+                          capture_output=True, text=True, env=src_env(), check=True)
+    growth, nbytes = (int(v) for v in proc.stdout.split())
     assert nbytes <= growth <= 3 * nbytes, f"peak grew by {growth / nbytes:.2f}x the granule"
