@@ -72,7 +72,6 @@ from .preprocess import (
 )
 from .training import (
     LossConfig,
-    MetricsReport,
     PlateauScheduler,
     TrainConfig,
     adam_init,

@@ -9,12 +9,13 @@ soon as a batch gather leaves it, which is what keeps a long epoch's
 footprint near the batch size instead of the dataset size.  Benchmarks
 never modify dataset files; checksums are verified before and after.
 
-``python -m dustpipe.bench`` runs one such probe (``_probe``).
+``run_fresh`` starts every such interpreter, behind a thin relay, and the
+memory benchmark's probe (``_probe``) is a function that it calls there.
+The test suite's peak-RSS bounds use the same runner.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -70,66 +71,63 @@ def available_memory_bytes() -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _probe(argv=None) -> int:
-    """Stream one epoch over a manifest (mmap or full-load path) and print
-    this process's peak RSS and what it read as JSON: the entry point
-    ``python -m dustpipe.bench`` that ``_run_probe`` starts."""
-    parser = argparse.ArgumentParser(prog="python -m dustpipe.bench")
-    parser.add_argument("--manifest", required=True)
-    parser.add_argument("--mode", choices=["mmap", "full"], required=True)
-    parser.add_argument("--batch", type=int, required=True)
-    parser.add_argument("--patch-size", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+# ru_maxrss of a new process starts at the forking parent's resident size,
+# so a child started straight from a large caller would report the caller's
+# footprint.  A thin stdlib-only relay process, whose own child inherits its
+# output, isolates it.
+_RELAY = "import subprocess, sys; sys.exit(subprocess.call([sys.executable] + sys.argv[1:]))"
 
-    manifest = DatasetManifest.load(args.manifest)
-    store = GranuleStore(manifest, use_mmap=(args.mode == "mmap"),
-                         release_after_gather=(args.mode == "mmap"))
-    index = build_index(manifest, args.patch_size)
+
+def _src_env() -> dict[str, str]:
+    """This process's environment with the ``src`` directory that holds
+    this package first on PYTHONPATH, so a child interpreter imports this
+    copy whether or not it is installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter behind the thin relay,
+    with this package's ``src`` first on PYTHONPATH, and return the
+    finished process with its output captured as text.  The child's
+    ``ru_maxrss`` starts from the small relay, not from the caller."""
+    return subprocess.run([sys.executable, "-c", _RELAY, *args], capture_output=True,
+                          text=True, env=_src_env())
+
+
+def _probe(manifest_path: str, mode: str, batch_size: int, patch_size: int,
+           seed: int) -> None:
+    """Stream one epoch over a manifest (``mode`` "mmap" or "full") and print
+    this process's peak RSS and what it read as JSON: the call that
+    ``_run_probe`` runs in a fresh interpreter."""
+    manifest = DatasetManifest.load(manifest_path)
+    store = GranuleStore(manifest, use_mmap=(mode == "mmap"),
+                         release_after_gather=(mode == "mmap"))
+    index = build_index(manifest, patch_size)
     touched = 0.0
     batches = 0
     samples = 0
-    for batch in sample_batches(index, store, args.batch, args.seed, partitions=1):
+    for batch in sample_batches(index, store, batch_size, seed, partitions=1):
         touched += float(batch.inputs.ravel()[0])
         batches += 1
         samples += len(batch.targets)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    json.dump({
+    print(json.dumps({
         "peak_bytes": int(peak_kib) * 1024,
         "payload_bytes": store.payload_bytes,
         "batches": batches,
         "samples": samples,
         "touched": touched,
-    }, sys.stdout)
-    sys.stdout.write("\n")
-    return 0
-
-
-# ru_maxrss of a new process starts at the forking parent's resident size,
-# so launching the probe straight from a large caller would report the
-# caller's footprint.  A thin stdlib-only relay process isolates it.
-_RELAY = (
-    "import subprocess, sys; "
-    "r = subprocess.run([sys.executable, '-m', 'dustpipe.bench'] + sys.argv[1:], "
-    "capture_output=True, text=True); "
-    "sys.stdout.write(r.stdout); sys.stderr.write(r.stderr); sys.exit(r.returncode)"
-)
+    }))
 
 
 def _run_probe(manifest_path: str | Path, mode: str, batch_size: int,
                patch_size: int, seed: int) -> dict:
     """Stream one epoch in a fresh interpreter and collect its peak RSS."""
-    cmd = [
-        sys.executable, "-c", _RELAY,
-        "--manifest", str(manifest_path), "--mode", mode,
-        "--batch", str(batch_size), "--patch-size", str(patch_size),
-        "--seed", str(seed),
-    ]
-    # the child finds this package whether or not it is installed
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    call = f"_probe({str(manifest_path)!r}, {mode!r}, {batch_size}, {patch_size}, {seed})"
+    proc = run_fresh("-c", "from dustpipe.bench import _probe; " + call)
     if proc.returncode != 0:
         raise DustpipeError(
             f"memory probe ({mode}) failed: {proc.stderr.strip().splitlines()[-1:]}"
@@ -318,6 +316,3 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
         files_unchanged=dataset_checksums(manifest) == before,
     )
 
-
-if __name__ == "__main__":
-    sys.exit(_probe())

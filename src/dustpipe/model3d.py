@@ -14,10 +14,12 @@ folded into the feature axis, so the 3x3x3 kernel becomes a single
 (3*H*W*Cin, H*W*Cout) matrix (zeros where a tap would fall outside the
 window) applied to three depth-shifted copies of the input, and its
 product is already channels-last.  Batch norm and global pooling reduce
-over every axis but the last; max pooling reduces strided views.  Stage
-shapes (``ForwardTrace.shapes``, ``shape_ledger``) are still reported per
-sample as (C, D, H, W), and checkpoints keep the (Cout, Cin, 3, 3, 3)
-kernel layout.
+over every axis but the last; max pooling reduces strided views.  One
+rule, ``_pool_window``, gives every pooling window and pooled extent, in
+training, in the eval plan and in the stage-shape ledger
+(``shape_ledger``, still reported per sample as (C, D, H, W) and worked
+out from that arithmetic, not from a forward pass).  Checkpoints keep the
+(Cout, Cin, 3, 3, 3) kernel layout.
 
 The train step works in place where nothing else reads a buffer, with the
 same floating-point operations in the same order as fresh arrays would
@@ -132,17 +134,17 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches and stage shapes from one ``forward`` pass.
+    """Per-layer caches from one ``forward`` pass.
 
     Per block: the conv's columns, the ReLU mask, batch norm's normalized
     ``xhat`` and, after blocks one and two, pooling's first-max offsets
-    (one uint8 per pooled value; the batch-norm output is not kept).
-    ``backward`` consumes the caches (it pops each one as it uses it, and
-    batch norm's cached buffer becomes its input gradient), so a trace can
-    be back-propagated once only; ``shapes`` stay."""
+    (one uint8 per pooled value; the batch-norm output is not kept) with
+    the block's shape.  ``backward`` consumes the caches (it pops each one
+    as it uses it, and batch norm's cached buffer becomes its input
+    gradient), so a trace can be back-propagated once only.  Stage shapes
+    come from ``shape_ledger``, not from a trace."""
 
     caches: dict = field(default_factory=dict)
-    shapes: list = field(default_factory=list)  # (stage, per-sample shape)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -290,14 +292,21 @@ def conv3d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     return dx.reshape(b, d, h, w, cin), dw, db
 
 
+def _pool_window(n: int) -> tuple[int, int]:
+    """(window, pooled extent) of floor-mode max pooling along an axis of
+    extent ``n``: a window and stride of ``POOL``, clamped to a shorter
+    axis, so an axis of 1 is kept as it is."""
+    win = min(POOL, n)
+    return win, n // win
+
+
 def _pool_views(x: np.ndarray):
     """Strided views of ``x``, one per offset inside its 2x2x2, stride 2,
-    floor-mode pooling window over (D, H, W), in depth, row, col order; view
-    k holds the k-th element of every window.  An axis shorter than the
-    window is kept as-is (the window clamps to the available extent)."""
-    wins = [min(POOL, n) for n in x.shape[1:4]]
-    ext = [n // k * k for n, k in zip(x.shape[1:4], wins)]
-    trimmed = x[:, :ext[0], :ext[1], :ext[2]]
+    floor-mode pooling window over (D, H, W) (``_pool_window`` per axis),
+    in depth, row, col order; view k holds the k-th element of every
+    window."""
+    wins, outs = zip(*map(_pool_window, x.shape[1:4]))
+    trimmed = x[:, :outs[0] * wins[0], :outs[1] * wins[1], :outs[2] * wins[2]]
     for a, bb, cc in itertools.product(*map(range, wins)):
         yield trimmed[:, a::wins[0], bb::wins[1], cc::wins[2]]
 
@@ -431,12 +440,6 @@ def global_avgpool_backward(dy: np.ndarray, cache):
     return np.broadcast_to(dy[:, None, None, None, :] / (d * h * w), x_shape).astype(dy.dtype)
 
 
-def _sample_shape(a: np.ndarray) -> tuple:
-    """Per-sample (C, D, H, W) shape of a channels-last activation."""
-    _, d, h, w, c = a.shape
-    return (c, d, h, w)
-
-
 # ---------------------------------------------------------------------------
 # Full network
 # ---------------------------------------------------------------------------
@@ -489,7 +492,6 @@ class _BlockOne(NamedTuple):
                           # (class, row, col), counted from the class's first row and col
     epilogue: np.ndarray  # per channel its sign, conv bias, scale and shift, each
                           # tiled over the out x out pooled positions
-    dwin: int             # depth pooling window
     out: int              # pooled rows (= cols) per patch
 
 
@@ -520,8 +522,8 @@ def _block_one_layout(size: int):
     """Block one's kept positions for a ``size`` patch: the runs of rows
     that share a class, a (runs ** 2, 27, 1) mask of the taps each class
     keeps, the pooling windows (see ``_BlockOne``) and the pooled extent."""
-    win = min(POOL, size)
-    keep = size // win * win
+    win, out = _pool_window(size)
+    keep = out * win
     # a row's class: is it the first row (it drops the kh = 0 taps), is it
     # the last (it drops the kh = 2 taps); an odd patch keeps no last row
     # but at P = 1, so its rows fall into at most two runs
@@ -531,7 +533,6 @@ def _block_one_layout(size: int):
     mask = np.stack([np.broadcast_to(kh[:, None] & kw, (KERNEL,) * 3).ravel()
                      for kh in taps for kw in taps])[:, :, None]
     run_of = [i for i, (first, last) in enumerate(runs) for _ in range(first, last + 1)]
-    out = keep // win
     windows = tuple(
         tuple((run_of[r] * len(runs) + run_of[c], r - runs[run_of[r]][0], c - runs[run_of[c]][0])
               for r in range(win * i, win * i + win) for c in range(win * j, win * j + win))
@@ -552,27 +553,26 @@ def eval_plan(params: ModelParams) -> EvalPlan:
     three fold their kernel for the positions pooling reads.  Depth is not
     trimmed.
     """
-    cfg = params.config
     t = params.tensors
-    runs, mask, windows, size = _block_one_layout(cfg.patch_size)
+    runs, mask, windows, size = _block_one_layout(params.config.patch_size)
     scale, shift = _eval_bn(params, 1)
     sign = np.where(scale < 0, -1, 1).astype(scale.dtype)
     taps = t["conv1.weight"][:, 0].reshape(-1, KERNEL ** 3).T * sign
     kernels = np.where(mask, taps, 0)
     one = _BlockOne(runs, kernels, windows,
                     np.tile(np.stack([sign, t["conv1.bias"], scale, shift]), size * size),
-                    min(POOL, cfg.in_depth), size)
+                    size)
     rest = []
     for i in (2, 3):
         pooled = i == 2
-        win = min(POOL, size)
-        keep = size // win * win if pooled else size
+        win, out = _pool_window(size)
+        keep = out * win if pooled else size
         scale, shift = _eval_bn(params, i)
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], size, size, (keep, keep))
         rest.append(_EvalBlock(fold, np.tile(scale, keep * keep), np.tile(shift, keep * keep),
                                pooled))
         if pooled:
-            size = keep // win
+            size = out
     return EvalPlan(one, rest, t)
 
 
@@ -629,7 +629,7 @@ def _block_one(one: _BlockOne, slabs: np.ndarray, th: int, tw: int) -> np.ndarra
     cols = as_strided(n9, shape=(b, nr, nc, d, KERNEL ** 3), strides=n9.strides,
                       writeable=False).copy()
 
-    dd = d // one.dwin
+    dd = _pool_window(d)[1]
     k = one.out
     cout = one.kernels.shape[-1]
     a = np.empty((b, th, tw, dd, k, k, cout), dtype=slabs.dtype)
@@ -760,7 +760,6 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     t = params.tensors
 
     trace = ForwardTrace()
-    trace.shapes.append(("input", _sample_shape(a)))
     for i in (1, 2, 3):
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, trace.caches[f"conv{i}"] = conv3d_forward(a, fold)
@@ -771,21 +770,17 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
             y, t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
             update_running=update_running_stats,
         )
-        trace.shapes.append((f"block{i}", _sample_shape(xhat)))
         gamma, beta = t[f"bn{i}.gamma"], t[f"bn{i}.beta"]
         if i < 3:
             a, trace.caches[f"pool{i}"] = maxpool3d_forward(xhat, gamma, beta)
-            trace.shapes.append((f"pool{i}", _sample_shape(a)))
         else:
             a = xhat * gamma
             a += beta
 
     pooled, trace.caches["avgpool"] = global_avgpool_forward(a)
-    trace.shapes.append(("avgpool", (pooled.shape[1], 1, 1, 1)))
     preds = _head(pooled, t)
     trace.caches["fc"] = pooled
     trace.caches["sigmoid"] = preds
-    trace.shapes.append(("output", ()))
     return preds, trace
 
 
@@ -859,12 +854,18 @@ def predict(params: ModelParams, patches: np.ndarray) -> np.ndarray:
 
 
 def shape_ledger(config: ModelConfig) -> list[tuple[str, tuple]]:
-    """Stage-by-stage per-sample activation shapes for an architecture."""
-    params = init_params(0, config)
-    x = np.zeros((2, 1, config.in_depth, config.patch_size, config.patch_size),
-                 dtype=np.float32)
-    _, trace = forward(params, x, mode="train", update_running_stats=False)
-    return trace.shapes
+    """Stage-by-stage per-sample (C, D, H, W) activation shapes of the
+    training pass for an architecture: each same-padded conv keeps the
+    extent, and each max pool takes every axis to its ``_pool_window``
+    pooled extent."""
+    dims = (config.in_depth, config.patch_size, config.patch_size)
+    ledger = [("input", (1, *dims))]
+    for i, c in enumerate(config.filters, start=1):
+        ledger.append((f"block{i}", (c, *dims)))
+        if i < 3:
+            dims = tuple(_pool_window(n)[1] for n in dims)
+            ledger.append((f"pool{i}", (c, *dims)))
+    return ledger + [("avgpool", (config.filters[-1], 1, 1, 1)), ("output", ())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ indices, gathers with ``take`` and writes with ``np.put``.  The draws are
 those of one generator per granule read in band order: each slab with a hole
 seeds its own generator and advances it past the draws of the bands before
 it, so the bytes depend neither on the slab size nor on which worker ran a
-slab.  A granule of more than one slab runs on one worker thread per usable
-core (the CPU affinity mask, at most ``_MAX_WORKERS``); worker k takes slabs
-k, k+n, ... and copies each from the input into the output before working
-on it there.  A granule of one slab runs inline, with no pool.
+slab.  Both steps share one slab loop, ``_slab_pass``, and run as two
+passes, each with its own output.  A granule of more than one slab runs on
+one worker thread per usable core (the CPU affinity mask, at most
+``_MAX_WORKERS``); worker k takes slabs k, k+n, ... and copies each from the
+input into the output before working on it there.  A granule of one slab
+runs inline, with no pool.
 """
 
 from __future__ import annotations
@@ -87,29 +89,43 @@ def _on_workers(work, workers: int) -> list:
         return [f.result() for f in futures]
 
 
+def _slab_pass(data: np.ndarray, step, scratch=None) -> tuple[np.ndarray, list]:
+    """A new array holding ``data``, with ``step(slab, first, space)`` run
+    in place on each slab of it (bands ``first``...), and the steps'
+    results in worker order.
+
+    The output is allocated first, then ``scratch(size, workers)``, each
+    worker's scratch ``space`` for slabs of up to ``size`` bands (``None``
+    without ``scratch``), in the calling thread.  Worker k copies slabs k,
+    k+n, ... of ``data`` into the output and runs the step on each there
+    (``_slab_plan``, ``_on_workers``)."""
+    out = np.empty(data.shape, data.dtype)
+    firsts, size, workers = _slab_plan(data)
+    spaces = scratch(size, workers) if scratch else [None] * workers
+
+    def work(k):
+        results = []
+        for first in firsts[k::workers]:
+            slab = out[first:first + size]
+            np.copyto(slab, data[first:first + size])
+            results.append(step(slab, first, spaces[k]))
+        return results
+
+    return out, [r for results in _on_workers(work, workers) for r in results]
+
+
 def normalize_bands(granule: Granule) -> Granule:
     """Scale each band to [0, 1] by its own finite min/max
     (``granule_io.normalize_planes``, one slab of bands at a time).
 
     NaN passes through.  A constant band maps to all zeros.  A band with no
     finite value at all (only NaN and +-inf) is left as it is (logged once,
-    in band order; imputation fills its holes with zero downstream).
-    Worker k copies slabs k, k+n, ... of the input into the output and
-    normalizes them there.
+    in band order; imputation fills its holes with zero downstream).  It
+    runs as one ``_slab_pass``.
     """
-    data = granule.data
-    out = np.empty(data.shape, data.dtype)
-    firsts, size, workers = _slab_plan(data)
-
-    def work(k):
-        empty = []
-        for first in firsts[k::workers]:
-            slab = out[first:first + size]
-            np.copyto(slab, data[first:first + size])
-            empty += (first + np.flatnonzero(normalize_planes(slab))).tolist()
-        return empty
-
-    empty = sorted(c for bands in _on_workers(work, workers) for c in bands)
+    out, found = _slab_pass(
+        granule.data, lambda slab, first, _: first + np.flatnonzero(normalize_planes(slab)))
+    empty = sorted(c for bands in found for c in bands.tolist())
     if empty:
         log.warning("bands with no finite values left as they are: %s", empty)
     return Granule(out)
@@ -216,24 +232,14 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     indices, band by band; m, M and the draws are gathered at them with
     ``take`` and the fill is written with ``np.put``, which index any layout
     in C order.  The band-mean fallback masks and reduces only the bands
-    that hold an orphan hole, not the whole slab.  Worker k copies slabs k,
-    k+n, ... into the output and fills them there, with scratch arrays that
-    the calling thread allocates once per call.
+    that hold an orphan hole, not the whole slab.  It runs as one
+    ``_slab_pass``, with scratch arrays allocated once per call.
     """
     data = granule.data
-    out = np.empty(data.shape, data.dtype)
-    firsts, size, workers = _slab_plan(data)
     w = max(0, min(cfg.impute_window, data.shape[1] - 1))  # taller spans the column
-    spaces = _scratch(data, size, w, workers)
     key = (int(cfg.rng_seed), int(folder_index))
-
-    def work(k):
-        for first in firsts[k::workers]:
-            slab = out[first:first + size]
-            np.copyto(slab, data[first:first + size])
-            _impute_slab(slab, first, spaces[k], w, key)
-
-    _on_workers(work, workers)
+    out, _ = _slab_pass(data, lambda slab, first, space: _impute_slab(slab, first, space, w, key),
+                        lambda size, workers: _scratch(data, size, w, workers))
     return Granule(out)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
+from .errors import EmptyDatasetError, FormatError, ShapeMismatchError, TrainingDivergedError
 from .granule_io import DatasetManifest
 from .model3d import (
     ModelConfig,
@@ -297,6 +297,17 @@ def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
     return loss
 
 
+def _require_finite(manifest: DatasetManifest, store: GranuleStore) -> None:
+    """``FormatError`` naming the first granule of ``manifest`` (opened as
+    ``store``) that holds a NaN or an infinity.  ``min`` and ``max``
+    propagate NaN and reach an infinity, so no granule-sized mask is made."""
+    for f, entry in enumerate(manifest):
+        data = store.granule(f)
+        if data.size and not (math.isfinite(data.min()) and math.isfinite(data.max())):
+            raise FormatError(f"{entry.granule}: non-finite values; training takes "
+                              "preprocessed granules (dustpipe preprocess)")
+
+
 def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
           out_dir: str | Path,
           model_config: ModelConfig | None = None,
@@ -313,7 +324,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     the pass, partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
     every optimization step, for instrumentation.  Mismatched channel
-    counts and empty indexes are refused before ``out_dir`` is created.
+    counts, empty indexes and a training or validation granule that holds
+    a non-finite value (``FormatError`` naming it) are refused before
+    ``out_dir`` is created.
     """
     train_cfg = train_cfg or TrainConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -333,6 +346,8 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
             raise ShapeMismatchError(
                 f"channel counts differ: training manifest {store_train.channels}, validation "
                 f"manifest {store_val.channels}, model config in_depth {model_config.in_depth}")
+        _require_finite(manifest_train, store_train)
+        _require_finite(manifest_val, store_val)
         out_dir.mkdir(parents=True, exist_ok=True)
 
         params = init_params(train_cfg.seed, model_config)

@@ -1,14 +1,57 @@
-"""Shared fixtures: small datasets and the recorded desk-scale training run."""
+"""Shared fixtures: small datasets and the recorded desk-scale training run;
+shared helpers: child environments, tree digests and manifest writing."""
 
+import hashlib
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dustpipe.granule_io import SyntheticConfig, generate_synthetic_dataset
+from dustpipe import bench
+from dustpipe.granule_io import (
+    DatasetManifest,
+    Granule,
+    LabelMap,
+    ManifestEntry,
+    SyntheticConfig,
+    generate_synthetic_dataset,
+    write_granule,
+    write_labels,
+)
 from dustpipe.preprocess import PreprocessConfig, preprocess_dataset
 from dustpipe.training import LossConfig, TrainConfig, train
 
 PREPROCESS_CFG = PreprocessConfig(rng_seed=9)
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, the
+    one ``bench.run_fresh`` gives its child, for the child interpreters that
+    tests start without the relay."""
+    return bench._src_env()
+
+
+def tree_digest(root: Path) -> str:
+    """One sha256 over the names and bytes of every file under ``root``."""
+    digest = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            digest.update(p.name.encode())
+            digest.update(p.read_bytes())
+    return digest.hexdigest()
+
+
+def write_manifest(root, granules, labels) -> DatasetManifest:
+    """Granule i and label map i written as ``g{i}.dgr`` and ``l{i}.dlb``
+    under ``root``, in float32, and their manifest."""
+    entries = []
+    for i, (g, lab) in enumerate(zip(granules, labels)):
+        gp, lp = root / f"g{i}.dgr", root / f"l{i}.dlb"
+        write_granule(Granule(np.asarray(g, dtype=np.float32)), gp)
+        write_labels(LabelMap(np.asarray(lab, dtype=np.float32)), lp)
+        entries.append(ManifestEntry(gp, lp))
+    return DatasetManifest(entries)
 
 
 # Recorded pilot configuration for the desk-scale learning check: a strongly

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -13,7 +12,8 @@ import pytest
 
 from dustpipe import cli
 from dustpipe.cli import main
-from dustpipe.granule_io import DatasetManifest, SyntheticConfig, read_granule, write_granule
+from dustpipe.granule_io import (DatasetManifest, Granule, SyntheticConfig, read_granule,
+                                 write_granule)
 from dustpipe.inference import infer_scene, read_map, write_map
 from dustpipe.model3d import (
     ModelConfig,
@@ -27,18 +27,11 @@ from dustpipe.patch_index import build_index, read_index
 from dustpipe.preprocess import PreprocessConfig, preprocess_pipeline
 from dustpipe.training import LossConfig, TrainConfig
 
+from conftest import src_env, tree_digest
+
 
 def run(*args) -> int:
     return main([str(a) for a in args])
-
-
-def tree_digest(root: Path) -> str:
-    digest = hashlib.sha256()
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            digest.update(p.name.encode())
-            digest.update(p.read_bytes())
-    return digest.hexdigest()
 
 
 def synth(out, seed=7, count=2, height=14, width=14, channels=6, **flags):
@@ -110,13 +103,10 @@ class TestFlagTable:
 
 def test_package_imports_numpy_without_scipy():
     # in a fresh interpreter, so no module the test run imported is counted
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, dustpipe, dustpipe.cli, dustpipe.bench; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=src_env(), check=True)
     assert proc.stdout.strip() == "[]"
 
 
@@ -435,19 +425,35 @@ class TestTrainCli:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("bad, value", [("train", np.nan), ("val", np.nan),
+                                            ("train", np.inf), ("val", -np.inf)])
+    def test_non_finite_granule_refused_before_writing(self, tmp_path, capsys, bad, value):
+        manifests = {name: synth(tmp_path / name, seed=seed, count=2, height=12, width=12,
+                                 nan_fraction=0)
+                     for name, seed in (("train", 1), ("val", 2))}
+        target = DatasetManifest.load(manifests[bad]).entries[1].granule
+        data = read_granule(target).data
+        data[2, 5, 7] = value
+        write_granule(Granule(data), target)
+        capsys.readouterr()
+        assert run("train", "--manifest-train", manifests["train"],
+                   "--manifest-val", manifests["val"], "--out", tmp_path / "run",
+                   "--filters", "2,2,2") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {target}: non-finite values"), captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_is_one_stderr_line(self, tmp_path, capsys):
         # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them
         manifest = synth(tmp_path / "raw", count=2, height=12, width=12, nan_fraction=0)
         capsys.readouterr()
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dustpipe.cli", "train", "--manifest-train", str(manifest),
              "--manifest-val", str(manifest), "--out", str(tmp_path / "run"),
              "--filters", "2,2,2", "--passes", "1", "--partitions", "1",
              "--sub-epochs", "1", "--lr", "1e38"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: non-finite"), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr

@@ -1,7 +1,6 @@
 """Container formats: exact byte layouts, round trips, distinct error
 reporting, and the synthetic generator's contracts."""
 
-import hashlib
 import struct
 from pathlib import Path
 
@@ -23,6 +22,8 @@ from dustpipe.granule_io import (
     write_granule,
     write_labels,
 )
+
+from conftest import tree_digest
 
 
 def make_granule(data):
@@ -282,25 +283,16 @@ class TestManifest:
             DatasetManifest.load(path)
 
 
-def _tree_digest(root: Path) -> str:
-    digest = hashlib.sha256()
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            digest.update(p.name.encode())
-            digest.update(p.read_bytes())
-    return digest.hexdigest()
-
-
 class TestSyntheticGenerator:
     def test_same_seed_byte_identical(self, tmp_path):
         generate_synthetic_dataset(tmp_path / "a", seed=7, count=3, height=12,
                                    width=10, channels=6)
         generate_synthetic_dataset(tmp_path / "b", seed=7, count=3, height=12,
                                    width=10, channels=6)
-        assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
         generate_synthetic_dataset(tmp_path / "c", seed=8, count=3, height=12,
                                    width=10, channels=6)
-        assert _tree_digest(tmp_path / "a") != _tree_digest(tmp_path / "c")
+        assert tree_digest(tmp_path / "a") != tree_digest(tmp_path / "c")
 
     def test_zero_amplitude_means_zero_labels(self, tmp_path):
         cfg = SyntheticConfig(min_plumes=2, max_plumes=3, amplitude=0.0,

@@ -2,10 +2,8 @@
 finite differences, pooling/batch-norm properties, and checkpoints."""
 
 import ast
-import os
 import re
 import struct
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +13,7 @@ import pytest
 
 import dustpipe
 from dustpipe import model3d
+from dustpipe.bench import run_fresh
 from dustpipe.errors import (
     BadMagicError,
     FormatError,
@@ -163,6 +162,28 @@ class TestForward:
         assert got["block3"] == (128, 9, 1, 1)
         assert got["avgpool"] == (128, 1, 1, 1)
         assert got["output"] == ()
+
+    @pytest.mark.parametrize("patch_size", [1, 3, 5, 7])
+    @pytest.mark.parametrize("in_depth", [1, 2, 3, 38])
+    def test_ledger_matches_the_training_pass(self, patch_size, in_depth):
+        # the ledger is arithmetic; the shapes a forward trace holds tie it
+        # to the pass that training runs
+        config = ModelConfig(filters=(2, 3, 4), in_depth=in_depth, patch_size=patch_size)
+        x = np.random.default_rng(0).uniform(0, 1, (2, 1, in_depth, patch_size, patch_size))
+        _, trace = forward(init_params(0, config), x.astype(np.float32))
+
+        def per_sample(shape):  # channels-last (B, D, H, W, C) -> (C, D, H, W)
+            return (shape[-1], *shape[1:4])
+
+        caches = trace.caches
+        traced = [("input", (1, in_depth, patch_size, patch_size))]
+        for i in (1, 2):
+            first, block = caches[f"pool{i}"]
+            traced += [(f"block{i}", per_sample(block)), (f"pool{i}", per_sample(first.shape))]
+        (block3,) = caches["avgpool"]
+        traced += [("block3", per_sample(block3)), ("avgpool", (block3[-1], 1, 1, 1)),
+                   ("output", ())]
+        assert shape_ledger(config) == traced
 
     def test_shape_and_finiteness_validation(self):
         params = init_params(0)
@@ -978,20 +999,14 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * 1024, 128 * cfg.in_depth * cfg.patch_size ** 2 * cfg.filters[0] * 4)
 """
 
-# ru_maxrss of a new process starts at the forking parent's resident size,
-# so the probe is launched from a thin relay rather than from the test run.
-RELAY = "import subprocess, sys; sys.exit(subprocess.call([sys.executable] + sys.argv[1:]))"
 
 
 def test_train_step_working_set_is_bounded():
     pytest.importorskip("resource")
     if sys.platform != "linux":
         pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
-    env = dict(os.environ)
-    src = str(Path(dustpipe.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", STEP_PROBE],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = run_fresh("-c", STEP_PROBE)
+    assert proc.returncode == 0, proc.stderr
     growth, nbytes = (int(v) for v in proc.stdout.split())
     # the step holds the normalized block-1 activation and one gradient of
     # that size at once (pooling keeps a byte per window, not the batch-norm

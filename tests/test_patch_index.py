@@ -16,14 +16,9 @@ from dustpipe.errors import (
 )
 from dustpipe.granule_io import (
     DatasetManifest,
-    Granule,
-    LabelMap,
-    ManifestEntry,
     SyntheticConfig,
     generate_synthetic_dataset,
     read_granule,
-    write_granule,
-    write_labels,
 )
 from dustpipe.patch_index import (
     GranuleStore,
@@ -41,6 +36,8 @@ from dustpipe.patch_index import (
     write_index,
 )
 
+from conftest import write_manifest
+
 
 def brute_force_centers(labels: np.ndarray, patch_size: int) -> list[tuple[int, int]]:
     """Independent double-loop oracle for the two validity conditions."""
@@ -57,18 +54,11 @@ def brute_force_centers(labels: np.ndarray, patch_size: int) -> list[tuple[int, 
 
 
 def write_dataset(tmp_path, label_arrays, channels=3):
-    """Write granule/label pairs for in-memory label maps."""
-    entries = []
+    """Write granule/label pairs for in-memory label maps, the granules
+    uniform in [0, 1)."""
     rng = np.random.default_rng(0)
-    for i, labels in enumerate(label_arrays):
-        h, w = labels.shape
-        g = rng.uniform(0, 1, size=(channels, h, w)).astype(np.float32)
-        gp = tmp_path / f"g{i}.dgr"
-        lp = tmp_path / f"l{i}.dlb"
-        write_granule(Granule(g), gp)
-        write_labels(LabelMap(labels.astype(np.float32)), lp)
-        entries.append(ManifestEntry(granule=gp, labels=lp))
-    return DatasetManifest(entries)
+    granules = [rng.uniform(0, 1, size=(channels, *labels.shape)) for labels in label_arrays]
+    return write_manifest(tmp_path, granules, label_arrays)
 
 
 class TestBuildIndex:
@@ -238,10 +228,7 @@ class TestExtraction:
     def test_constant_granule_constant_patch(self, tmp_path):
         g = np.full((2, 6, 6), 0.7, dtype=np.float32)
         labels = np.zeros((6, 6), dtype=np.float32)
-        gp, lp = tmp_path / "g.dgr", tmp_path / "l.dlb"
-        write_granule(Granule(g), gp)
-        write_labels(LabelMap(labels), lp)
-        store = GranuleStore(DatasetManifest([ManifestEntry(gp, lp)]))
+        store = GranuleStore(write_manifest(tmp_path, [g], [labels]))
         patches, _ = store.extract_batch(np.array([[0, 2, 3]]), 5)
         assert (patches == np.float32(0.7)).all()
 
@@ -288,13 +275,9 @@ class TestExtraction:
             store.extract_batch(np.array([[3, 3, 3]]), 5)
 
     def test_mispaired_label_dimensions_rejected(self, tmp_path):
-        g = np.zeros((2, 6, 6), dtype=np.float32)
-        labels = np.zeros((6, 7), dtype=np.float32)
-        gp, lp = tmp_path / "g.dgr", tmp_path / "l.dlb"
-        write_granule(Granule(g), gp)
-        write_labels(LabelMap(labels), lp)
+        manifest = write_manifest(tmp_path, [np.zeros((2, 6, 6))], [np.zeros((6, 7))])
         with pytest.raises(FormatError):
-            GranuleStore(DatasetManifest([ManifestEntry(gp, lp)]))
+            GranuleStore(manifest)
 
     def test_channel_count_mismatch_rejected(self, tmp_path):
         labels = np.zeros((6, 6), dtype=np.float32)

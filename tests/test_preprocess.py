@@ -3,20 +3,18 @@ randomized contract properties."""
 
 import hashlib
 import itertools
-import os
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-import dustpipe
 from dustpipe import preprocess
+from dustpipe.bench import run_fresh
 from dustpipe.granule_io import Granule, read_granule, write_granule
 from dustpipe.preprocess import (
     PreprocessConfig,
@@ -24,6 +22,8 @@ from dustpipe.preprocess import (
     normalize_bands,
     preprocess_pipeline,
 )
+
+from conftest import src_env
 
 
 def band_granule(*bands):
@@ -495,12 +495,10 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * 1024, granule.data.nbytes)
 """
 
-# ru_maxrss of a new process starts at the forking parent's resident size,
-# so the probe is launched from a thin relay rather than from the test run.
-RELAY = "import subprocess, sys; sys.exit(subprocess.call([sys.executable] + sys.argv[1:]))"
 
-
-def test_pipeline_working_set_is_bounded(tmp_path):
+def pipeline_growth(tmp_path, prelude: str = "") -> tuple[int, int]:
+    """``MEMORY_PROBE``'s two numbers for a 38 x 512 x 512 granule with 5%
+    NaN, from a fresh interpreter that runs ``prelude`` first."""
     pytest.importorskip("resource")
     if sys.platform != "linux":
         pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
@@ -512,23 +510,17 @@ def test_pipeline_working_set_is_bounded(tmp_path):
     write_granule(Granule(data), path)
     del data
 
-    env = dict(os.environ)
-    src = str(Path(dustpipe.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", MEMORY_PROBE, str(path)],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = run_fresh("-c", prelude + MEMORY_PROBE, str(path))
+    assert proc.returncode == 0, proc.stderr
     growth, nbytes = (int(v) for v in proc.stdout.split())
+    return growth, nbytes
+
+
+def test_pipeline_working_set_is_bounded(tmp_path):
+    growth, nbytes = pipeline_growth(tmp_path)
     # the pipeline holds two output copies; anything below one copy means
     # the high-water mark was already set before the probe ran
     assert nbytes <= growth <= 3 * nbytes, f"peak grew by {growth / nbytes:.2f}x the granule"
-
-
-def src_env():
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    env = dict(os.environ)
-    src = str(Path(dustpipe.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_worker_scratch_within_half_the_granule():
@@ -544,21 +536,8 @@ def test_worker_scratch_within_half_the_granule():
 
 def test_pipeline_working_set_is_bounded_on_four_workers(tmp_path):
     """``test_pipeline_working_set_is_bounded`` with four usable cores forced."""
-    pytest.importorskip("resource")
-    if sys.platform != "linux":
-        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
-    shape = (38, 512, 512)
-    rng = np.random.default_rng(0)
-    data = rng.uniform(0, 300, size=shape).astype(np.float32)
-    data[rng.random(shape) < 0.05] = np.nan
-    path = tmp_path / "g.dgr"
-    write_granule(Granule(data), path)
-    del data
-
     forced = ("from dustpipe import preprocess\n"
               "preprocess._usable_cores = lambda: 4\n"
               "assert preprocess._slab_plan(preprocess.np.empty((38, 512, 512)))[2] == 4\n")
-    proc = subprocess.run([sys.executable, "-c", RELAY, "-c", forced + MEMORY_PROBE, str(path)],
-                          capture_output=True, text=True, env=src_env(), check=True)
-    growth, nbytes = (int(v) for v in proc.stdout.split())
+    growth, nbytes = pipeline_growth(tmp_path, forced)
     assert nbytes <= growth <= 3 * nbytes, f"peak grew by {growth / nbytes:.2f}x the granule"

@@ -19,13 +19,8 @@ from dustpipe.errors import (
 )
 from dustpipe.granule_io import (
     DatasetManifest,
-    Granule,
-    LabelMap,
-    ManifestEntry,
     SyntheticConfig,
     generate_synthetic_dataset,
-    write_granule,
-    write_labels,
 )
 from dustpipe.model3d import ModelConfig, init_params, predict, save_checkpoint
 from dustpipe.patch_index import GranuleStore, PatchIndex, build_index
@@ -44,6 +39,7 @@ from dustpipe.training import (
     train,
     wmse_loss,
 )
+from conftest import write_manifest
 from test_model3d import signed_params
 
 TINY_MODEL = ModelConfig(filters=(3, 4, 5), in_depth=6, patch_size=3)
@@ -420,12 +416,8 @@ class TestTrainLoop:
         assert len(closed) == 2
 
     def test_empty_training_index_rejected(self, tmp_path):
-        labels = np.full((10, 10), np.nan, dtype=np.float32)
-        g = np.zeros((6, 10, 10), dtype=np.float32)
-        gp, lp = tmp_path / "g.dgr", tmp_path / "l.dlb"
-        write_granule(Granule(g), gp)
-        write_labels(LabelMap(labels), lp)
-        manifest = DatasetManifest([ManifestEntry(gp, lp)])
+        manifest = write_manifest(tmp_path, [np.zeros((6, 10, 10))],
+                                  [np.full((10, 10), np.nan)])
         m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=11)
         with pytest.raises(EmptyDatasetError):
             train(manifest, m_val, tmp_path / "run", model_config=TINY_MODEL,
@@ -471,16 +463,10 @@ class TestEvaluate:
 
     def test_untrained_model_near_chance_on_balanced_labels(self, tmp_path):
         rng = np.random.default_rng(12)
-        entries = []
-        for i in range(2):
-            g = rng.uniform(0, 1, size=(6, 12, 12)).astype(np.float32)
-            labels = np.zeros((12, 12), dtype=np.float32)
-            labels[:6] = 1.0  # exactly half positive
-            gp, lp = tmp_path / f"g{i}.dgr", tmp_path / f"l{i}.dlb"
-            write_granule(Granule(g), gp)
-            write_labels(LabelMap(labels), lp)
-            entries.append(ManifestEntry(gp, lp))
-        manifest = DatasetManifest(entries)
+        labels = np.zeros((12, 12), dtype=np.float32)
+        labels[:6] = 1.0  # exactly half positive
+        granules = [rng.uniform(0, 1, size=(6, 12, 12)) for _ in range(2)]
+        manifest = write_manifest(tmp_path, granules, [labels, labels])
         ckpt = tmp_path / "untrained.dck"
         save_checkpoint(ckpt, init_params(100, TINY_MODEL))
         rep = evaluate(ckpt, manifest)
@@ -497,16 +483,6 @@ class TestEvaluate:
         monkeypatch.setattr(training_mod, "predict_scene", refuse)
         with pytest.raises(ShapeMismatchError, match="8 channels, checkpoint expects 6"):
             evaluate(ckpt, manifest)
-
-
-def write_manifest(root, granules, labels) -> DatasetManifest:
-    entries = []
-    for i, (g, lab) in enumerate(zip(granules, labels)):
-        gp, lp = root / f"g{i}.dgr", root / f"l{i}.dlb"
-        write_granule(Granule(np.asarray(g, dtype=np.float32)), gp)
-        write_labels(LabelMap(np.asarray(lab, dtype=np.float32)), lp)
-        entries.append(ManifestEntry(gp, lp))
-    return DatasetManifest(entries)
 
 
 # interior (rows, cols) and the share of labels that are NaN, per granule:
