@@ -129,9 +129,9 @@ def _run_probe(manifest_path: str | Path, mode: str, batch_size: int,
     call = f"_probe({str(manifest_path)!r}, {mode!r}, {batch_size}, {patch_size}, {seed})"
     proc = run_fresh("-c", "from dustpipe.bench import _probe; " + call)
     if proc.returncode != 0:
-        raise DustpipeError(
-            f"memory probe ({mode}) failed: {proc.stderr.strip().splitlines()[-1:]}"
-        )
+        lines = proc.stderr.strip().splitlines()
+        reason = lines[-1] if lines else f"exit status {proc.returncode} and an empty stderr"
+        raise DustpipeError(f"memory probe ({mode}) failed: {reason}")
     return json.loads(proc.stdout)
 
 

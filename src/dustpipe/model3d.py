@@ -21,17 +21,22 @@ training, in the eval plan and in the stage-shape ledger
 out from that arithmetic, not from a forward pass).  Checkpoints keep the
 (Cout, Cin, 3, 3, 3) kernel layout.
 
-The train step works in place where nothing else reads a buffer, with the
-same floating-point operations in the same order as fresh arrays would
-take.  Batch norm normalizes the ReLU output into the ``xhat`` it caches
-(so the ReLU mask is taken before it), and its backward writes the input
-gradient into that cached buffer.  Blocks one and two never build the
-full-size batch-norm output ``gamma * xhat + beta``: max pooling applies
-the affine to each window view as it reads it, and caches each window's
-first-max offset, one byte per pooled value, from which its backward
-routes the gradient.  ``backward`` pops each cache from the trace as it
-uses it, so block one's buffers are freed as soon as they are consumed,
-and a trace is consumed by one ``backward``.
+The train step works in place where nothing else reads a buffer.  Batch
+norm centres the ReLU output in place (so the ReLU mask is taken before
+it) and takes its variance, and the block's backward writes the input
+gradient into that centred buffer.  Blocks one and two never scale the
+full-size activation: their channels with a negative ``gamma`` are negated
+in place (exact), max pooling takes the max of the centred values and
+caches each window's first-max offset, one byte per pooled value, and
+``inv``, the sign, ``gamma`` and ``beta`` are applied to pooled values
+only.  Each of these steps rounds monotonically, so the pooled values, and
+every prediction, are bitwise those of pooling the full-size batch-norm
+output.  Their backward is one fused step: ``dgamma`` and ``dbeta`` reduce
+over the pooled gradient and pooled ``xhat``, and the input gradient takes
+two full-size passes over the centred buffer plus each window's gradient
+added at its first maximum.  ``backward`` pops each cache from the trace
+as it uses it, so block one's buffers are freed as soon as they are
+consumed, and a trace is consumed by one ``backward``.
 
 Evaluation has one path, an eval plan (``eval_plan``) built once per
 ``predict`` or ``predict_scene`` call and run by ``predict_slabs`` over
@@ -136,13 +141,16 @@ class ModelParams:
 class ForwardTrace:
     """Per-layer caches from one ``forward`` pass.
 
-    Per block: the conv's columns, the ReLU mask, batch norm's normalized
-    ``xhat`` and, after blocks one and two, pooling's first-max offsets
-    (one uint8 per pooled value; the batch-norm output is not kept) with
-    the block's shape.  ``backward`` consumes the caches (it pops each one
-    as it uses it, and batch norm's cached buffer becomes its input
-    gradient), so a trace can be back-propagated once only.  Stage shapes
-    come from ``shape_ledger``, not from a trace."""
+    Per block: the conv's columns and the ReLU mask.  Block three's batch
+    norm keeps its normalized ``xhat`` and ``inv``.  Blocks one and two keep
+    batch norm's centred activation (each channel with a negative ``gamma``
+    negated), ``inv``, the channel signs and the pooled ``xhat`` times the
+    sign, and pooling's first-max offsets (one uint8 per pooled value; no
+    full-size batch-norm output exists) with the block's shape.
+    ``backward`` consumes the caches (it pops each one as it uses it, and
+    the cached activation buffer becomes its input gradient), so a trace
+    can be back-propagated once only.  Stage shapes come from
+    ``shape_ledger``, not from a trace."""
 
     caches: dict = field(default_factory=dict)
 
@@ -311,56 +319,6 @@ def _pool_views(x: np.ndarray):
         yield trimmed[:, a::wins[0], bb::wins[1], cc::wins[2]]
 
 
-# the first-max offset of a window whose max is NaN: it matches no view, so
-# the window's gradient goes nowhere
-_NAN_WINDOW = 255
-
-
-def maxpool3d_forward(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Batch norm's affine ``xhat * gamma + beta`` and max pooling over
-    ``_pool_views``, without building the full-size affine output.
-
-    Each window view gets the affine on its own, the same two roundings per
-    element as the product over the whole activation, and the running max
-    takes the views in order.  The cache holds, per window, the offset k
-    of its first maximum in view order as one uint8 (``_NAN_WINDOW`` where
-    the max is NaN) and the input's shape: no array the size of ``xhat``.
-    """
-    views = _pool_views(xhat)
-    y = next(views) * gamma
-    y += beta
-    t = np.empty_like(y)
-    hit = np.empty(y.shape, dtype=bool)
-    first = np.zeros(y.shape, dtype=np.uint8)
-    for k, view in enumerate(views, start=1):
-        np.multiply(view, gamma, out=t)
-        t += beta
-        # only a strictly greater value moves a window's max, so ties keep
-        # the first; k grows with the view, so the max of k * hit records it
-        np.greater(t, y, out=hit)
-        np.maximum(y, t, out=y)
-        moved = hit.view(np.uint8)
-        moved *= k
-        np.maximum(first, moved, out=first)
-    first[np.isnan(y)] = _NAN_WINDOW
-    return y, (first, xhat.shape)
-
-
-def maxpool3d_backward(dy: np.ndarray, cache):
-    """Each window's gradient goes to its first maximum in depth, row, col
-    order (the first-argmax tie rule), from the offsets the forward pass
-    cached: view k of a zero array gets ``dy * (first == k)``."""
-    first, shape = cache
-    dx = np.zeros(shape, dtype=dy.dtype)
-    hit = np.empty(first.shape, dtype=bool)
-    # each element of the pooled extent lies in exactly one view, so writing
-    # every element of each view fills it once
-    for k, dxv in enumerate(_pool_views(dx)):
-        np.equal(first, k, out=hit)
-        np.multiply(dy, hit, out=dxv)
-    return dx
-
-
 def _rows(a: np.ndarray) -> np.ndarray:
     """The (B*D, H*W*C) view of a channels-last activation.  Elementwise
     work on it runs inner loops H*W times longer than on the (N, C) view;
@@ -378,56 +336,143 @@ def _channel_sum(a2: np.ndarray, c: int, b2: np.ndarray | None = None) -> np.nda
 
 
 def batchnorm_forward(x, running_mean, running_var, *, update_running: bool):
-    """Train-mode batch norm's normalization over the last (channel) axis of
-    a channels-last batch, computed on its row view.
+    """Train-mode batch norm's statistics over the last (channel) axis of a
+    channels-last batch, computed on its row view.
 
-    Normalizes with batch statistics and ``BN_EPS`` (and with
-    ``update_running`` moves the running estimates toward them by
-    ``BN_MOMENTUM``).  It overwrites ``x``: the input is normalized in
-    place into the ``xhat`` it returns and caches, so a caller that needs
-    the input afterwards must copy it first.  The affine ``gamma * xhat +
-    beta`` is left to the caller: ``maxpool3d_forward`` applies it per
-    pooling window after blocks one and two, and ``forward`` applies it to
-    block three before global pooling; ``batchnorm_backward`` takes the
-    gradient at the affine's output.  Eval mode applies the running
-    estimates as the eval plan's per-channel scale and shift instead.
+    Centres ``x`` in place with the batch mean and takes the batch variance
+    (and with ``update_running`` moves the running estimates toward them by
+    ``BN_MOMENTUM``), so a caller that needs the input afterwards must copy
+    it first.  Returns the centred ``x`` and the per-channel
+    ``inv = 1 / sqrt(var + BN_EPS)``.  Scaling by ``inv`` and the affine
+    are left to the caller: ``forward`` scales block three's whole
+    activation into ``xhat`` and applies ``gamma * xhat + beta`` to it, and
+    ``maxpool3d_forward`` applies both to pooled values only after blocks
+    one and two.  Eval mode applies the running estimates as the eval
+    plan's per-channel scale and shift instead.
     """
     c = x.shape[-1]
     hw = x.shape[2] * x.shape[3]
-    xhat = _rows(x)
+    x2 = _rows(x)
     m = x.size // c
-    mean = _channel_sum(xhat, c) / m
-    xhat -= np.tile(mean, hw)
-    var = _channel_sum(xhat, c, xhat) / m
+    mean = _channel_sum(x2, c) / m
+    x2 -= np.tile(mean, hw)
+    var = _channel_sum(x2, c, x2) / m
     if update_running:
         unbiased = var * (m / (m - 1)) if m > 1 else var
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * unbiased
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= np.tile(inv, hw)
-    return x, (xhat, inv)
+    return x, 1.0 / np.sqrt(var + BN_EPS)
 
 
 def batchnorm_backward(dy, gamma, cache):
-    """Gradients through train-mode batch norm (batch statistics).  The
-    input gradient is written into the cached ``xhat`` buffer, so a cache
-    serves one backward only."""
+    """Gradients through block three's train-mode batch norm (batch
+    statistics), from the gradient at the affine's output and the cached
+    ``(xhat, inv)``.  The input gradient is written into the cached
+    ``xhat`` buffer, so a cache serves one backward only."""
     xhat, inv = cache
     c = dy.shape[-1]
     hw = dy.shape[2] * dy.shape[3]
     dy2 = _rows(dy)
-    dgamma = _channel_sum(dy2, c, xhat)
+    dx = _rows(xhat)
+    dgamma = _channel_sum(dy2, c, dx)
     dbeta = _channel_sum(dy2, c)
     # dx = gamma * inv * (dy - dbeta / m - xhat * dgamma / m)
     m = dy.size // c
-    dx = xhat
     dx *= np.tile(-dgamma / m, hw)
     dx += dy2
     dx -= np.tile(dbeta / m, hw)
     dx *= np.tile(gamma * inv, hw)
     return dx.reshape(dy.shape), dgamma, dbeta
+
+
+# the first-max offset of a window whose max is NaN: it matches no view, so
+# the window's gradient goes nowhere
+_NAN_WINDOW = 255
+
+
+def maxpool3d_forward(c: np.ndarray, inv: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Batch norm's scale and affine and max pooling over ``_pool_views``,
+    for blocks one and two: the pooled ``gamma * c * inv + beta`` of the
+    centred activation ``c`` that ``batchnorm_forward`` returns (with its
+    ``inv``), computed on pooled values only.
+
+    The channels with a negative ``gamma`` are negated in ``c``, in place
+    (exact), so that the affine is non-decreasing in every channel.  The
+    running max then takes the views in order, with each window's first
+    maximum, and ``inv``, the sign, ``gamma`` and ``beta`` are applied to
+    the pooled values.  Each of these steps rounds to nearest and never
+    decreases, so it commutes with max: the output is bitwise the pooled
+    full-size affine.  Returns the output, pooling's cache (the offset k
+    of each window's first maximum in view order as one uint8,
+    ``_NAN_WINDOW`` where the max is NaN, and the shape of ``c``) and batch
+    norm's cache (``c``, now signed, ``inv``, the per-channel sign, and
+    ``xhat`` times the sign at each window's first maximum).
+    """
+    sign = np.where(gamma < 0, -1, 1).astype(c.dtype)
+    if (gamma < 0).any():
+        c2 = _rows(c)
+        c2 *= np.tile(sign, c.shape[2] * c.shape[3])
+    views = _pool_views(c)
+    y = next(views).copy()
+    t = np.empty_like(y)
+    hit = np.empty(y.shape, dtype=bool)
+    first = np.zeros(y.shape, dtype=np.uint8)
+    for k, view in enumerate(views, start=1):
+        # one contiguous copy of the strided view serves both reads
+        np.copyto(t, view)
+        # only a strictly greater value moves a window's max, so ties keep
+        # the first; k grows with the view, so the max of k * hit records it
+        np.greater(t, y, out=hit)
+        np.maximum(y, t, out=y)
+        moved = hit.view(np.uint8)
+        moved *= k
+        np.maximum(first, moved, out=first)
+    first[np.isnan(y)] = _NAN_WINDOW
+    phw = y.shape[2] * y.shape[3]
+    xhat = _rows(y)
+    xhat *= np.tile(inv, phw)
+    out = xhat * np.tile(sign * gamma, phw)
+    out += np.tile(beta, phw)
+    return out.reshape(y.shape), (first, c.shape), (c, inv, sign, y)
+
+
+def maxpool3d_backward(dy: np.ndarray, gamma: np.ndarray, pool_cache, bn_cache):
+    """Gradients through a pooled block's max pooling and batch norm (see
+    ``maxpool3d_forward``), from the gradient ``dy`` at the pooled output.
+
+    ``dgamma`` and ``dbeta`` reduce over ``dy`` and the cached pooled
+    ``xhat``: only each window's first maximum receives a gradient.  With
+    G = ``gamma * inv``, the input gradient ``G * scatter(dy) - G * dbeta /
+    m - G * inv * dgamma / m * c`` is written into the cached centred
+    buffer ``c``: two full-size passes, then each window's ``G * dy`` added
+    at its first maximum (none for a NaN window).  A cache serves one
+    backward only.
+    """
+    first, shape = pool_cache
+    c, inv, sign, xhat = bn_cache
+    ch = shape[-1]
+    m = c.size // ch
+    dy2 = _rows(dy)
+    dbeta = _channel_sum(dy2, ch)
+    # the pooled values are sign * xhat and the buffer is sign * c, so the
+    # sign of dgamma cancels in the buffer's coefficient
+    signed_dgamma = _channel_sum(dy2, ch, _rows(xhat))
+    g = gamma * inv
+    hw = shape[2] * shape[3]
+    dx = _rows(c)
+    dx *= np.tile(-(g * inv) * signed_dgamma / m, hw)
+    dx -= np.tile(g * dbeta / m, hw)
+    gdy = (dy2 * np.tile(g, dy.shape[2] * dy.shape[3])).reshape(dy.shape)
+    hit = np.empty(first.shape, dtype=bool)
+    t = np.empty_like(gdy)
+    # each element of the pooled extent lies in exactly one view
+    for k, view in enumerate(_pool_views(c)):
+        np.equal(first, k, out=hit)
+        np.multiply(gdy, hit, out=t)
+        view += t
+    return c, signed_dgamma * sign, dbeta
 
 
 def global_avgpool_forward(x: np.ndarray):
@@ -764,17 +809,18 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
         fold = fold_conv(t[f"conv{i}.weight"], t[f"conv{i}.bias"], *a.shape[2:4])
         y, trace.caches[f"conv{i}"] = conv3d_forward(a, fold)
         np.maximum(y, 0, out=y)
-        # the mask must be taken first: batch norm normalizes y in place
+        # the mask must be taken first: batch norm centres y in place
         trace.caches[f"relu{i}"] = y > 0
-        xhat, trace.caches[f"bn{i}"] = batchnorm_forward(
-            y, t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
-            update_running=update_running_stats,
-        )
+        c, inv = batchnorm_forward(y, t[f"bn{i}.running_mean"], t[f"bn{i}.running_var"],
+                                   update_running=update_running_stats)
         gamma, beta = t[f"bn{i}.gamma"], t[f"bn{i}.beta"]
         if i < 3:
-            a, trace.caches[f"pool{i}"] = maxpool3d_forward(xhat, gamma, beta)
+            a, trace.caches[f"pool{i}"], trace.caches[f"bn{i}"] = maxpool3d_forward(
+                c, inv, gamma, beta)
         else:
-            a = xhat * gamma
+            c *= inv   # c becomes xhat
+            trace.caches[f"bn{i}"] = (c, inv)
+            a = c * gamma
             a += beta
 
     pooled, trace.caches["avgpool"] = global_avgpool_forward(a)
@@ -815,9 +861,12 @@ def backward(params: ModelParams, trace: ForwardTrace,
 
     da = global_avgpool_backward(dpooled, caches.pop("avgpool"))
     for i in (3, 2, 1):
+        gamma = t[f"bn{i}.gamma"]
         if i < 3:
-            da = maxpool3d_backward(da, caches.pop(f"pool{i}"))
-        da, dgamma, dbeta = batchnorm_backward(da, t[f"bn{i}.gamma"], caches.pop(f"bn{i}"))
+            da, dgamma, dbeta = maxpool3d_backward(da, gamma, caches.pop(f"pool{i}"),
+                                                   caches.pop(f"bn{i}"))
+        else:
+            da, dgamma, dbeta = batchnorm_backward(da, gamma, caches.pop(f"bn{i}"))
         grads[f"bn{i}.gamma"] = dgamma
         grads[f"bn{i}.beta"] = dbeta
         np.multiply(da, caches.pop(f"relu{i}"), out=da)

@@ -2,17 +2,19 @@
 sampling comparison at smoke scale.  Scale-dependent assertions live in the
 acceptance suite."""
 
+import subprocess
 from dataclasses import asdict
 
 import pytest
 
+from dustpipe import bench
 from dustpipe.bench import (
     SamplingBenchReport,
     bench_memory,
     bench_sampling,
     dataset_checksums,
 )
-from dustpipe.errors import EmptyDatasetError
+from dustpipe.errors import DustpipeError, EmptyDatasetError
 from dustpipe.granule_io import (
     DatasetManifest,
     SyntheticConfig,
@@ -77,6 +79,23 @@ class TestMemoryBench:
                               tmp_path / "large" / "manifest.json", batch_size=8)
         assert report.files_unchanged
         assert report.partial or report.mmap_peak_small_bytes > 0
+
+    def test_probe_error_quotes_the_last_stderr_line(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(DustpipeError) as err:
+            bench._run_probe(missing, "mmap", 8, 5, 0)
+        # the line itself, not a list literal holding it
+        message = str(err.value)
+        assert message.startswith("memory probe (mmap) failed: FileNotFoundError: ")
+        assert message.endswith(f"'{missing}'") and "\n" not in message
+
+    def test_probe_error_says_when_stderr_is_empty(self, monkeypatch):
+        monkeypatch.setattr(bench, "run_fresh",
+                            lambda *args: subprocess.CompletedProcess(args, 3, "", ""))
+        with pytest.raises(DustpipeError,
+                           match=r"^memory probe \(full\) failed: exit status 3 and an empty "
+                                 r"stderr$"):
+            bench._run_probe("m.json", "full", 8, 5, 0)
 
 
 class TestChecksums:
