@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -280,8 +281,9 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
     repeated until each side has consumed half the time budget (at least one
     epoch each, so the per-epoch triplet multisets can be compared).
     """
-    if duration_seconds <= 0:
-        raise ValueError("duration_seconds must be positive")
+    if not (math.isfinite(duration_seconds) and duration_seconds > 0):
+        # NaN passes a plain <= 0 check, and the epoch loop would never stop
+        raise ValueError(f"duration_seconds must be finite and positive, got {duration_seconds}")
     if not isinstance(manifest, DatasetManifest):
         manifest = DatasetManifest.load(manifest)
     before = dataset_checksums(manifest)

@@ -5,20 +5,21 @@ fills every NaN from the pre-imputation band: a uniform draw between the
 finite min and max within ``impute_window`` rows in the same column and band.
 Those window extrema come from a sparse table: log2 of the window's height
 passes of ``np.minimum`` / ``np.maximum`` over row-shifted views that are
-contiguous within each band.  Both steps run over slabs of consecutive bands
-on the output copy, and neither makes a masked copy of a slab nor indexes
-with a 3-D boolean mask: band extrema are NaN-skipping ``np.fmin`` /
-``np.fmax`` reductions, and imputation lists each slab's holes once as flat
-indices, gathers with ``take`` and writes with ``np.put``.  The draws are
-those of one generator per granule read in band order: each slab with a hole
-seeds its own generator and advances it past the draws of the bands before
-it, so the bytes depend neither on the slab size nor on which worker ran a
-slab.  Both steps share one slab loop, ``_slab_pass``, and run as two
-passes, each with its own output.  A granule of more than one slab runs on
-one worker thread per usable core (the CPU affinity mask, at most
-``_MAX_WORKERS``); worker k takes slabs k, k+n, ... and copies each from the
-input into the output before working on it there.  A granule of one slab
-runs inline, with no pool.
+contiguous within each band.  The two steps run as two passes, each with
+its own output, and neither makes a masked copy nor indexes with a 3-D
+boolean mask.  Normalization is one ``normalize_planes`` call over a copy of
+the whole granule: its band extrema are NaN-skipping ``np.fmin`` /
+``np.fmax`` reductions, and its temporaries are per-band vectors.
+Imputation alone works over slabs of consecutive bands on its output copy:
+it lists each slab's holes once as flat indices, gathers with ``take`` and
+writes with ``np.put``.  The draws are those of one generator per granule
+read in band order: each slab with a hole seeds its own generator and
+advances it past the draws of the bands before it, so the bytes depend
+neither on the slab size nor on which worker ran a slab.  A granule of more
+than one slab is imputed on one worker thread per usable core (the CPU
+affinity mask, at most ``_MAX_WORKERS``); worker k takes slabs k, k+n, ...
+and copies each from the input into the output before filling it there.  A
+granule of one slab runs inline, with no pool.
 """
 
 from __future__ import annotations
@@ -76,56 +77,33 @@ def _slab_plan(data: np.ndarray) -> tuple[range, int, int]:
     return firsts, size, workers
 
 
-def _on_workers(work, workers: int) -> list:
-    """``[work(k) for k in range(workers)]``: inline for one worker, else on
-    one thread each.  The first worker exception, in worker order, reaches the
-    caller once every worker has stopped.  numpy releases the GIL in the slab
-    steps' large array calls, so the threads overlap."""
+def _on_workers(work, workers: int) -> None:
+    """``work(k)`` for each k in ``range(workers)``: inline for one worker,
+    else on one thread each.  The first worker exception, in worker order,
+    reaches the caller once every worker has stopped.  numpy releases the GIL
+    in ``_impute_slab``'s large array calls, so the threads overlap."""
     if workers == 1:
-        return [work(0)]
+        work(0)
+        return
     from concurrent.futures import ThreadPoolExecutor  # only multi-slab calls import it
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work, k) for k in range(workers)]
-        return [f.result() for f in futures]
-
-
-def _slab_pass(data: np.ndarray, step, scratch=None) -> tuple[np.ndarray, list]:
-    """A new array holding ``data``, with ``step(slab, first, space)`` run
-    in place on each slab of it (bands ``first``...), and the steps'
-    results in worker order.
-
-    The output is allocated first, then ``scratch(size, workers)``, each
-    worker's scratch ``space`` for slabs of up to ``size`` bands (``None``
-    without ``scratch``), in the calling thread.  Worker k copies slabs k,
-    k+n, ... of ``data`` into the output and runs the step on each there
-    (``_slab_plan``, ``_on_workers``)."""
-    out = np.empty(data.shape, data.dtype)
-    firsts, size, workers = _slab_plan(data)
-    spaces = scratch(size, workers) if scratch else [None] * workers
-
-    def work(k):
-        results = []
-        for first in firsts[k::workers]:
-            slab = out[first:first + size]
-            np.copyto(slab, data[first:first + size])
-            results.append(step(slab, first, spaces[k]))
-        return results
-
-    return out, [r for results in _on_workers(work, workers) for r in results]
+        for future in [pool.submit(work, k) for k in range(workers)]:
+            future.result()
 
 
 def normalize_bands(granule: Granule) -> Granule:
     """Scale each band to [0, 1] by its own finite min/max
-    (``granule_io.normalize_planes``, one slab of bands at a time).
+    (``granule_io.normalize_planes``, one call over a copy of the granule).
 
     NaN passes through.  A constant band maps to all zeros.  A band with no
     finite value at all (only NaN and +-inf) is left as it is (logged once,
     in band order; imputation fills its holes with zero downstream).  It
-    runs as one ``_slab_pass``.
+    starts no thread: the pass is bound by memory traffic, and a second
+    worker made it slower.
     """
-    out, found = _slab_pass(
-        granule.data, lambda slab, first, _: first + np.flatnonzero(normalize_planes(slab)))
-    empty = sorted(c for bands in found for c in bands.tolist())
+    out = np.empty(granule.data.shape, granule.data.dtype)
+    np.copyto(out, granule.data)
+    empty = np.flatnonzero(normalize_planes(out)).tolist()
     if empty:
         log.warning("bands with no finite values left as they are: %s", empty)
     return Granule(out)
@@ -232,14 +210,27 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     indices, band by band; m, M and the draws are gathered at them with
     ``take`` and the fill is written with ``np.put``, which index any layout
     in C order.  The band-mean fallback masks and reduces only the bands
-    that hold an orphan hole, not the whole slab.  It runs as one
-    ``_slab_pass``, with scratch arrays allocated once per call.
+    that hold an orphan hole, not the whole slab.
+
+    This is the module's one slab loop.  The output, then each worker's
+    ``_scratch`` arrays, are allocated once per call in the calling thread;
+    worker k copies slabs k, k+n, ... of the input into the output and fills
+    each there (``_slab_plan``, ``_on_workers``).
     """
     data = granule.data
     w = max(0, min(cfg.impute_window, data.shape[1] - 1))  # taller spans the column
     key = (int(cfg.rng_seed), int(folder_index))
-    out, _ = _slab_pass(data, lambda slab, first, space: _impute_slab(slab, first, space, w, key),
-                        lambda size, workers: _scratch(data, size, w, workers))
+    out = np.empty(data.shape, data.dtype)
+    firsts, size, workers = _slab_plan(data)
+    spaces = _scratch(data, size, w, workers)
+
+    def work(k):
+        for first in firsts[k::workers]:
+            slab = out[first:first + size]
+            np.copyto(slab, data[first:first + size])
+            _impute_slab(slab, first, spaces[k], w, key)
+
+    _on_workers(work, workers)
     return Granule(out)
 
 

@@ -304,7 +304,7 @@ def _require_finite(manifest: DatasetManifest, store: GranuleStore) -> None:
     for f, entry in enumerate(manifest):
         data = store.granule(f)
         if data.size and not (math.isfinite(data.min()) and math.isfinite(data.max())):
-            raise FormatError(f"{entry.granule}: non-finite values; training takes "
+            raise FormatError(f"{entry.granule}: non-finite values; the model takes "
                               "preprocessed granules (dustpipe preprocess)")
 
 
@@ -418,8 +418,8 @@ def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
     (see ``_predict_index``); the report does not depend on which of its
     paths a centre takes.  A manifest whose channel count differs from the
     checkpoint's ``in_depth`` raises ``ShapeMismatchError`` before any
-    prediction; a non-finite value in a patch that an indexed centre reads
-    raises ``ValueError``.
+    prediction, and then a granule that holds a non-finite value raises
+    ``FormatError`` naming it, as ``train`` does, before the index is built.
     """
     LossConfig(alpha)  # a bad alpha is refused before anything is read
     params, _ = load_checkpoint(checkpoint)
@@ -428,6 +428,7 @@ def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
             raise ShapeMismatchError(
                 f"manifest granules have {store.channels} channels, "
                 f"checkpoint expects {params.config.in_depth}")
+        _require_finite(manifest, store)
         index = build_index(manifest, params.config.patch_size)
         if len(index) == 0:
             raise EmptyDatasetError("evaluation index is empty")

@@ -2,6 +2,7 @@
 sampling comparison at smoke scale.  Scale-dependent assertions live in the
 acceptance suite."""
 
+import math
 import subprocess
 from dataclasses import asdict
 
@@ -63,8 +64,10 @@ class TestSamplingBench:
                            duration_seconds=1.0)
 
     def test_nonpositive_duration_rejected(self, small_dataset):
-        with pytest.raises(ValueError):
-            bench_sampling(small_dataset, batch_size=8, duration_seconds=0.0)
+        # NaN and inf would never meet the time budget, so the call would hang
+        for seconds in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                bench_sampling(small_dataset, batch_size=8, duration_seconds=seconds)
 
 
 class TestMemoryBench:

@@ -405,7 +405,7 @@ class TestWholeVolumeOracle:
 
 def record_workers(monkeypatch, cores):
     """Force ``cores`` usable cores; returns the set of worker counts that
-    the slab loops then run on."""
+    imputation's slab loop then runs on."""
     ran = set()
     run = preprocess._on_workers
 
@@ -419,35 +419,36 @@ def record_workers(monkeypatch, cores):
 
 
 class TestWorkers:
-    """The slab loops on more than one worker: errors, logging and input
-    layouts behave as on one."""
+    """Imputation's slab loop on more than one worker: errors and input
+    layouts behave as on one.  Normalization starts no worker and logs from
+    the caller."""
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        record_workers(monkeypatch, 3)
+        ran = record_workers(monkeypatch, 3)
         monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
         error = ArithmeticError("slab of band 4")
-        normalize = preprocess.normalize_planes
+        impute = preprocess._impute_slab
 
-        def failing(planes):
-            if (planes == 4.0).any():
+        def failing(slab, first, *args):
+            if first == 4:
                 raise error
-            return normalize(planes)
+            return impute(slab, first, *args)
 
-        monkeypatch.setattr(preprocess, "normalize_planes", failing)
-        data = np.arange(6, dtype=np.float32)[:, None, None] * np.ones((6, 3, 5), np.float32)
+        monkeypatch.setattr(preprocess, "_impute_slab", failing)
+        data = np.ones((6, 3, 5), np.float32)
         with pytest.raises(ArithmeticError) as raised:
-            normalize_bands(Granule(data))
+            impute_granule(Granule(data), PreprocessConfig())
         assert raised.value is error
+        assert ran == {3}
 
     def test_empty_bands_logged_once_in_order_from_the_caller(self, monkeypatch, caplog):
-        ran = record_workers(monkeypatch, 3)
+        record_workers(monkeypatch, 3)
         monkeypatch.setattr(preprocess, "SLAB_BYTES", 1)
         data = np.ones((8, 4, 4), dtype=np.float32)
         data[[1, 2, 6, 7]] = np.nan
         data[5] = np.inf
         with caplog.at_level("WARNING", logger="dustpipe.preprocess"):
             normalize_bands(Granule(data))
-        assert ran == {3}
         assert [r.getMessage() for r in caplog.records] == [
             "bands with no finite values left as they are: [1, 2, 5, 6, 7]"]
         assert caplog.records[0].thread == threading.get_ident()

@@ -592,5 +592,7 @@ class TestPredictIndexNonFinite:
         assert main(["eval", "--ckpt", str(ckpt), "--manifest-test",
                      str(tmp_path / "manifest.json"), "--report", str(report)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        granule = manifest.entries[0].granule
+        assert err.startswith(f"error: {granule}: non-finite values"), err
+        assert err.count("\n") == 1
         assert not report.exists()
