@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .patch_index import (
     batch_footprint_bytes,
     build_index,
     naive_sample_batches,
+    require_batch_size,
     sample_batches,
 )
 
@@ -169,19 +171,17 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
     path, each in a fresh subprocess.  The mmap path's peak should grow by
     less than one batch footprint plus ``DEFAULT_SLACK_BYTES`` when the
     dataset quadruples; the full-load path's peak should grow by at least
-    the added payload.
+    the added payload.  A ``batch_size`` below 1 is refused before any
+    probe starts.
     """
+    require_batch_size(batch_size)
     small = DatasetManifest.load(manifest_small)
     large = DatasetManifest.load(manifest_large)
     before = dataset_checksums(small) | dataset_checksums(large)
 
-    store_probe = GranuleStore(small)
-    channels = store_probe.channels
-    small_payload = store_probe.payload_bytes
-    store_probe.close()
-    store_probe = GranuleStore(large)
-    large_payload = store_probe.payload_bytes
-    store_probe.close()
+    with closing(GranuleStore(small)) as store_small, closing(GranuleStore(large)) as store_large:
+        channels, small_payload = store_small.channels, store_small.payload_bytes
+        large_payload = store_large.payload_bytes
     if large_payload < 4 * small_payload:
         raise ValueError(
             f"large manifest ({large_payload} B) must be >= 4x the small one "
@@ -279,26 +279,25 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
 
     Both paths stream identical data from the same store; whole epochs are
     repeated until each side has consumed half the time budget (at least one
-    epoch each, so the per-epoch triplet multisets can be compared).
+    epoch each, so the per-epoch triplet multisets can be compared).  A bad
+    ``duration_seconds`` or ``batch_size`` is refused before anything is read.
     """
     if not (math.isfinite(duration_seconds) and duration_seconds > 0):
         # NaN passes a plain <= 0 check, and the epoch loop would never stop
         raise ValueError(f"duration_seconds must be finite and positive, got {duration_seconds}")
+    require_batch_size(batch_size)
     if not isinstance(manifest, DatasetManifest):
         manifest = DatasetManifest.load(manifest)
     before = dataset_checksums(manifest)
-    store = GranuleStore(manifest)
-    index = build_index(manifest, patch_size)
-    if len(index) == 0:
-        store.close()
-        raise EmptyDatasetError("no valid patch centers in this manifest")
-
-    half = duration_seconds / 2.0
-    indexed_rate, indexed_epoch_s, indexed_epochs, indexed_triplets = _time_epochs(
-        lambda: sample_batches(index, store, batch_size, seed, partitions=1), half)
-    naive_rate, naive_epoch_s, naive_epochs, naive_triplets = _time_epochs(
-        lambda: naive_sample_batches(store, patch_size, batch_size, seed), half)
-    store.close()
+    with closing(GranuleStore(manifest)) as store:
+        index = build_index(manifest, patch_size)
+        if len(index) == 0:
+            raise EmptyDatasetError("no valid patch centers in this manifest")
+        half = duration_seconds / 2.0
+        indexed_rate, indexed_epoch_s, indexed_epochs, indexed_triplets = _time_epochs(
+            lambda: sample_batches(index, store, batch_size, seed, partitions=1), half)
+        naive_rate, naive_epoch_s, naive_epochs, naive_triplets = _time_epochs(
+            lambda: naive_sample_batches(store, patch_size, batch_size, seed), half)
 
     multisets_equal = bool(np.array_equal(_sorted_rows(indexed_triplets),
                                           _sorted_rows(naive_triplets)))

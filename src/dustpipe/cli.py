@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -50,6 +51,19 @@ def _add_flags(parser, cls, *names) -> None:
                             type=str if isinstance(value, tuple) else type(value))
 
 
+@contextmanager
+def _naming_flags(flags: dict[str, str]):
+    """Re-raise a ``ValueError`` whose message starts with a key of
+    ``flags`` (a config field or a parameter) led by that key's flag."""
+    try:
+        yield
+    except ValueError as e:
+        name = str(e).partition(" ")[0]
+        if name not in flags:
+            raise
+        raise ValueError(f"--{flags[name].replace('_', '-')}: {e}") from None
+
+
 def _config(cls, args):
     """``cls`` built from the flags of ``args`` that set its fields; a
     rejected value's error names its flag."""
@@ -64,11 +78,8 @@ def _config(cls, args):
                 raise ValueError(f"--{dest} must be comma-separated integers, "
                                  f"got {value!r}") from None
         values[field] = value
-    try:
+    with _naming_flags(flags):  # the configs' messages start with the field
         return cls(**values)
-    except ValueError as e:
-        field = str(e).split()[0]  # the configs' messages start with the field
-        raise ValueError(f"--{flags.get(field, field).replace('_', '-')}: {e}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -144,21 +155,27 @@ def _cmd_infer(args) -> int:
     return 0
 
 
+# the bench parameters that flags outside ``_FLAGS`` set -> their dests
+_BENCH_FLAGS = {"batch_size": "batch", "duration_seconds": "seconds"}
+
+
 def _cmd_bench_memory(args) -> int:
     from .bench import bench_memory
 
-    return _report(bench_memory(args.small, args.large, batch_size=args.batch,
-                                patch_size=_config(ModelConfig, args).patch_size,
-                                seed=args.seed), args.report)
+    with _naming_flags(_BENCH_FLAGS):
+        return _report(bench_memory(args.small, args.large, batch_size=args.batch,
+                                    patch_size=_config(ModelConfig, args).patch_size,
+                                    seed=args.seed), args.report)
 
 
 def _cmd_bench_sampling(args) -> int:
     from .bench import bench_sampling
 
-    return _report(bench_sampling(args.manifest, batch_size=args.batch,
-                                  seed=args.seed, duration_seconds=args.seconds,
-                                  patch_size=_config(ModelConfig, args).patch_size),
-                   args.report)
+    with _naming_flags(_BENCH_FLAGS):
+        return _report(bench_sampling(args.manifest, batch_size=args.batch,
+                                      seed=args.seed, duration_seconds=args.seconds,
+                                      patch_size=_config(ModelConfig, args).patch_size),
+                       args.report)
 
 
 def _cmd_model_describe(args) -> int:

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
 from .model3d import EVAL_TILE, ModelParams, predict_scene
+from .patch_index import require_batch_size
 from .training import MetricsReport, compute_metrics
 
 MAP_MAGIC = b"DMP1"
@@ -64,8 +65,7 @@ def infer_scene(params: ModelParams, granule: Granule,
     tile size (see ``model3d.predict``).
     """
     data = granule.data
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    require_batch_size(batch_size)
     if data.shape[0] != params.config.in_depth:
         raise ShapeMismatchError(
             f"granule has {data.shape[0]} channels, checkpoint expects {params.config.in_depth}"

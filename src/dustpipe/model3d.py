@@ -510,14 +510,6 @@ def finite_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x if x.dtype == params.dtype else x.astype(params.dtype)
 
 
-def _network_input(params: ModelParams, x) -> np.ndarray:
-    """Check a (B, 1, C, P, P) batch and return it channels-last,
-    (B, C, P, P, 1), in the params' dtype."""
-    x = finite_input(params, _checked_shape(params, x))
-    # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
-    return x.reshape(x.shape[0], *x.shape[2:], 1)
-
-
 def _head(pooled: np.ndarray, t: dict) -> np.ndarray:
     # elementwise product and row sum rather than a matrix-vector product,
     # whose summation order the BLAS may change with the batch size
@@ -722,10 +714,10 @@ def _run_blocks(plan: EvalPlan, a: np.ndarray) -> np.ndarray:
 def predict_slabs(plan: EvalPlan, slabs: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Eval-mode probabilities for one tile: the th x tw patches centred in
     each (D, th + P - 1, tw + P - 1) slab of a (B, D, ., .) batch, in the
-    plan's dtype and checked finite by the caller; row-major within each
-    slab.  A tile holds at most ``EVAL_TILE`` patches, the sizes at which
-    the test suite checks that the GEMMs of blocks two and three give each
-    row the same bits wherever it sits.
+    plan's dtype; row-major within each slab.  A tile holds at most
+    ``EVAL_TILE`` patches, the sizes at which the test suite checks that
+    the GEMMs of blocks two and three give each row the same bits wherever
+    it sits.
     """
     if len(slabs) * th * tw > EVAL_TILE:
         raise ValueError(f"a tile holds at most {EVAL_TILE} patches, got {len(slabs) * th * tw}")
@@ -758,8 +750,10 @@ def predict_scene(params: ModelParams, data: np.ndarray, want: np.ndarray | None
     shared position.  Every other wanted centre is gathered from
     ``patch_windows``, ``EVAL_TILE`` at a time, and run as one-pixel slabs.
     Either way a centre gets the bits of a lone ``predict`` call on its
-    patch (see ``predict``), and only values that a wanted centre's patch
-    reads are checked finite (``ValueError`` otherwise).
+    patch (see ``predict``).  The volume is cast to the params' dtype (no
+    copy for a float32 volume and checkpoint) and not checked: it must be
+    finite, as its callers check whole granules to be (``infer_scene`` and
+    ``training._admit``).
     """
     p = params.config.patch_size
     h = p // 2
@@ -768,6 +762,7 @@ def predict_scene(params: ModelParams, data: np.ndarray, want: np.ndarray | None
     if rows < 1 or cols < 1:
         return out
     interior = out[h:h + rows, h:h + cols]
+    data = data.astype(params.dtype, copy=False)
     rest = (np.ones((rows, cols), dtype=bool) if want is None
             else np.array(want[h:h + rows, h:h + cols], dtype=bool))
     plan = eval_plan(params)
@@ -777,15 +772,14 @@ def predict_scene(params: ModelParams, data: np.ndarray, want: np.ndarray | None
             tile = rest[y:y + th, x:x + tw]
             if tile.all():
                 ty, tx = tile.shape
-                slab = finite_input(params, data[:, y:y + ty + p - 1, x:x + tx + p - 1])
-                probs = predict_slabs(plan, slab[None], ty, tx)
-                interior[y:y + ty, x:x + tx] = probs.reshape(ty, tx)
+                slab = data[None, :, y:y + ty + p - 1, x:x + tx + p - 1]
+                interior[y:y + ty, x:x + tx] = predict_slabs(plan, slab, ty, tx).reshape(ty, tx)
                 tile[...] = False
     ys, xs = np.nonzero(rest)
     windows = patch_windows(data, p)
     for start in range(0, len(ys), EVAL_TILE):
         y, x = ys[start:start + EVAL_TILE], xs[start:start + EVAL_TILE]
-        interior[y, x] = predict_slabs(plan, finite_input(params, windows[y, x]), 1, 1)
+        interior[y, x] = predict_slabs(plan, windows[y, x], 1, 1)
     return out
 
 
@@ -801,7 +795,9 @@ def forward(params: ModelParams, x: np.ndarray, mode: str = "train",
     if mode != "train":
         raise ValueError(f"forward runs the training pass only (mode 'train'), got {mode!r}; "
                          "evaluate with predict")
-    a = _network_input(params, x)
+    x = finite_input(params, _checked_shape(params, x))
+    # the single input channel moves last: (B, 1, D, P, P) -> (B, D, P, P, 1)
+    a = x.reshape(x.shape[0], *x.shape[2:], 1)
     t = params.tensors
 
     trace = ForwardTrace()

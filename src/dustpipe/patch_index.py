@@ -79,6 +79,11 @@ def require_odd(patch_size: int) -> None:  # the one patch-size rule
         )
 
 
+def require_batch_size(batch_size: int) -> None:  # the one batch-size rule
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def patch_windows(data: np.ndarray, patch_size: int) -> np.ndarray:
     """Read-only (H-P+1, W-P+1, C, P, P) view of a (C, H, W) volume's full
     windows; element [y - h, x - h] is the patch centered on (y, x)."""
@@ -301,8 +306,7 @@ def shuffle_partitions(index: PatchIndex, seed: int, partitions: int) -> list[np
 def iter_batches(index: PatchIndex, store: GranuleStore, positions: np.ndarray,
                  batch_size: int) -> Iterator[PatchBatch]:
     """Consecutive batches over the given positions; final short batch kept."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    require_batch_size(batch_size)
     for start in range(0, len(positions), batch_size):
         chunk = positions[start:start + batch_size]
         triplets = index.triplets[chunk]
@@ -332,8 +336,7 @@ def naive_sample_batches(store: GranuleStore, patch_size: int, batch_size: int,
     batch instead of consulting a precomputed index.  Exists as the
     benchmark baseline only.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    require_batch_size(batch_size)
     start = 0
     while True:
         # deliberate per-batch mask search over every label map

@@ -200,8 +200,7 @@ def impute_granule(granule: Granule, cfg: PreprocessConfig,
     becomes zero.  The draw for a position is a pure function of
     (rng_seed, folder_index, granule shape, c, y, x), whatever the slab size
     and the number of workers.  That number follows the CPU affinity mask (at
-    most ``_MAX_WORKERS``) and is not settable; ``DUSTPIPE_THREADS`` is not
-    read.
+    most ``_MAX_WORKERS``) and is not settable.
 
     m and M come from ``_column_window``: log-doubling passes of
     ``np.minimum`` / ``np.maximum`` over row-shifted, band-contiguous views

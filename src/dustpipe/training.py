@@ -271,11 +271,9 @@ def _predict_index(params: ModelParams, index: PatchIndex,
     """Eval-mode predictions and targets for every triplet of ``index``, in order.
 
     Each granule runs through ``model3d.predict_scene`` with its indexed
-    centres wanted: tiles whose centres are all indexed run as scene slabs,
-    the other indexed centres as gathered patches, and only values that an
-    indexed centre's patch reads are checked finite.  A centre gets the
-    bits of a lone ``predict`` call either way.  The triplets must lie in
-    their granules' interiors, as every ``build_index`` triplet does.
+    centres wanted, so a centre gets the bits of a lone ``predict`` call.
+    The granules must have passed ``_admit``, and the triplets must lie in
+    their interiors, as every ``build_index`` triplet does.
     """
     triplets = index.triplets
     preds = np.empty(len(triplets), dtype=params.dtype)
@@ -297,15 +295,27 @@ def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
     return loss
 
 
-def _require_finite(manifest: DatasetManifest, store: GranuleStore) -> None:
-    """``FormatError`` naming the first granule of ``manifest`` (opened as
-    ``store``) that holds a NaN or an infinity.  ``min`` and ``max``
-    propagate NaN and reach an infinity, so no granule-sized mask is made."""
+def _admit(role: str, manifest: DatasetManifest, store: GranuleStore,
+           config: ModelConfig) -> PatchIndex:
+    """The patch index of ``manifest`` (opened as ``store``), once its
+    granules may enter a ``config`` model: ``ShapeMismatchError`` if their
+    channel count is not ``in_depth``, then ``FormatError`` naming the
+    first granule that holds a NaN or an infinity, then
+    ``EmptyDatasetError`` if nothing is indexed.  ``role`` names the
+    manifest in the messages.  ``min`` and ``max`` propagate NaN and reach
+    an infinity, so no granule-sized mask is made."""
+    if store.channels != config.in_depth:
+        raise ShapeMismatchError(f"{role} granules have {store.channels} channels, "
+                                 f"the model expects {config.in_depth}")
     for f, entry in enumerate(manifest):
         data = store.granule(f)
         if data.size and not (math.isfinite(data.min()) and math.isfinite(data.max())):
             raise FormatError(f"{entry.granule}: non-finite values; the model takes "
                               "preprocessed granules (dustpipe preprocess)")
+    index = build_index(manifest, config.patch_size)
+    if len(index) == 0:
+        raise EmptyDatasetError(f"{role} index is empty")
+    return index
 
 
 def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
@@ -323,10 +333,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     training or validation loss raises ``TrainingDivergedError``, naming
     the pass, partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
-    every optimization step, for instrumentation.  Mismatched channel
-    counts, empty indexes and a training or validation granule that holds
-    a non-finite value (``FormatError`` naming it) are refused before
-    ``out_dir`` is created.
+    every optimization step, for instrumentation.  The training manifest
+    and then the validation manifest pass ``_admit`` (channel count, finite
+    values, a non-empty index) before ``out_dir`` is created.
     """
     train_cfg = train_cfg or TrainConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -336,18 +345,8 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
           closing(GranuleStore(manifest_val)) as store_val):
         if model_config is None:
             model_config = ModelConfig(in_depth=store_train.channels)
-        index_train = build_index(manifest_train, model_config.patch_size)
-        index_val = build_index(manifest_val, model_config.patch_size)
-        if len(index_train) == 0:
-            raise EmptyDatasetError("training index is empty")
-        if len(index_val) == 0:
-            raise EmptyDatasetError("validation index is empty")
-        if not store_train.channels == store_val.channels == model_config.in_depth:
-            raise ShapeMismatchError(
-                f"channel counts differ: training manifest {store_train.channels}, validation "
-                f"manifest {store_val.channels}, model config in_depth {model_config.in_depth}")
-        _require_finite(manifest_train, store_train)
-        _require_finite(manifest_val, store_val)
+        index_train = _admit("training", manifest_train, store_train, model_config)
+        index_val = _admit("validation", manifest_val, store_val, model_config)
         out_dir.mkdir(parents=True, exist_ok=True)
 
         params = init_params(train_cfg.seed, model_config)
@@ -416,21 +415,13 @@ def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
 
     Each granule's indexed centres run through ``model3d.predict_scene``
     (see ``_predict_index``); the report does not depend on which of its
-    paths a centre takes.  A manifest whose channel count differs from the
-    checkpoint's ``in_depth`` raises ``ShapeMismatchError`` before any
-    prediction, and then a granule that holds a non-finite value raises
-    ``FormatError`` naming it, as ``train`` does, before the index is built.
+    paths a centre takes.  The manifest passes ``_admit`` (channel count,
+    finite values, a non-empty index), as ``train``'s do, before anything
+    is predicted.
     """
     LossConfig(alpha)  # a bad alpha is refused before anything is read
     params, _ = load_checkpoint(checkpoint)
     with closing(GranuleStore(manifest)) as store:
-        if store.channels != params.config.in_depth:
-            raise ShapeMismatchError(
-                f"manifest granules have {store.channels} channels, "
-                f"checkpoint expects {params.config.in_depth}")
-        _require_finite(manifest, store)
-        index = build_index(manifest, params.config.patch_size)
-        if len(index) == 0:
-            raise EmptyDatasetError("evaluation index is empty")
+        index = _admit("evaluation", manifest, store, params.config)
         preds, targets = _predict_index(params, index, store)
     return compute_metrics(preds, targets, alpha)

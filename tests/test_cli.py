@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dustpipe import cli
+from dustpipe import bench, cli
 from dustpipe.cli import main
 from dustpipe.granule_io import (DatasetManifest, Granule, SyntheticConfig, read_granule,
                                  write_granule)
@@ -420,8 +420,8 @@ class TestTrainCli:
         assert run("train", "--manifest-train", train_manifest, "--manifest-val", val_manifest,
                    "--out", tmp_path / "run", "--filters", "2,2,2") == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: channel counts differ: training manifest 6, "
-                                       "validation manifest 8")
+        assert captured.err.startswith("error: validation granules have 8 channels, "
+                                       "the model expects 6")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
@@ -471,3 +471,32 @@ class TestBenchCli:
         payload = json.loads(report_path.read_text())
         assert payload["speedup_ratio"] > 0
         assert payload["multisets_equal"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "0", "inf"])
+    def test_sampling_seconds_error_names_the_flag(self, tmp_path, capsys, value):
+        manifest = synth(tmp_path / "raw", count=1, height=12, width=12)
+        capsys.readouterr()
+        assert run("bench", "sampling", "--manifest", manifest, "--seconds", value,
+                   "--report", tmp_path / "r.json") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --seconds: duration_seconds must be finite and "
+                                f"positive, got {float(value)}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["sampling", "memory"])
+    def test_batch_error_names_the_flag(self, tmp_path, capsys, monkeypatch, command):
+        manifest = synth(tmp_path / "raw", count=1, height=12, width=12)
+
+        def refuse(*args):
+            raise AssertionError("a probe interpreter started")
+
+        monkeypatch.setattr(bench, "run_fresh", refuse)
+        inputs = {"sampling": ["--manifest", manifest],
+                  "memory": ["--small", manifest, "--large", manifest]}[command]
+        capsys.readouterr()
+        assert run("bench", command, *inputs, "--batch", 0, "--report", tmp_path / "r.json") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --batch: batch_size must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.json").exists()

@@ -129,8 +129,8 @@ class TestInferScene:
     @pytest.mark.parametrize("where, value", [((5, -1, 6), np.nan), ((0, 7, 0), 1.5)],
                              ids=["nan-last-row", "above-one-first-col"])
     def test_value_check_reaches_the_border_band(self, tmp_path, where, value):
-        # values are checked in the tile slabs that read them; the slabs
-        # cover the border band too
+        # infer_scene checks every granule value, the border band's too,
+        # before any tile runs
         g, _ = processed_granule(tmp_path / "d")
         bad = Granule(g.data.copy())
         bad.data[where] = value

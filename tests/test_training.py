@@ -424,13 +424,15 @@ class TestTrainLoop:
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
                                         batch_size=8, seed=0))
 
-    @pytest.mark.parametrize("val_channels, in_depth", [(8, 6), (6, 8)],
-                             ids=["validation-channels", "config-in-depth"])
-    def test_channel_mismatch_refused_before_writing(self, tmp_path, val_channels, in_depth):
+    @pytest.mark.parametrize("val_channels, in_depth, message", [
+        (8, 6, "validation granules have 8 channels, the model expects 6"),
+        (6, 8, "training granules have 6 channels, the model expects 8"),
+    ], ids=["validation-channels", "config-in-depth"])
+    def test_channel_mismatch_refused_before_writing(self, tmp_path, val_channels, in_depth,
+                                                     message):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, channels=val_channels, seed=6)
-        with pytest.raises(ShapeMismatchError, match="training manifest 6, validation "
-                           f"manifest {val_channels}, model config in_depth {in_depth}"):
+        with pytest.raises(ShapeMismatchError, match=message):
             train(m_train, m_val, tmp_path / "run",
                   model_config=ModelConfig(filters=(3, 4, 5), in_depth=in_depth, patch_size=3),
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
@@ -481,7 +483,8 @@ class TestEvaluate:
             raise AssertionError("predicted before the channel check")
 
         monkeypatch.setattr(training_mod, "predict_scene", refuse)
-        with pytest.raises(ShapeMismatchError, match="8 channels, checkpoint expects 6"):
+        with pytest.raises(ShapeMismatchError,
+                           match="evaluation granules have 8 channels, the model expects 6"):
             evaluate(ckpt, manifest)
 
 
@@ -545,9 +548,10 @@ class TestPredictIndexTiles:
 
 
 class TestPredictIndexNonFinite:
-    """A NaN granule value raises wherever an indexed centre's patch reads
-    it, and only there.  Interior 8 x 11 at P = 3: tiles rows 0-3 and 4-7,
-    cols 0-7 and 8-10."""
+    """A NaN granule value that no indexed centre's patch reads does not
+    reach the predictions: a slab runs only for a fully indexed tile, whose
+    patches read all of it.  Interior 8 x 11 at P = 3: tiles rows 0-3 and
+    4-7, cols 0-7 and 8-10."""
 
     SHAPE = (10, 13)
 
@@ -558,19 +562,6 @@ class TestPredictIndexNonFinite:
         if nan_label is not None:
             lab[nan_label] = np.nan
         return write_manifest(tmp_path, [g], [lab])
-
-    @pytest.mark.parametrize("nan_pixel, nan_label", [
-        ((2, 2), None),     # inside the slab of a fully indexed tile
-        ((6, 4), (8, 8)),   # read by patches of the rows 4-7 x cols 0-7 tile only,
-                            # which centre (8, 8)'s NaN label sends to predict
-    ], ids=["full-tile", "fallback-patch"])
-    def test_value_read_by_indexed_patch_raises(self, tmp_path, nan_pixel, nan_label):
-        manifest = self._manifest(tmp_path, nan_pixel, nan_label)
-        params = init_params(0, TINY_MODEL)
-        with closing(GranuleStore(manifest)) as store:
-            index = build_index(manifest, 3)
-            with pytest.raises(ValueError, match="non-finite values in network input"):
-                training_mod._predict_index(params, index, store)
 
     def test_value_read_by_unindexed_patches_only_is_ignored(self, tmp_path):
         # pixel (0, 0) is read only by the patch of centre (1, 1), unindexed
@@ -583,16 +574,57 @@ class TestPredictIndexNonFinite:
         assert len(preds) == 8 * 11 - 1
         assert preds.tobytes() == predict(params, inputs).tobytes()
 
-    def test_cli_eval_prints_one_error_line(self, tmp_path, capsys):
-        manifest = self._manifest(tmp_path, (2, 2))
-        manifest.save(tmp_path / "manifest.json")
+
+# the faults a manifest can have, in the order they are reported
+ADMISSION_FAULTS = ("channels", "non-finite", "empty-index")
+
+
+class TestAdmission:
+    """``train`` (its training and its validation manifest) and ``evaluate``
+    admit a manifest through one check: channel count, then non-finite
+    granule, then empty index, each a one-line CLI error, before anything
+    is written or predicted."""
+
+    def _messages(self, role, granule):
+        return {"channels": f"{role} granules have 8 channels, the model expects 6",
+                "non-finite": f"{granule}: non-finite values",
+                "empty-index": f"{role} index is empty"}
+
+    # the CLI sizes the model from the training manifest, so that manifest's
+    # channel count cannot mismatch there (the library check is covered by
+    # TestTrainLoop.test_channel_mismatch_refused_before_writing)
+    @pytest.mark.parametrize("role, first", [
+        (role, first) for role in ("training", "validation", "evaluation")
+        for first in ADMISSION_FAULTS if (role, first) != ("training", "channels")])
+    def test_faults_refused_in_order(self, tmp_path, capsys, role, first):
+        rng = np.random.default_rng(3)
+        good = tiny_training_dataset(tmp_path / "good", count=1, seed=4)
+        good.save(tmp_path / "good.json")
+        faults = ADMISSION_FAULTS[ADMISSION_FAULTS.index(first):]
+        channels = 8 if "channels" in faults else TINY_MODEL.in_depth
+        granules = [rng.uniform(0, 1, (channels, 9, 9)) for _ in range(2)]
+        if "non-finite" in faults:
+            granules[1][2, 4, 4] = np.nan
+        label = np.full((9, 9), np.nan) if "empty-index" in faults else rng.uniform(0, 1, (9, 9))
+        bad = write_manifest(tmp_path, granules, [label, label])
+        bad.save(tmp_path / "bad.json")
+        out = tmp_path / "out"
         ckpt = tmp_path / "m.dck"
         save_checkpoint(ckpt, init_params(0, TINY_MODEL))
-        report = tmp_path / "r.json"
-        assert main(["eval", "--ckpt", str(ckpt), "--manifest-test",
-                     str(tmp_path / "manifest.json"), "--report", str(report)]) == 1
-        err = capsys.readouterr().err
-        granule = manifest.entries[0].granule
-        assert err.startswith(f"error: {granule}: non-finite values"), err
-        assert err.count("\n") == 1
-        assert not report.exists()
+        capsys.readouterr()
+        if role == "evaluation":
+            argv = ["eval", "--ckpt", ckpt, "--manifest-test", tmp_path / "bad.json",
+                    "--report", out]
+        else:
+            train_name, val_name = {"training": ("bad", "good"),
+                                    "validation": ("good", "bad")}[role]
+            argv = ["train", "--manifest-train", tmp_path / f"{train_name}.json",
+                    "--manifest-val", tmp_path / f"{val_name}.json",
+                    "--out", out, "--filters", "3,4,5", "--patch-size", 3,
+                    "--passes", 1, "--partitions", 1, "--sub-epochs", 1]
+        assert main([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        message = self._messages(role, bad.entries[1].granule)[first]
+        assert captured.err.startswith(f"error: {message}"), captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
