@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DustpipeError, EmptyDatasetError
-from .granule_io import DatasetManifest
+from .granule_io import DatasetManifest, require_seed
 from .patch_index import (
     GranuleStore,
     batch_footprint_bytes,
@@ -171,10 +171,11 @@ def bench_memory(manifest_small: str | Path, manifest_large: str | Path,
     path, each in a fresh subprocess.  The mmap path's peak should grow by
     less than one batch footprint plus ``DEFAULT_SLACK_BYTES`` when the
     dataset quadruples; the full-load path's peak should grow by at least
-    the added payload.  A ``batch_size`` below 1 is refused before any
-    probe starts.
+    the added payload.  A ``batch_size`` below 1 or a negative ``seed`` is
+    refused before any checksum is taken or any probe starts.
     """
     require_batch_size(batch_size)
+    require_seed(seed)
     small = DatasetManifest.load(manifest_small)
     large = DatasetManifest.load(manifest_large)
     before = dataset_checksums(small) | dataset_checksums(large)
@@ -280,12 +281,14 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
     Both paths stream identical data from the same store; whole epochs are
     repeated until each side has consumed half the time budget (at least one
     epoch each, so the per-epoch triplet multisets can be compared).  A bad
-    ``duration_seconds`` or ``batch_size`` is refused before anything is read.
+    ``duration_seconds``, ``batch_size`` or ``seed`` is refused before
+    anything is read.
     """
     if not (math.isfinite(duration_seconds) and duration_seconds > 0):
         # NaN passes a plain <= 0 check, and the epoch loop would never stop
         raise ValueError(f"duration_seconds must be finite and positive, got {duration_seconds}")
     require_batch_size(batch_size)
+    require_seed(seed)
     if not isinstance(manifest, DatasetManifest):
         manifest = DatasetManifest.load(manifest)
     before = dataset_checksums(manifest)

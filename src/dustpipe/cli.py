@@ -82,12 +82,17 @@ def _config(cls, args):
         return cls(**values)
 
 
+# synth's parameters that flags outside ``_FLAGS`` set; each flag is its name
+_SYNTH_FLAGS = {name: name for name in ("seed", "count", "height", "width", "channels")}
+
+
 def _cmd_synth(args) -> int:
-    manifest = generate_synthetic_dataset(
-        args.out, seed=args.seed, count=args.count, height=args.height,
-        width=args.width, channels=args.channels, config=_config(SyntheticConfig, args),
-        patch_size=_config(ModelConfig, args).patch_size,
-    )
+    config, patch_size = _config(SyntheticConfig, args), _config(ModelConfig, args).patch_size
+    with _naming_flags(_SYNTH_FLAGS):
+        manifest = generate_synthetic_dataset(
+            args.out, seed=args.seed, count=args.count, height=args.height,
+            width=args.width, channels=args.channels, config=config, patch_size=patch_size,
+        )
     print(f"wrote {len(manifest)} granule/label pairs under {args.out}")
     return 0
 
@@ -156,7 +161,7 @@ def _cmd_infer(args) -> int:
 
 
 # the bench parameters that flags outside ``_FLAGS`` set -> their dests
-_BENCH_FLAGS = {"batch_size": "batch", "duration_seconds": "seconds"}
+_BENCH_FLAGS = {"batch_size": "batch", "duration_seconds": "seconds", "seed": "seed"}
 
 
 def _cmd_bench_memory(args) -> int:

@@ -13,8 +13,9 @@ class TruncatedFileError(DustpipeError):
     """Container header is short, or declares a size the file does not have."""
 
 
-class FormatError(DustpipeError):
-    """Container contents violate the format contract (bad dims, bad names)."""
+class FormatError(DustpipeError, ValueError):
+    """Container contents violate the format contract (bad dims, bad names),
+    or a granule holds values the model does not take."""
 
 
 class ShapeMismatchError(DustpipeError):

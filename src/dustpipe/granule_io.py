@@ -351,6 +351,11 @@ def normalize_label_values(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def require_seed(seed: int, name: str = "seed") -> None:  # the one seed rule
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Plume count, intensity, noise and missing-data settings of a
@@ -363,10 +368,10 @@ class SyntheticConfig:
     holes across the whole volume; ``label_density`` keeps only that
     fraction of label pixels finite (1.0 = fully labeled).  Plume shape and
     the reactive channels are the fixed ``PLUME_*`` and
-    ``DUST_CHANNEL_STRIDE`` constants.  A plume count outside
-    0 <= min_plumes <= max_plumes, a fraction outside [0, 1] or a negative
-    or non-finite ``amplitude`` or ``noise_sigma`` raises ``ValueError``
-    naming the field.
+    ``DUST_CHANNEL_STRIDE`` constants.  A negative plume count, a
+    ``min_plumes`` above ``max_plumes``, a fraction outside [0, 1] or a
+    negative or non-finite ``amplitude`` or ``noise_sigma`` raises
+    ``ValueError`` whose message starts with the field at fault.
     """
 
     min_plumes: int = 0
@@ -377,9 +382,12 @@ class SyntheticConfig:
     label_density: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.min_plumes <= self.max_plumes:
-            raise ValueError(f"min_plumes and max_plumes must satisfy 0 <= min_plumes <= "
-                             f"max_plumes, got {self.min_plumes} and {self.max_plumes}")
+        for name in ("min_plumes", "max_plumes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.min_plumes > self.max_plumes:
+            raise ValueError(f"min_plumes must be <= max_plumes, got {self.min_plumes} "
+                             f"and {self.max_plumes}")
         for name in ("amplitude", "noise_sigma"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -404,16 +412,19 @@ def generate_synthetic_dataset(
     Gaussian noise) where the affected channels are shifted by
     ``amplitude * intensity``; the label map equals the normalized intensity
     field in [0, 1] (zero when the amplitude is zero).  Deterministic for a
-    fixed argument tuple.  Writes ``manifest.json`` into ``out_dir``.
+    fixed argument tuple.  Writes ``manifest.json`` into ``out_dir``.  A
+    negative ``seed``, a ``count`` or ``channels`` below 1, or a ``height``
+    or ``width`` below ``patch_size`` raises ``ValueError``, whose message
+    starts with the parameter's name, before ``out_dir`` is created.
     """
     cfg = config or SyntheticConfig()
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    half = patch_size // 2
-    if height < 2 * half + 1 or width < 2 * half + 1:
-        raise ValueError(
-            f"granule {height}x{width} too small for patch size {patch_size}"
-        )
+    require_seed(seed)
+    for name, value in (("count", count), ("channels", channels)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (("height", height), ("width", width)):
+        if value < patch_size:
+            raise ValueError(f"{name} must be >= the patch size {patch_size}, got {value}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

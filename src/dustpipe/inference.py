@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, ShapeMismatchError
 from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
-from .model3d import EVAL_TILE, ModelParams, predict_scene
+from .model3d import EVAL_TILE, ModelParams, admit_granule, predict_scene
 from .patch_index import require_batch_size
 from .training import MetricsReport, compute_metrics
 
@@ -56,24 +56,17 @@ def infer_scene(params: ModelParams, granule: Granule,
                 batch_size: int = EVAL_TILE) -> DetectionMap:
     """Slide the model over every interior pixel of a preprocessed granule.
 
-    The granule must be finite in [0, 1] with the channel count the
-    checkpoint was trained on; patches are the checkpoint's patch size.
-    ``batch_size`` is checked first, then the channel count, then every
-    granule value, once, before any tile runs.  Tiles hold at most
-    ``batch_size`` pixels (see ``model3d.tile_shape``); the result does not
-    depend on it on a BLAS that gives a GEMM row the same bits at every
-    tile size (see ``model3d.predict``).
+    ``batch_size`` is checked first, then the granule passes
+    ``model3d.admit_granule`` under the name ``granule``: the channel count
+    the checkpoint was trained on, then every value finite in [0, 1], once,
+    before any tile runs.  Patches are the checkpoint's patch size.  Tiles
+    hold at most ``batch_size`` pixels (see ``model3d.tile_shape``); the
+    result does not depend on it on a BLAS that gives a GEMM row the same
+    bits at every tile size (see ``model3d.predict``).
     """
-    data = granule.data
     require_batch_size(batch_size)
-    if data.shape[0] != params.config.in_depth:
-        raise ShapeMismatchError(
-            f"granule has {data.shape[0]} channels, checkpoint expects {params.config.in_depth}"
-        )
-    # NaN fails both comparisons
-    if not (data.min() >= 0.0 and data.max() <= 1.0):
-        raise ValueError("granule values not finite in [0, 1]; run preprocessing first")
-    return DetectionMap(predict_scene(params, data, batch_size=batch_size)
+    admit_granule("granule", granule.data, params.config)
+    return DetectionMap(predict_scene(params, granule.data, batch_size=batch_size)
                         .astype(np.float32, copy=False))
 
 

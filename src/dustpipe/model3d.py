@@ -510,6 +510,25 @@ def finite_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x if x.dtype == params.dtype else x.astype(params.dtype)
 
 
+def admit_granule(name: str | Path, data: np.ndarray, config: ModelConfig) -> None:
+    """The one rule for a (C, H, W) granule that enters a ``config`` model:
+    ``ShapeMismatchError`` unless C is ``in_depth``, then ``FormatError``
+    (also a ``ValueError``) unless every value is finite in [0, 1], the
+    range ``dustpipe preprocess`` emits.  ``name`` leads both messages.
+    ``training`` admits every granule of a manifest through it and
+    ``inference.infer_scene`` its one granule.  ``forward`` and ``predict``
+    take patches, not granules, and check only that they are finite
+    (``finite_input``), so the finite-difference checks can feed them any
+    values.  One ``min`` and one ``max``, no granule-sized mask: NaN fails
+    both comparisons."""
+    if data.shape[0] != config.in_depth:
+        raise ShapeMismatchError(
+            f"{name}: {data.shape[0]} channels, the model expects {config.in_depth}")
+    if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
+        raise FormatError(f"{name}: values not finite in [0, 1]; the model takes "
+                          "preprocessed granules (dustpipe preprocess)")
+
+
 def _head(pooled: np.ndarray, t: dict) -> np.ndarray:
     # elementwise product and row sum rather than a matrix-vector product,
     # whose summation order the BLAS may change with the batch size

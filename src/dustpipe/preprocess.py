@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import FormatError
 from .granule_io import (DatasetManifest, Granule, ManifestEntry, normalize_planes,
-                         read_granule, write_granule)
+                         read_granule, require_seed, write_granule)
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.impute_window < 1:
             raise ValueError(f"impute_window must be >= 1, got {self.impute_window}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        require_seed(self.rng_seed, "rng_seed")
 
 
 SLAB_BYTES = 1 << 20

@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, FormatError, ShapeMismatchError, TrainingDivergedError
-from .granule_io import DatasetManifest
+from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
+from .granule_io import DatasetManifest, require_seed
 from .model3d import (
     ModelConfig,
     ModelParams,
+    admit_granule,
     backward,
     forward,
     init_params,
@@ -80,8 +81,7 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.plateau_patience < 1:
             raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed)
         for name in ("batch_size", "passes", "partitions", "sub_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -297,21 +297,13 @@ def _eval_wmse(params: ModelParams, index: PatchIndex, store: GranuleStore,
 
 def _admit(role: str, manifest: DatasetManifest, store: GranuleStore,
            config: ModelConfig) -> PatchIndex:
-    """The patch index of ``manifest`` (opened as ``store``), once its
-    granules may enter a ``config`` model: ``ShapeMismatchError`` if their
-    channel count is not ``in_depth``, then ``FormatError`` naming the
-    first granule that holds a NaN or an infinity, then
+    """The patch index of ``manifest`` (opened as ``store``), once each of
+    its granules, in order, has passed ``model3d.admit_granule`` under its
+    path (channel count, then values finite in [0, 1]); then
     ``EmptyDatasetError`` if nothing is indexed.  ``role`` names the
-    manifest in the messages.  ``min`` and ``max`` propagate NaN and reach
-    an infinity, so no granule-sized mask is made."""
-    if store.channels != config.in_depth:
-        raise ShapeMismatchError(f"{role} granules have {store.channels} channels, "
-                                 f"the model expects {config.in_depth}")
+    manifest in that message."""
     for f, entry in enumerate(manifest):
-        data = store.granule(f)
-        if data.size and not (math.isfinite(data.min()) and math.isfinite(data.max())):
-            raise FormatError(f"{entry.granule}: non-finite values; the model takes "
-                              "preprocessed granules (dustpipe preprocess)")
+        admit_granule(entry.granule, store.granule(f), config)
     index = build_index(manifest, config.patch_size)
     if len(index) == 0:
         raise EmptyDatasetError(f"{role} index is empty")
@@ -334,8 +326,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     the pass, partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
     every optimization step, for instrumentation.  The training manifest
-    and then the validation manifest pass ``_admit`` (channel count, finite
-    values, a non-empty index) before ``out_dir`` is created.
+    and then the validation manifest pass ``_admit`` (each granule's
+    channel count and values finite in [0, 1], as ``dustpipe preprocess``
+    emits them, then a non-empty index) before ``out_dir`` is created.
     """
     train_cfg = train_cfg or TrainConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -415,9 +408,9 @@ def evaluate(checkpoint: str | Path, manifest: DatasetManifest,
 
     Each granule's indexed centres run through ``model3d.predict_scene``
     (see ``_predict_index``); the report does not depend on which of its
-    paths a centre takes.  The manifest passes ``_admit`` (channel count,
-    finite values, a non-empty index), as ``train``'s do, before anything
-    is predicted.
+    paths a centre takes.  The manifest passes ``_admit`` (each granule's
+    channel count and values finite in [0, 1], then a non-empty index), as
+    ``train``'s do, before anything is predicted.
     """
     LossConfig(alpha)  # a bad alpha is refused before anything is read
     params, _ = load_checkpoint(checkpoint)

@@ -43,6 +43,11 @@ def synth(out, seed=7, count=2, height=14, width=14, channels=6, **flags):
     return Path(out) / "manifest.json"
 
 
+def preprocess(manifest, out) -> Path:
+    assert run("preprocess", "--manifest", manifest, "--out", out) == 0
+    return Path(out) / "manifest.json"
+
+
 def required_flags(command, root):
     """``command`` and the flags it requires; every input named does not exist."""
     missing = root / "missing"
@@ -88,7 +93,10 @@ class TestFlagTable:
         ("eval", "--alpha", "nan"), ("preprocess", "--window", "0"),
         ("infer", "--seed", "-1"), ("synth", "--patch-size", "4"),
         ("index build", "--patch-size", "4"), ("bench memory", "--patch-size", "4"),
-        ("bench sampling", "--patch-size", "4"),
+        ("bench sampling", "--patch-size", "4"), ("synth", "--seed", "-1"),
+        ("synth", "--count", "0"), ("synth", "--channels", "0"), ("synth", "--height", "4"),
+        ("synth", "--width", "3"), ("synth", "--max-plumes", "-1"),
+        ("bench memory", "--seed", "-1"), ("bench sampling", "--seed", "-1"),
     ])
     def test_bad_value_refused_first_naming_its_flag(self, tmp_path, capsys,
                                                       command, flag, value):
@@ -347,7 +355,7 @@ class TestInferAndEval:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_eval_writes_report(self, tmp_path, capsys):
-        manifest = synth(tmp_path / "raw", nan_fraction=0)
+        manifest = preprocess(synth(tmp_path / "raw", nan_fraction=0), tmp_path / "proc")
         ckpt = self._checkpoint(tmp_path)
         report_path = tmp_path / "report.json"
         assert run("eval", "--ckpt", ckpt, "--manifest-test", manifest,
@@ -361,8 +369,10 @@ class TestInferAndEval:
 
 class TestTrainCli:
     def test_mini_training_run(self, tmp_path, capsys):
-        train_manifest = synth(tmp_path / "train", seed=1, count=2, nan_fraction=0)
-        val_manifest = synth(tmp_path / "val", seed=2, count=1, nan_fraction=0)
+        train_manifest = preprocess(synth(tmp_path / "train", seed=1, count=2, nan_fraction=0),
+                                    tmp_path / "ptrain")
+        val_manifest = preprocess(synth(tmp_path / "val", seed=2, count=1, nan_fraction=0),
+                                  tmp_path / "pval")
         run_dir = tmp_path / "run"
         code = run("train", "--manifest-train", train_manifest,
                    "--manifest-val", val_manifest, "--out", run_dir,
@@ -405,7 +415,8 @@ class TestTrainCli:
         assert not run_dir.exists()
 
     def test_patch_larger_than_granules_refused_before_writing(self, tmp_path, capsys):
-        manifest = synth(tmp_path / "raw", count=1, height=12, width=12, nan_fraction=0)
+        manifest = preprocess(synth(tmp_path / "raw", count=1, height=12, width=12,
+                                    nan_fraction=0), tmp_path / "proc")
         capsys.readouterr()
         assert run("train", "--manifest-train", manifest, "--manifest-val", manifest,
                    "--out", tmp_path / "run", "--patch-size", 13) == 1
@@ -414,22 +425,24 @@ class TestTrainCli:
         assert not (tmp_path / "run").exists()
 
     def test_channel_mismatch_refused_before_writing(self, tmp_path, capsys):
-        train_manifest = synth(tmp_path / "train", count=1, channels=6, nan_fraction=0)
-        val_manifest = synth(tmp_path / "val", count=1, channels=8, nan_fraction=0)
+        train_manifest = preprocess(synth(tmp_path / "train", count=1, channels=6,
+                                          nan_fraction=0), tmp_path / "ptrain")
+        val_manifest = preprocess(synth(tmp_path / "val", count=1, channels=8, nan_fraction=0),
+                                  tmp_path / "pval")
+        val_granule = DatasetManifest.load(val_manifest).entries[0].granule
         capsys.readouterr()
         assert run("train", "--manifest-train", train_manifest, "--manifest-val", val_manifest,
                    "--out", tmp_path / "run", "--filters", "2,2,2") == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: validation granules have 8 channels, "
-                                       "the model expects 6")
+        assert captured.err.startswith(f"error: {val_granule}: 8 channels, the model expects 6")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("bad, value", [("train", np.nan), ("val", np.nan),
                                             ("train", np.inf), ("val", -np.inf)])
     def test_non_finite_granule_refused_before_writing(self, tmp_path, capsys, bad, value):
-        manifests = {name: synth(tmp_path / name, seed=seed, count=2, height=12, width=12,
-                                 nan_fraction=0)
+        manifests = {name: preprocess(synth(tmp_path / name, seed=seed, count=2, height=12,
+                                            width=12, nan_fraction=0), tmp_path / f"p{name}")
                      for name, seed in (("train", 1), ("val", 2))}
         target = DatasetManifest.load(manifests[bad]).entries[1].granule
         data = read_granule(target).data
@@ -440,13 +453,14 @@ class TestTrainCli:
                    "--manifest-val", manifests["val"], "--out", tmp_path / "run",
                    "--filters", "2,2,2") == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {target}: non-finite values"), captured.err
+        assert captured.err.startswith(f"error: {target}: values not finite in"), captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_divergence_is_one_stderr_line(self, tmp_path, capsys):
         # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them
-        manifest = synth(tmp_path / "raw", count=2, height=12, width=12, nan_fraction=0)
+        manifest = preprocess(synth(tmp_path / "raw", count=2, height=12, width=12,
+                                    nan_fraction=0), tmp_path / "proc")
         capsys.readouterr()
         proc = subprocess.run(
             [sys.executable, "-m", "dustpipe.cli", "train", "--manifest-train", str(manifest),
@@ -458,6 +472,51 @@ class TestTrainCli:
         assert proc.stderr.startswith("error: non-finite"), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "run" / "best.dck").exists()
+
+
+class TestInputContract:
+    """``train``, ``eval`` and ``infer`` admit a granule through one rule.
+    A raw granule without holes, whose values leave [0, 1], is refused by
+    each with one line that reads the same after the granule's name, and
+    nothing is written; its preprocessed copy passes all three."""
+
+    REFUSAL = (": values not finite in [0, 1]; the model takes preprocessed granules "
+               "(dustpipe preprocess)\n")
+
+    def _argv(self, command, manifest, ckpt, out):
+        granule = DatasetManifest.load(manifest).entries[0].granule
+        return granule, {
+            "train": ["train", "--manifest-train", manifest, "--manifest-val", manifest,
+                      "--out", out, "--filters", "2,2,2", "--passes", 1, "--partitions", 1,
+                      "--sub-epochs", 1],
+            "eval": ["eval", "--ckpt", ckpt, "--manifest-test", manifest, "--report", out],
+            "infer": ["infer", "--ckpt", ckpt, "--granule", granule, "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "infer"])
+    def test_raw_granule_refused_alike_and_preprocessed_copy_admitted(self, tmp_path, capsys,
+                                                                      command):
+        raw = synth(tmp_path / "raw", seed=1, count=1, height=12, width=12, nan_fraction=0,
+                    min_plumes=1)
+        processed = preprocess(raw, tmp_path / "proc")
+        values = read_granule(DatasetManifest.load(raw).entries[0].granule).data
+        assert np.isfinite(values).all() and values.max() > 1
+        ckpt = tmp_path / "m.dck"
+        save_checkpoint(ckpt, init_params(0, ModelConfig(filters=(2, 2, 2), in_depth=6)))
+        out = tmp_path / "out"
+        capsys.readouterr()
+
+        granule, argv = self._argv(command, raw, ckpt, out)
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        name = "granule" if command == "infer" else granule
+        assert captured.err == f"error: {name}{self.REFUSAL}"
+        assert captured.out == ""
+        assert not out.exists()
+
+        assert run(*self._argv(command, processed, ckpt, out)[1]) == 0
+        capsys.readouterr()
+        assert out.exists()
 
 
 class TestBenchCli:

@@ -332,6 +332,8 @@ class TestSyntheticGenerator:
     @pytest.mark.parametrize("fields, field", [
         (dict(min_plumes=3, max_plumes=1), "min_plumes"),
         (dict(min_plumes=-1, max_plumes=-1), "min_plumes"),
+        (dict(max_plumes=-1), "max_plumes"),
+        (dict(min_plumes=-1, max_plumes=2), "min_plumes"),
         (dict(nan_fraction=-0.1), "nan_fraction"),
         (dict(nan_fraction=1.5), "nan_fraction"),
         (dict(label_density=float("nan")), "label_density"),
@@ -341,12 +343,12 @@ class TestSyntheticGenerator:
         (dict(amplitude=float("nan")), "amplitude"),
         (dict(amplitude=-0.5), "amplitude"),
         (dict(amplitude=float("inf")), "amplitude"),
-    ], ids=["min-above-max", "negative-plumes", "negative-nan-fraction",
-            "nan-fraction-above-one", "nan-density", "density-above-one",
+    ], ids=["min-above-max", "negative-plumes", "negative-max-plumes", "negative-min-plumes",
+            "negative-nan-fraction", "nan-fraction-above-one", "nan-density", "density-above-one",
             "negative-noise", "infinite-noise", "nan-amplitude", "negative-amplitude",
             "infinite-amplitude"])
     def test_out_of_range_config_rejected(self, fields, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} "):
             SyntheticConfig(**fields)
 
     def test_labels_lie_in_unit_interval(self, tmp_path):

@@ -3,6 +3,7 @@ and logging contracts."""
 
 import csv
 import math
+import re
 from contextlib import closing
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from dustpipe.granule_io import (
 )
 from dustpipe.model3d import ModelConfig, init_params, predict, save_checkpoint
 from dustpipe.patch_index import GranuleStore, PatchIndex, build_index
+from dustpipe.preprocess import preprocess_dataset
 from dustpipe.training import (
     ADAM_EPS,
     IMPROVEMENT_THRESHOLD,
@@ -39,7 +41,7 @@ from dustpipe.training import (
     train,
     wmse_loss,
 )
-from conftest import write_manifest
+from conftest import PREPROCESS_CFG, write_manifest
 from test_model3d import signed_params
 
 TINY_MODEL = ModelConfig(filters=(3, 4, 5), in_depth=6, patch_size=3)
@@ -301,11 +303,15 @@ class TestPlateauSchedule:
 
 def tiny_training_dataset(tmp_path, count=2, height=10, width=10, channels=6,
                           seed=5):
+    """A synthetic dataset written under ``tmp_path / "raw"`` and the
+    manifest of its preprocessed copy under ``tmp_path / "proc"``, the
+    granules the model takes."""
     cfg = SyntheticConfig(min_plumes=1, max_plumes=2, amplitude=0.6,
                           nan_fraction=0.0)
-    return generate_synthetic_dataset(tmp_path, seed=seed, count=count,
-                                      height=height, width=width,
-                                      channels=channels, config=cfg)
+    raw = generate_synthetic_dataset(tmp_path / "raw", seed=seed, count=count,
+                                     height=height, width=width,
+                                     channels=channels, config=cfg)
+    return preprocess_dataset(raw, tmp_path / "proc", PREPROCESS_CFG)
 
 
 class TestTrainLoop:
@@ -424,15 +430,17 @@ class TestTrainLoop:
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
                                         batch_size=8, seed=0))
 
-    @pytest.mark.parametrize("val_channels, in_depth, message", [
-        (8, 6, "validation granules have 8 channels, the model expects 6"),
-        (6, 8, "training granules have 6 channels, the model expects 8"),
+    # the manifest refused first and the channel count of its granule
+    @pytest.mark.parametrize("val_channels, in_depth, refused, channels", [
+        (8, 6, "validation", 8), (6, 8, "training", 6),
     ], ids=["validation-channels", "config-in-depth"])
     def test_channel_mismatch_refused_before_writing(self, tmp_path, val_channels, in_depth,
-                                                     message):
+                                                     refused, channels):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
         m_val = tiny_training_dataset(tmp_path / "v", count=1, channels=val_channels, seed=6)
-        with pytest.raises(ShapeMismatchError, match=message):
+        granule = {"training": m_train, "validation": m_val}[refused].entries[0].granule
+        message = f"{granule}: {channels} channels, the model expects {in_depth}"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             train(m_train, m_val, tmp_path / "run",
                   model_config=ModelConfig(filters=(3, 4, 5), in_depth=in_depth, patch_size=3),
                   train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1,
@@ -483,8 +491,8 @@ class TestEvaluate:
             raise AssertionError("predicted before the channel check")
 
         monkeypatch.setattr(training_mod, "predict_scene", refuse)
-        with pytest.raises(ShapeMismatchError,
-                           match="evaluation granules have 8 channels, the model expects 6"):
+        message = f"{manifest.entries[0].granule}: 8 channels, the model expects 6"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             evaluate(ckpt, manifest)
 
 
@@ -581,13 +589,14 @@ ADMISSION_FAULTS = ("channels", "non-finite", "empty-index")
 
 class TestAdmission:
     """``train`` (its training and its validation manifest) and ``evaluate``
-    admit a manifest through one check: channel count, then non-finite
-    granule, then empty index, each a one-line CLI error, before anything
-    is written or predicted."""
+    admit a manifest through one check: each granule's channel count and
+    values finite in [0, 1], then empty index, each a one-line CLI error,
+    before anything is written or predicted."""
 
-    def _messages(self, role, granule):
-        return {"channels": f"{role} granules have 8 channels, the model expects 6",
-                "non-finite": f"{granule}: non-finite values",
+    def _messages(self, role, manifest):
+        first, second = (e.granule for e in manifest)
+        return {"channels": f"{first}: 8 channels, the model expects 6",
+                "non-finite": f"{second}: values not finite in [0, 1]",
                 "empty-index": f"{role} index is empty"}
 
     # the CLI sizes the model from the training manifest, so that manifest's
@@ -624,7 +633,7 @@ class TestAdmission:
                     "--passes", 1, "--partitions", 1, "--sub-epochs", 1]
         assert main([str(a) for a in argv]) == 1
         captured = capsys.readouterr()
-        message = self._messages(role, bad.entries[1].granule)[first]
+        message = self._messages(role, bad)[first]
         assert captured.err.startswith(f"error: {message}"), captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
