@@ -16,7 +16,6 @@ The test suite's peak-RSS bounds use the same runner.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -34,7 +33,6 @@ from .granule_io import DatasetManifest, require_seed
 from .patch_index import (
     GranuleStore,
     batch_footprint_bytes,
-    build_index,
     naive_sample_batches,
     require_batch_size,
     sample_batches,
@@ -52,6 +50,10 @@ DEFAULT_SLACK_BYTES = 64 * 1024 * 1024
 
 
 def dataset_checksums(manifest: DatasetManifest) -> dict[str, str]:
+    # imported here: hashlib maps OpenSSL (about 3.6 MB resident), and
+    # every CLI command imports this module for its flag table
+    import hashlib
+
     out = {}
     for p in (Path(path) for e in manifest for path in (e.granule, e.labels)):
         digest = hashlib.sha256()
@@ -108,7 +110,7 @@ def _probe(manifest_path: str, mode: str, batch_size: int, patch_size: int,
     manifest = DatasetManifest.load(manifest_path)
     store = GranuleStore(manifest, use_mmap=(mode == "mmap"),
                          release_after_gather=(mode == "mmap"))
-    index = build_index(manifest, patch_size)
+    index = store.index(patch_size)
     touched = 0.0
     batches = 0
     samples = 0
@@ -293,7 +295,7 @@ def bench_sampling(manifest: str | Path | DatasetManifest, batch_size: int = 256
         manifest = DatasetManifest.load(manifest)
     before = dataset_checksums(manifest)
     with closing(GranuleStore(manifest)) as store:
-        index = build_index(manifest, patch_size)
+        index = store.index(patch_size)
         if len(index) == 0:
             raise EmptyDatasetError("no valid patch centers in this manifest")
         half = duration_seconds / 2.0

@@ -8,12 +8,14 @@ usage errors, 1 with a one-line diagnostic otherwise.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+from .bench import bench_memory, bench_sampling
 from .errors import DustpipeError
 from .granule_io import (
     DatasetManifest,
@@ -28,8 +30,9 @@ from .preprocess import PreprocessConfig, preprocess_dataset, preprocess_pipelin
 from .training import LossConfig, TrainConfig, evaluate, train
 
 
-# each config field -> the dest of the flag that sets it; every flag defaults
-# to its field's default (ModelConfig.in_depth comes from the data)
+# each callable a command hands flag values to -> {its parameter: the dest
+# of the flag that sets it}; a config class's parameters are its fields
+# (ModelConfig.in_depth comes from the data)
 _FLAGS = {
     SyntheticConfig: {f.name: f.name for f in fields(SyntheticConfig)},
     PreprocessConfig: {"impute_window": "window", "rng_seed": "seed"},
@@ -38,23 +41,34 @@ _FLAGS = {
                   "batch_size": "batch", "seed": "seed"},
     LossConfig: {"alpha": "alpha"},
     ModelConfig: {"filters": "filters", "patch_size": "patch_size"},
+    generate_synthetic_dataset: {n: n for n in ("seed", "count", "height", "width", "channels")},
+    bench_memory: {"batch_size": "batch", "seed": "seed"},
+    bench_sampling: {"batch_size": "batch", "duration_seconds": "seconds", "seed": "seed"},
 }
 
 
-def _add_flags(parser, cls, *names) -> None:
-    """Add the flags that set ``cls``'s fields ``names`` (default: all in
-    ``_FLAGS``), typed and defaulted by the class's defaults."""
-    defaults = cls()
-    for name in names or _FLAGS[cls]:
-        value = getattr(defaults, name)
-        parser.add_argument("--" + _FLAGS[cls][name].replace("_", "-"), default=value,
-                            type=str if isinstance(value, tuple) else type(value))
+def _add_flags(parser, target, *names, **defaults) -> None:
+    """Add the flags that set ``target``'s parameters ``names`` (default:
+    all in ``_FLAGS``), each typed and defaulted by ``target``'s signature;
+    one without a default there takes it from ``defaults`` or is required.
+    The flags join the parser's ``flags`` map, which ``main`` names
+    refusals by."""
+    params = inspect.signature(target, eval_str=True).parameters
+    flags = dict(parser.get_default("flags") or {})
+    for name in names or _FLAGS[target]:
+        flags[name] = dest = _FLAGS[target][name]
+        param = params[name]
+        value = defaults.get(name, param.default)
+        parser.add_argument("--" + dest.replace("_", "-"), required=value is param.empty,
+                            default=None if value is param.empty else value,
+                            type=str if isinstance(value, tuple) else param.annotation)
+    parser.set_defaults(flags=flags)
 
 
 @contextmanager
 def _naming_flags(flags: dict[str, str]):
     """Re-raise a ``ValueError`` whose message starts with a key of
-    ``flags`` (a config field or a parameter) led by that key's flag."""
+    ``flags`` (a parameter) led by that key's flag."""
     try:
         yield
     except ValueError as e:
@@ -64,35 +78,31 @@ def _naming_flags(flags: dict[str, str]):
         raise ValueError(f"--{flags[name].replace('_', '-')}: {e}") from None
 
 
-def _config(cls, args):
-    """``cls`` built from the flags of ``args`` that set its fields; a
-    rejected value's error names its flag."""
-    flags = {f: dest for f, dest in _FLAGS[cls].items() if hasattr(args, dest)}
-    values = {}
-    for field, dest in flags.items():
-        value = getattr(args, dest)
-        if isinstance(value, str):  # a tuple field's flag, given as text
+def _values(target, args) -> dict:
+    """The values of the flags of ``args`` that set ``target``'s parameters,
+    keyed by parameter name."""
+    values = {p: getattr(args, d) for p, d in _FLAGS[target].items() if hasattr(args, d)}
+    for param, value in values.items():
+        if isinstance(value, str):  # a tuple parameter's flag, given as text
             try:
-                value = tuple(int(v) for v in value.split(","))
+                values[param] = tuple(int(v) for v in value.split(","))
             except ValueError:
-                raise ValueError(f"--{dest} must be comma-separated integers, "
-                                 f"got {value!r}") from None
-        values[field] = value
-    with _naming_flags(flags):  # the configs' messages start with the field
-        return cls(**values)
+                raise ValueError(f"--{_FLAGS[target][param]} must be comma-separated "
+                                 f"integers, got {value!r}") from None
+    return values
 
 
-# synth's parameters that flags outside ``_FLAGS`` set; each flag is its name
-_SYNTH_FLAGS = {name: name for name in ("seed", "count", "height", "width", "channels")}
+def _config(cls, args):
+    """``cls`` built from the flags of ``args`` that set its fields."""
+    return cls(**_values(cls, args))
 
 
 def _cmd_synth(args) -> int:
-    config, patch_size = _config(SyntheticConfig, args), _config(ModelConfig, args).patch_size
-    with _naming_flags(_SYNTH_FLAGS):
-        manifest = generate_synthetic_dataset(
-            args.out, seed=args.seed, count=args.count, height=args.height,
-            width=args.width, channels=args.channels, config=config, patch_size=patch_size,
-        )
+    manifest = generate_synthetic_dataset(
+        args.out, config=_config(SyntheticConfig, args),
+        patch_size=_config(ModelConfig, args).patch_size,
+        **_values(generate_synthetic_dataset, args),
+    )
     print(f"wrote {len(manifest)} granule/label pairs under {args.out}")
     return 0
 
@@ -160,27 +170,15 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-# the bench parameters that flags outside ``_FLAGS`` set -> their dests
-_BENCH_FLAGS = {"batch_size": "batch", "duration_seconds": "seconds", "seed": "seed"}
-
-
 def _cmd_bench_memory(args) -> int:
-    from .bench import bench_memory
-
-    with _naming_flags(_BENCH_FLAGS):
-        return _report(bench_memory(args.small, args.large, batch_size=args.batch,
-                                    patch_size=_config(ModelConfig, args).patch_size,
-                                    seed=args.seed), args.report)
+    return _report(bench_memory(args.small, args.large, **_values(bench_memory, args),
+                                patch_size=_config(ModelConfig, args).patch_size), args.report)
 
 
 def _cmd_bench_sampling(args) -> int:
-    from .bench import bench_sampling
-
-    with _naming_flags(_BENCH_FLAGS):
-        return _report(bench_sampling(args.manifest, batch_size=args.batch,
-                                      seed=args.seed, duration_seconds=args.seconds,
-                                      patch_size=_config(ModelConfig, args).patch_size),
-                       args.report)
+    return _report(bench_sampling(args.manifest, **_values(bench_sampling, args),
+                                  patch_size=_config(ModelConfig, args).patch_size),
+                   args.report)
 
 
 def _cmd_model_describe(args) -> int:
@@ -197,11 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--channels", type=int, default=ModelConfig.in_depth)
+    _add_flags(p, generate_synthetic_dataset, seed=0)  # the library asks for a seed
     _add_flags(p, ModelConfig, "patch_size")
     _add_flags(p, SyntheticConfig)
     p.set_defaults(func=_cmd_synth)
@@ -250,16 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     pm = bsub.add_parser("memory", help="peak-RSS decoupling benchmark")
     pm.add_argument("--small", required=True)
     pm.add_argument("--large", required=True)
-    pm.add_argument("--batch", type=int, default=256)
+    _add_flags(pm, bench_memory)
     _add_flags(pm, ModelConfig, "patch_size")
-    pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--report")
     pm.set_defaults(func=_cmd_bench_memory)
     ps = bsub.add_parser("sampling", help="indexed vs naive sampling throughput")
     ps.add_argument("--manifest", required=True)
-    ps.add_argument("--batch", type=int, default=256)
-    ps.add_argument("--seconds", type=float, default=10.0)
-    ps.add_argument("--seed", type=int, default=0)
+    _add_flags(ps, bench_sampling)
     _add_flags(ps, ModelConfig, "patch_size")
     ps.add_argument("--report")
     ps.set_defaults(func=_cmd_bench_sampling)
@@ -280,7 +271,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        return args.func(args)
+        with _naming_flags(getattr(args, "flags", {})):  # rules start with the parameter
+            return args.func(args)
+    except MemoryError as e:  # a bare MemoryError has no message
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
     except (DustpipeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

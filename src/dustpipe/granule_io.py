@@ -316,7 +316,10 @@ def normalize_planes(planes: np.ndarray) -> np.ndarray:
     takes a masked reduction instead, one plane at a time: that drops +-inf,
     and it picks between -0.0 and +0.0 as the masked min always has, which
     decides the sign of a zero output.  (A zero max needs no such care:
-    ``hi - lo`` is the same for either zero.)"""
+    ``hi - lo`` is the same for either zero.)  A plane whose finite range
+    exceeds float32's (``hi - lo`` overflows) is scaled in float64 and cast
+    back, so its finite values still land in [0, 1]; every other plane is
+    scaled in float32."""
     axes = tuple(range(1, planes.ndim))
     per_plane = (-1,) + (1,) * len(axes)
     lo = np.fmin.reduce(planes, axis=axes)
@@ -325,10 +328,15 @@ def normalize_planes(planes: np.ndarray) -> np.ndarray:
         finite = np.isfinite(planes[k])
         lo[k] = np.where(finite, planes[k], np.float32(np.inf)).min()
         hi[k] = np.where(finite, planes[k], np.float32(-np.inf)).max()
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
     scaled = span > 0  # neither constant nor without finite values
-    planes -= np.where(scaled, lo, 0).reshape(per_plane)
-    planes /= np.where(scaled, span, 1).reshape(per_plane)
+    wide = np.isfinite(lo) & np.isinf(span)  # a finite range beyond float32's
+    planes -= np.where(scaled & ~wide, lo, 0).reshape(per_plane)
+    planes /= np.where(scaled & ~wide, span, 1).reshape(per_plane)
+    for k in np.flatnonzero(wide):
+        lo64 = np.float64(lo[k])
+        planes[k] = (planes[k].astype(np.float64) - lo64) / (np.float64(hi[k]) - lo64)
     for k in np.flatnonzero(~scaled):
         planes[k][np.isfinite(planes[k])] = 0.0
     return lo == np.inf

@@ -239,6 +239,11 @@ class GranuleStore:
     def labels(self, f: int) -> np.ndarray:
         return self._labels[f]
 
+    def index(self, patch_size: int) -> PatchIndex:
+        """The patch index of the loaded label maps: what ``build_index``
+        gives for this store's manifest, with no file read again."""
+        return PatchIndex(_triplets(self._labels, patch_size), patch_size)
+
     @property
     def payload_bytes(self) -> int:
         return sum(arr.nbytes for arr in self._granules)
@@ -340,7 +345,7 @@ def naive_sample_batches(store: GranuleStore, patch_size: int, batch_size: int,
     start = 0
     while True:
         # deliberate per-batch mask search over every label map
-        triplets = _triplets(map(store.labels, range(len(store))), patch_size)
+        triplets = store.index(patch_size).triplets
         if start >= len(triplets):
             return
         order = np.random.default_rng(seed).permutation(len(triplets))

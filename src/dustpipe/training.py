@@ -16,7 +16,6 @@ improvement threshold, are the fixed module constants below;
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ from .model3d import (
 from .patch_index import (
     GranuleStore,
     PatchIndex,
-    build_index,
     iter_batches,
     shuffle_partitions,
 )
@@ -304,7 +302,7 @@ def _admit(role: str, manifest: DatasetManifest, store: GranuleStore,
     manifest in that message."""
     for f, entry in enumerate(manifest):
         admit_granule(entry.granule, store.granule(f), config)
-    index = build_index(manifest, config.patch_size)
+    index = store.index(config.patch_size)
     if len(index) == 0:
         raise EmptyDatasetError(f"{role} index is empty")
     return index
@@ -328,7 +326,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     every optimization step, for instrumentation.  The training manifest
     and then the validation manifest pass ``_admit`` (each granule's
     channel count and values finite in [0, 1], as ``dustpipe preprocess``
-    emits them, then a non-empty index) before ``out_dir`` is created.
+    emits them, then a non-empty index), and a ``partitions`` above the
+    training index's centre count raises ``ValueError``, all before
+    ``out_dir`` is created.
     """
     train_cfg = train_cfg or TrainConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -340,6 +340,9 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
             model_config = ModelConfig(in_depth=store_train.channels)
         index_train = _admit("training", manifest_train, store_train, model_config)
         index_val = _admit("validation", manifest_val, store_val, model_config)
+        if train_cfg.partitions > len(index_train):  # an empty partition trains nothing
+            raise ValueError(f"partitions must be <= the {len(index_train)} centres of the "
+                             f"training index, got {train_cfg.partitions}")
         out_dir.mkdir(parents=True, exist_ok=True)
 
         params = init_params(train_cfg.seed, model_config)
@@ -359,8 +362,10 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
             for pass_num in range(1, train_cfg.passes + 1):
                 parts = shuffle_partitions(index_train, train_cfg.seed + pass_num,
                                            train_cfg.partitions)
-                for (part_idx, part), sub_epoch in itertools.product(
-                        enumerate(parts, start=1), range(1, train_cfg.sub_epochs + 1)):
+                # a generator, so no sub-epoch count is ever held as a sequence
+                plan = ((part_idx, part, sub_epoch) for part_idx, part in enumerate(parts, start=1)
+                        for sub_epoch in range(1, train_cfg.sub_epochs + 1))
+                for part_idx, part, sub_epoch in plan:
                     at = f"pass {pass_num}, partition {part_idx}, sub-epoch {sub_epoch}"
                     seen_preds = []
                     seen_targets = []

@@ -1,6 +1,8 @@
 """Command-line surface: subcommand wiring, exit codes, determinism."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import struct
 import subprocess
@@ -12,8 +14,9 @@ import pytest
 
 from dustpipe import bench, cli
 from dustpipe.cli import main
-from dustpipe.granule_io import (DatasetManifest, Granule, SyntheticConfig, read_granule,
-                                 write_granule)
+from dustpipe.bench import bench_memory, bench_sampling
+from dustpipe.granule_io import (DatasetManifest, Granule, SyntheticConfig,
+                                 generate_synthetic_dataset, read_granule, write_granule)
 from dustpipe.inference import infer_scene, read_map, write_map
 from dustpipe.model3d import (
     ModelConfig,
@@ -64,6 +67,26 @@ def required_flags(command, root):
     }[command]]
 
 
+def subcommands(parser, words=()):
+    """(command, parser) of every leaf subcommand below ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from subcommands(child, (*words, name))
+
+
+# the callables each subcommand hands flag values to
+SETS = {
+    "synth": {generate_synthetic_dataset, SyntheticConfig, ModelConfig},
+    "preprocess": {PreprocessConfig}, "index build": {ModelConfig},
+    "train": {TrainConfig, LossConfig, ModelConfig}, "eval": {LossConfig},
+    "infer": {PreprocessConfig}, "bench memory": {bench_memory, ModelConfig},
+    "bench sampling": {bench_sampling, ModelConfig}, "model describe": set(),
+}
+
+
 class TestFlagTable:
     @pytest.mark.parametrize("command, classes", [
         ("synth", {SyntheticConfig, ModelConfig}), ("preprocess", {PreprocessConfig}),
@@ -86,6 +109,23 @@ class TestFlagTable:
         assert {type(cfg) for cfg in built} == classes
         for cfg in built:
             assert cfg == type(cfg)()
+
+    def test_every_default_comes_from_the_signature_it_sets(self):
+        commands = dict(subcommands(cli.build_parser()))
+        assert set(commands) == set(SETS)
+        for command, parser in commands.items():
+            for action in parser._actions:
+                if action.default in (None, argparse.SUPPRESS) or (
+                        isinstance(action, argparse._StoreTrueAction) and not action.default):
+                    continue
+                defaults = [inspect.signature(target).parameters[param].default
+                            for target in SETS[command]
+                            for param, dest in cli._FLAGS.get(target, {}).items()
+                            if dest == action.dest]
+                if (command, action.dest) == ("synth", "seed"):  # the library asks for one
+                    assert defaults == [inspect.Parameter.empty] and action.default == 0
+                else:
+                    assert defaults == [action.default], (command, action.dest)
 
     @pytest.mark.parametrize("command, flag, value", [
         ("synth", "--nan-fraction", "2"), ("train", "--alpha", "-1"),
@@ -137,6 +177,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 8.00 TiB", "error: out of memory: Unable to allocate 8.00 TiB\n"),
+    ])
+    def test_memory_error_is_one_line_diagnostic(self, tmp_path, capsys, monkeypatch,
+                                                 message, line):
+        def exhausted(path):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "describe_checkpoint", exhausted)
+        assert run("model", "describe", tmp_path / "any.dck") == 1
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
 
 
 class TestSynth:
@@ -413,6 +468,19 @@ class TestTrainCli:
         assert captured.err.startswith(f"error: {flag}") and captured.err.count("\n") == 1
         assert value in captured.err
         assert not run_dir.exists()
+
+    def test_partitions_above_centre_count_refused_before_writing(self, tmp_path, capsys):
+        manifest = preprocess(synth(tmp_path / "raw", count=1, height=12, width=12,
+                                    nan_fraction=0), tmp_path / "proc")
+        n_centers = len(build_index(DatasetManifest.load(manifest), 5))
+        capsys.readouterr()
+        assert run("train", "--manifest-train", manifest, "--manifest-val", manifest,
+                   "--out", tmp_path / "run", "--partitions", n_centers + 1) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --partitions: partitions must be <= the {n_centers} "
+                                f"centres of the training index, got {n_centers + 1}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
 
     def test_patch_larger_than_granules_refused_before_writing(self, tmp_path, capsys):
         manifest = preprocess(synth(tmp_path / "raw", count=1, height=12, width=12,

@@ -2,6 +2,7 @@
 reporting, and the synthetic generator's contracts."""
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,33 @@ class TestNormalizePlanes:
         for values in PLANE_CASES[case]:
             want, _ = masked_normalize(values[None])
             assert normalize_label_values(values).tobytes() == want[0].tobytes(), case
+
+
+class TestRangeBeyondFloat32:
+    """A plane whose finite range exceeds float32's (``hi - lo`` overflows)."""
+
+    def test_label_map_lands_in_unit_interval_without_warning(self):
+        values = np.array([[-3e38, 0.0, 3e38, nan]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_label_values(values)
+        assert out.dtype == np.float32
+        assert np.array_equal(out[0, :3], [0.0, 0.5, 1.0])
+        assert np.isnan(out[0, 3])
+
+    def test_only_the_wide_plane_leaves_float32(self):
+        wide = np.array([[-3.4e38, 3.4e38, 1e38], [inf, nan, -inf]], np.float32)
+        neighbour = _plane(7)[:2, :3]
+        got = np.stack([wide, neighbour])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = normalize_planes(got)
+        want, _ = masked_normalize(neighbour[None])
+        assert got[1].tobytes() == want[0].tobytes()
+        lo, hi = np.float64(wide[0, 0]), np.float64(wide[0, 1])  # its finite extrema
+        expect = (wide.astype(np.float64) - lo) / (hi - lo)
+        assert np.array_equal(got[0], expect.astype(np.float32), equal_nan=True)
+        assert not empty.any()
 
 
 class TestManifest:

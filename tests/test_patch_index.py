@@ -2,6 +2,8 @@
 format, store extraction, and the two samplers."""
 
 import struct
+import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -120,6 +122,38 @@ class TestBuildIndex:
         assert (np.diff(t[:, 0]) >= 0).all()
         keys = t[:, 0] * 10**6 + t[:, 1] * 10**3 + t[:, 2]
         assert (np.diff(keys) > 0).all()  # sorted, no duplicates
+
+
+def _label_case(name):
+    rng = np.random.default_rng(3)
+    labels = rng.uniform(0, 1, size=(9, 11)).astype(np.float32)
+    holes = rng.random(labels.shape) < 0.3
+    labels[holes] = np.nan
+    if name == "range-beyond-float32":  # its span overflows in float32
+        labels = np.where(holes, np.nan, rng.uniform(-3e38, 3e38, labels.shape)).astype(np.float32)
+    elif name == "infs":
+        labels.reshape(-1)[[4, 30, 61]] = [np.inf, -np.inf, np.inf]
+    elif name == "constant":
+        labels[~holes] = 4.0
+    elif name == "all-nan":
+        labels[:] = np.nan
+    return labels
+
+
+class TestStoreIndex:
+    @pytest.mark.parametrize("case", ["fractions", "range-beyond-float32", "infs",
+                                      "constant", "all-nan"])
+    @pytest.mark.parametrize("patch_size", [1, 3, 5])
+    def test_equals_build_index(self, tmp_path, case, patch_size):
+        plain = np.random.default_rng(4).uniform(0, 1, size=(7, 8)).astype(np.float32)
+        manifest = write_dataset(tmp_path, [_label_case(case), plain])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # normalizing the labels warns of nothing
+            with closing(GranuleStore(manifest)) as store:
+                got = store.index(patch_size)
+        want = build_index(manifest, patch_size)
+        assert got.patch_size == want.patch_size == patch_size
+        assert np.array_equal(got.triplets, want.triplets)
 
 
 class TestValidator:

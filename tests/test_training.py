@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dustpipe.training as training_mod
-from dustpipe import model3d
+from dustpipe import model3d, patch_index
 from dustpipe.cli import main
 from dustpipe.errors import (
     EmptyDatasetError,
@@ -421,6 +421,34 @@ class TestTrainLoop:
         assert not (tmp_path / "run" / "final.dck").exists()
         assert len(closed) == 2
 
+    def test_partitions_above_centre_count_refused_before_writing(self, tmp_path):
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=6)
+        n_centers = 8 * 8  # one folder of (10-2)^2 valid centers
+        message = (f"partitions must be <= the {n_centers} centres of the training index, "
+                   f"got {n_centers + 1}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+                  train_cfg=TrainConfig(passes=1, partitions=n_centers + 1, sub_epochs=1,
+                                        batch_size=16, seed=0))
+        assert not (tmp_path / "run").exists()
+
+    def test_plan_is_lazy_in_the_sub_epoch_count(self, tmp_path):
+        # a plan that held every sub-epoch would fail to allocate before any step
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=6)
+
+        class FirstStep(Exception):
+            pass
+
+        def hook(pass_num, part, sub, batch):
+            raise FirstStep
+
+        with pytest.raises(FirstStep):
+            train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+                  train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=10**12,
+                                        batch_size=16, seed=0), batch_hook=hook)
+
     def test_empty_training_index_rejected(self, tmp_path):
         manifest = write_manifest(tmp_path, [np.zeros((6, 10, 10))],
                                   [np.full((10, 10), np.nan)])
@@ -452,6 +480,27 @@ class TestTrainLoop:
         with pytest.raises(EmptyDatasetError, match="manifest has no entries"):
             train(DatasetManifest([]), m_val, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+
+class TestLabelReads:
+    def test_each_label_file_read_once_per_command(self, tmp_path, monkeypatch):
+        m_train = tiny_training_dataset(tmp_path / "t", count=2, seed=5)
+        m_val = tiny_training_dataset(tmp_path / "v", count=2, seed=6)
+        reads = []
+        real_read = patch_index.read_labels
+
+        def counted(path):
+            reads.append(str(path))
+            return real_read(path)
+
+        monkeypatch.setattr(patch_index, "read_labels", counted)
+        train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+              train_cfg=TrainConfig(passes=1, partitions=1, sub_epochs=1, batch_size=64,
+                                    seed=0))
+        assert sorted(reads) == sorted(str(e.labels) for e in [*m_train, *m_val])
+        reads.clear()
+        evaluate(tmp_path / "run" / "best.dck", m_val)
+        assert sorted(reads) == sorted(str(e.labels) for e in m_val)
 
 
 class TestEvaluate:
