@@ -423,7 +423,9 @@ def generate_synthetic_dataset(
     fixed argument tuple.  Writes ``manifest.json`` into ``out_dir``.  A
     negative ``seed``, a ``count`` or ``channels`` below 1, or a ``height``
     or ``width`` below ``patch_size`` raises ``ValueError``, whose message
-    starts with the parameter's name, before ``out_dir`` is created.
+    starts with the parameter's name, before ``out_dir`` is created; so
+    does a ``MemoryError`` from the first granule's allocation, since
+    ``out_dir`` is created only once a granule is in memory.
     """
     cfg = config or SyntheticConfig()
     require_seed(seed)
@@ -434,12 +436,12 @@ def generate_synthetic_dataset(
         if value < patch_size:
             raise ValueError(f"{name} must be >= the patch size {patch_size}, got {value}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for i in range(count):
         rng = np.random.default_rng((int(seed), int(i)))
         data, labels = _synthesize_granule(rng, height, width, channels, cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a granule is in memory
         gpath = out_dir / f"granule_{i:04d}.dgr"
         lpath = out_dir / f"labels_{i:04d}.dlb"
         write_granule(Granule(data), gpath)

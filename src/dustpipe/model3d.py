@@ -97,8 +97,6 @@ from .granule_io import Records, read_header, write_container
 from .patch_index import patch_windows, require_odd
 
 CHECKPOINT_MAGIC = b"DCK1"
-# architecture fields stored as ``meta.<field>`` tensors; all but filters are scalars
-_META = ("filters", "in_depth", "patch_size", "bn_eps", "bn_momentum")
 KERNEL = 3
 POOL = 2
 # patches per eval tile, in ``predict`` and ``predict_scene``: blocks two
@@ -181,12 +179,8 @@ def init_params(seed: int, config: ModelConfig | None = None,
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith(".weight") and name.startswith("conv"):
-            fan_in = shape[1] * KERNEL ** 3
-            bound = np.sqrt(1.0 / fan_in)
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        elif name == "fc.weight":
-            bound = np.sqrt(1.0 / shape[1])
+        if name.endswith(".weight"):  # fan-in: Cin * 27 for a conv, C for fc
+            bound = np.sqrt(1.0 / math.prod(shape[1:]))
             tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
         elif name.endswith(".gamma") or name.endswith(".running_var"):
             tensors[name] = np.ones(shape, dtype=dtype)
@@ -971,50 +965,49 @@ def read_checkpoint_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_checkpoint(path: str | Path, params: ModelParams,
-                    extra: dict[str, np.ndarray] | None = None) -> None:
-    """Serialize model tensors (+ architecture metadata, + optional extras
-    such as optimizer moments under their own names)."""
-    cfg = params.config
-    tensors: dict[str, np.ndarray] = {
-        "meta.filters": np.asarray(cfg.filters, dtype=np.float32),
-        "meta.in_depth": np.float32(cfg.in_depth),
-        "meta.patch_size": np.float32(cfg.patch_size),
+def _meta(config: ModelConfig) -> dict[str, np.ndarray]:
+    """The architecture metadata a checkpoint of ``config`` stores, as the
+    float32 ``meta.*`` tensors in file order: ``filters`` (rank 1), then
+    ``in_depth``, ``patch_size``, ``BN_EPS`` and ``BN_MOMENTUM`` (rank 0)."""
+    return {
+        "meta.filters": np.asarray(config.filters, dtype=np.float32),
+        "meta.in_depth": np.float32(config.in_depth),
+        "meta.patch_size": np.float32(config.patch_size),
         "meta.bn_eps": np.float32(BN_EPS),
         "meta.bn_momentum": np.float32(BN_MOMENTUM),
     }
-    tensors.update(params.tensors)
-    if extra:
-        tensors.update(extra)
-    write_checkpoint_tensors(path, tensors)
+
+
+def save_checkpoint(path: str | Path, params: ModelParams,
+                    extra: dict[str, np.ndarray] | None = None) -> None:
+    """Serialize ``_meta(params.config)``, then the model tensors, then the
+    optional extras (such as optimizer moments) under their own names."""
+    write_checkpoint_tensors(path, {**_meta(params.config), **params.tensors, **(extra or {})})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray]]:
-    """Rebuild params (validated against the architecture) plus extras."""
+    """Rebuild params (validated against the architecture) plus extras.
+
+    The ``meta.*`` tensors must be what ``save_checkpoint`` writes for the
+    ``ModelConfig`` they name; otherwise ``FormatError``, naming the first
+    one that differs."""
     tensors = read_checkpoint_tensors(path)
     try:
-        meta = {k: tensors.pop(f"meta.{k}").ravel().tolist() for k in _META}
+        meta = {k: tensors.pop(k).ravel() for k in _meta(ModelConfig())}
     except KeyError as e:
         raise FormatError(f"{path}: missing architecture metadata {e}") from e
-    counts = meta["filters"] + meta["in_depth"] + meta["patch_size"]
-    if (any(len(meta[k]) != 1 for k in _META[1:])
-            or not all(v.is_integer() for v in counts)
-            or meta["bn_eps"] != [np.float32(BN_EPS)]
-            or meta["bn_momentum"] != [np.float32(BN_MOMENTUM)]):
-        raise FormatError(f"{path}: architecture metadata {meta} must have integer "
-                          "filters, in_depth and patch_size, and bn_eps "
-                          f"{BN_EPS:g} and bn_momentum {BN_MOMENTUM:g} as float32")
     try:
-        config = ModelConfig(
-            filters=tuple(int(v) for v in meta["filters"]),  # type: ignore[arg-type]
-            in_depth=int(meta["in_depth"][0]),
-            patch_size=int(meta["patch_size"][0]),
-        )
-    except ValueError as e:
+        config = ModelConfig(tuple(int(v) for v in meta["meta.filters"]),  # type: ignore[arg-type]
+                             int(meta["meta.in_depth"][0]), int(meta["meta.patch_size"][0]))
+    except (ValueError, OverflowError, IndexError) as e:
         raise FormatError(f"{path}: architecture metadata: {e}") from None
-    shapes = param_shapes(config)
+    for name, want in _meta(config).items():
+        if not np.array_equal(meta[name], want.ravel()):
+            got, want = (", ".join(map(str, a.ravel())) for a in (meta[name], want))
+            raise FormatError(f"{path}: architecture metadata {name} is [{got}], but a "
+                              f"checkpoint of {config} stores [{want}]")
     model_tensors = {}
-    for name, shape in shapes.items():
+    for name, shape in param_shapes(config).items():
         if name not in tensors:
             raise ShapeMismatchError(f"{path}: missing tensor {name!r}")
         arr = tensors.pop(name)

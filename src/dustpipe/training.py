@@ -320,8 +320,10 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
     (lowest validation weighted MSE) and ``log.csv`` into ``out_dir``.
     ``log.csv`` gets its header at the start and one flushed row per
     sub-epoch, so a run that dies keeps the rows it finished.  A non-finite
-    training or validation loss raises ``TrainingDivergedError``, naming
-    the pass, partition and sub-epoch, and no checkpoint is written.
+    training or validation loss, or an Adam moment that is not finite at
+    the end of a sub-epoch (checked after the validation loss, before its
+    row is logged), raises ``TrainingDivergedError``, naming the pass,
+    partition and sub-epoch, and no checkpoint is written.
     ``batch_hook(pass_num, partition, sub_epoch, batch)`` is called before
     every optimization step, for instrumentation.  The training manifest
     and then the validation manifest pass ``_admit`` (each granule's
@@ -353,7 +355,6 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
             best_checkpoint=out_dir / "best.dck",
             log_path=out_dir / "log.csv",
         )
-        best_params: ModelParams | None = None
 
         with open(result.log_path, "w", newline="") as log_file:
             log = csv.writer(log_file)
@@ -380,16 +381,20 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
                         if not math.isfinite(loss):
                             raise TrainingDivergedError(f"non-finite training loss at {at}")
                         grads = backward(params, trace, dpreds)
-                        adam_step(params, grads, state, sched.lr, train_cfg)
+                        # an overflowing moment is named by the state check below
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            adam_step(params, grads, state, sched.lr, train_cfg)
                         seen_preds.append(preds)
                         seen_targets.append(batch.targets)
-                    train_wmse = (wmse_loss(np.concatenate(seen_preds),
-                                            np.concatenate(seen_targets), loss_cfg)[0]
-                                  if seen_preds else math.nan)
+                    train_wmse, _ = wmse_loss(np.concatenate(seen_preds),
+                                              np.concatenate(seen_targets), loss_cfg)
                     with np.errstate(over="ignore", invalid="ignore"):
                         val_wmse = _eval_wmse(params, index_val, store_val, loss_cfg)
                     if not math.isfinite(val_wmse):
                         raise TrainingDivergedError(f"non-finite validation loss at {at}")
+                    moments = (*state.m.values(), *state.v.values())
+                    if not all(np.isfinite(a).all() for a in moments):
+                        raise TrainingDivergedError(f"non-finite optimizer state at {at}")
                     lr = sched.step(val_wmse)
                     row = LogRow(pass_num, part_idx, sub_epoch, train_wmse, val_wmse, lr)
                     result.rows.append(row)
@@ -403,7 +408,7 @@ def train(manifest_train: DatasetManifest, manifest_val: DatasetManifest,
 
     save_checkpoint(result.final_checkpoint, params,
                     extra=adam_state_to_tensors(state))
-    save_checkpoint(result.best_checkpoint, best_params or params)
+    save_checkpoint(result.best_checkpoint, best_params)
     return result
 
 

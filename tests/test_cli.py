@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dustpipe import bench, cli
+from dustpipe import bench, cli, granule_io
 from dustpipe.cli import main
 from dustpipe.bench import bench_memory, bench_sampling
 from dustpipe.granule_io import (DatasetManifest, Granule, SyntheticConfig,
@@ -219,6 +219,18 @@ class TestSynth:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --amplitude") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+    def test_failed_first_allocation_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(granule_io, "_synthesize_granule", exhausted)
+        out = tmp_path / "raw"
+        assert run("synth", "--out", out, "--count", 1, "--height", 14, "--width", 14) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n" and captured.out == ""
         assert not out.exists()
 
 
@@ -540,6 +552,23 @@ class TestTrainCli:
         assert proc.stderr.startswith("error: non-finite"), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "run" / "best.dck").exists()
+
+
+    def test_optimizer_overflow_is_one_stderr_line(self, tmp_path, capsys):
+        # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        manifest = preprocess(synth(tmp_path / "raw", count=2, height=12, width=12,
+                                    nan_fraction=0), tmp_path / "proc")
+        capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dustpipe.cli", "train", "--manifest-train", str(manifest),
+             "--manifest-val", str(manifest), "--out", str(tmp_path / "run"),
+             "--filters", "2,2,2", "--passes", "1", "--partitions", "1",
+             "--sub-epochs", "2", "--wd", "1e30"],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: non-finite optimizer state at pass 1, partition 1, "
+                               "sub-epoch 1\n"), proc.stderr
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["log.csv"]
 
 
 class TestInputContract:

@@ -1096,6 +1096,22 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [
+        ("meta.bn_eps", np.float32(1e-3)),
+        ("meta.bn_momentum", np.float32(0.2)),
+        ("meta.patch_size", np.float32(3.5)),
+        ("meta.in_depth", np.array([6, 6], dtype=np.float32)),
+    ], ids=["other-eps", "other-momentum", "fractional-patch", "two-depths"])
+    def test_metadata_save_would_not_write_names_its_tensor(self, tmp_path, name, value):
+        # each decodes to a valid config, whose own metadata differs in this one tensor
+        path = tmp_path / "m.dck"
+        save_checkpoint(path, init_params(0, TINY))
+        tensors = read_checkpoint_tensors(path)
+        tensors[name] = value
+        write_checkpoint_tensors(path, tensors)
+        with pytest.raises(FormatError, match=f"architecture metadata {re.escape(name)} is "):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name,value", [
         ("meta.filters", np.array([2, 0, 4], dtype=np.float32)),
         ("meta.filters", np.array([2, -3, 4], dtype=np.float32)),

@@ -4,6 +4,7 @@ and logging contracts."""
 import csv
 import math
 import re
+import warnings
 from contextlib import closing
 from dataclasses import replace
 
@@ -420,6 +421,22 @@ class TestTrainLoop:
         assert not (tmp_path / "run" / "best.dck").exists()
         assert not (tmp_path / "run" / "final.dck").exists()
         assert len(closed) == 2
+
+    def test_overflowing_optimizer_state_aborts_before_checkpoints(self, tmp_path):
+        # weight decay 1e30 squares past float32 in Adam's second moments,
+        # which freezes the parameters while every loss stays finite
+        m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=9)
+        m_val = tiny_training_dataset(tmp_path / "v", count=1, seed=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="^non-finite optimizer state at "
+                               "pass 1, partition 1, sub-epoch 1$"):
+                train(m_train, m_val, tmp_path / "run", model_config=TINY_MODEL,
+                      train_cfg=TrainConfig(weight_decay=1e30, passes=1, partitions=1,
+                                            sub_epochs=2, batch_size=32, seed=0))
+        assert not (tmp_path / "run" / "best.dck").exists()
+        assert not (tmp_path / "run" / "final.dck").exists()
+        assert (tmp_path / "run" / "log.csv").read_text().count("\n") == 1  # the header
 
     def test_partitions_above_centre_count_refused_before_writing(self, tmp_path):
         m_train = tiny_training_dataset(tmp_path / "t", count=1, seed=5)
