@@ -21,6 +21,7 @@ from .granule_io import (
     DatasetManifest,
     SyntheticConfig,
     generate_synthetic_dataset,
+    publish,
     read_granule,
 )
 from .inference import infer_scene, write_map, write_pgm
@@ -143,7 +144,7 @@ def _report(report, path: str | None) -> int:
     """Print a report dataclass as JSON, first writing it to ``path`` if given."""
     payload = json.dumps(asdict(report), indent=2)
     if path:
-        Path(path).write_text(payload + "\n", encoding="utf-8")
+        publish(path, (payload + "\n").encode("utf-8"))
         print(f"report written to {path}")
     print(payload)
     return 0

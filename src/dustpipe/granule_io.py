@@ -1,15 +1,21 @@
 """Binary container framing, the granule and label containers, and a
 synthetic dataset generator.
 
+Every file the pipeline writes reaches disk through ``publish``: its bytes
+go to a hidden sibling, which is then renamed onto the final name, so a
+killed command leaves the old file or none there, never a partial one.
+(``train``'s ``log.csv`` is the exception: it is appended to row by row.)
+
 Every binary container of the pipeline is a 4-byte magic, a fixed
 little-endian header and a payload, written by ``write_container``.  Readers
 check the magic and the header with ``read_header`` (wrong magic:
-``BadMagicError``; short header: ``TruncatedFileError``), then compare the
-size the header declares with the file size in ``check_size`` before they
-allocate anything (mismatch: ``TruncatedFileError``).  Variable-length
-records are taken from one read of the rest of the file by ``Records``,
-which checks each against the bytes left.  Contents that break a format's
-rules raise ``FormatError``.
+``BadMagicError``; short header: ``TruncatedFileError``).  A fixed-layout
+container (granule, labels, map, index) is read by ``read_container``,
+which compares the size the header declares with the file size before it
+allocates or maps anything (mismatch: ``TruncatedFileError``).
+Variable-length records are taken from one read of the rest of the file by
+``Records``, which checks each against the bytes left.  Contents that break
+a format's rules raise ``FormatError``.
 
 Layouts defined here (all little-endian):
 
@@ -42,6 +48,8 @@ from .errors import BadMagicError, FormatError, TruncatedFileError
 GRANULE_MAGIC = b"DGR1"
 LABELS_MAGIC = b"DLB1"
 GRANULE_HEADER_BYTES = 16
+# read_container's (magic, header, payload dtype, payload shape) of a granule
+_GRANULE_LAYOUT = (GRANULE_MAGIC, "<III", "<f4", lambda h, w, c: (c, h, w))
 
 # planted plumes: peak intensity is uniform in [PLUME_PEAK_LOW, PLUME_PEAK_HIGH];
 # a profile exponent below 1 flattens plume cores and sharpens their edges;
@@ -152,9 +160,7 @@ class DatasetManifest:
                 "granule": _portable_path(e.granule, base),
                 "labels": _portable_path(e.labels, base),
             })
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump({"entries": recs}, f, indent=2)
-            f.write("\n")
+        publish(path, (json.dumps({"entries": recs}, indent=2) + "\n").encode("utf-8"))
 
 
 def _portable_path(p: Path, base: Path) -> str:
@@ -170,19 +176,48 @@ def _portable_path(p: Path, base: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+def publish(path: str | Path, *parts) -> None:
+    """Make ``path`` the file of ``parts``, each bytes or a C-contiguous
+    array written from its own buffer: they are written to the sibling
+    ``.<name>.<pid>.tmp`` in the target's directory, which ``os.replace``
+    then puts under the final name.  If anything raises, the sibling is
+    deleted and an ``OSError`` names ``path``.
+
+    A target that exists but is not a regular file (a device such as
+    ``/dev/stdout``, a FIFO) is written in place through the name as given;
+    a symlinked target is followed, so the file it names is replaced and
+    the link kept.  A replaced file takes the default mode of a new file.
+    There is no ``fsync``: this guards against a killed process, not
+    against power loss."""
+    name = os.fspath(path)
+    if os.path.exists(name) and not os.path.isfile(name):  # no sibling can stand in for it
+        with open(name, "wb") as f:
+            f.writelines(parts)
+        return
+    target = os.path.realpath(name) if os.path.islink(name) else name
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(parts)
+        os.replace(tmp, target)
+    except BaseException as e:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename is not None:  # name the target, not the sibling
+            raise type(e)(e.errno, e.strerror, name) from None
+        raise
+
+
 def write_container(path: str | Path, magic: bytes, fmt: str, fields: tuple,
                     *payload) -> None:
-    """Write ``magic``, the ``struct``-packed header ``fields``, then each
+    """Publish ``magic``, the ``struct``-packed header ``fields``, then each
     payload part (bytes or a C-contiguous array, written from its own buffer)."""
     try:
         header = struct.pack(fmt, *fields)
     except struct.error as e:
         raise FormatError(f"{path}: header fields {fields} do not fit {fmt!r}: {e}") from None
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(header)
-        for part in payload:
-            f.write(part)
+    publish(path, magic, header, *payload)
 
 
 def read_header(f, path: str | Path, magic: bytes, fmt: str) -> tuple:
@@ -196,16 +231,27 @@ def read_header(f, path: str | Path, magic: bytes, fmt: str) -> tuple:
     return struct.unpack(fmt, head[len(magic):])
 
 
-def check_size(f, path: str | Path, payload_bytes: int) -> None:
-    """Require exactly ``payload_bytes`` after the current position.
+def read_container(path: str | Path, magic: bytes, fmt: str, dtype: str, shape_of,
+                   mapped: bool = False) -> tuple[tuple, np.ndarray, mmap.mmap | None]:
+    """Read a fixed-layout container: ``magic``, the ``fmt`` header, then a
+    ``dtype`` payload of shape ``shape_of(*fields)``.  Returns the header
+    fields, the payload in that shape and the map it views, if ``mapped``
+    (the payload is then a read-only view of a memory map; else it is read
+    with ``np.fromfile`` and the map is None).
 
-    Called before a payload is allocated, so a corrupt header cannot ask for
-    more memory than the file holds.
-    """
-    expected = f.tell() + payload_bytes
-    actual = os.fstat(f.fileno()).st_size
-    if actual != expected:
-        raise TruncatedFileError(f"{path}: contents declare {expected} bytes, file has {actual}")
+    The payload's size must equal the bytes left in the file, checked
+    before anything is allocated or mapped, so a corrupt header cannot ask
+    for more memory than the file holds."""
+    with open(path, "rb") as f:
+        fields = read_header(f, path, magic, fmt)
+        shape = shape_of(*fields)
+        start, count = f.tell(), math.prod(shape)
+        end, size = start + np.dtype(dtype).itemsize * count, os.fstat(f.fileno()).st_size
+        if size != end:
+            raise TruncatedFileError(f"{path}: contents declare {end} bytes, file has {size}")
+        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if mapped else None
+        payload = np.frombuffer(mm, dtype, count, start) if mapped else np.fromfile(f, dtype, count)
+    return fields, payload.reshape(shape), mm
 
 
 class Records:
@@ -241,10 +287,7 @@ def write_grid(path: str | Path, magic: bytes, values: np.ndarray) -> None:
 
 
 def read_grid(path: str | Path, magic: bytes) -> np.ndarray:
-    with open(path, "rb") as f:
-        h, w = read_header(f, path, magic, "<II")
-        check_size(f, path, 4 * h * w)
-        return np.fromfile(f, dtype="<f4", count=h * w).reshape(h, w).view(np.float32)
+    return read_container(path, magic, "<II", "<f4", lambda h, w: (h, w))[1]
 
 
 def write_granule(granule: Granule, path: str | Path) -> None:
@@ -255,25 +298,13 @@ def write_granule(granule: Granule, path: str | Path) -> None:
                     np.ascontiguousarray(granule.data, dtype="<f4"))
 
 
-def _granule_header(f, path) -> tuple[int, int, int]:
-    h, w, c = read_header(f, path, GRANULE_MAGIC, "<III")
-    check_size(f, path, 4 * h * w * c)
-    return h, w, c
-
-
 def read_granule(path: str | Path, use_mmap: bool = False) -> Granule:
     """Read a granule container, either fully loaded or memory-mapped.
 
     Both access modes expose element-wise identical values; the mapped mode
     pages in file regions lazily and returns a read-only array.
     """
-    if use_mmap:
-        g = Granule(open_granule_mmap(path)[0])
-    else:
-        with open(path, "rb") as f:
-            h, w, c = _granule_header(f, path)
-            data = np.fromfile(f, dtype="<f4", count=h * w * c)
-        g = Granule(data.reshape(c, h, w).view(np.float32))
+    g = Granule(read_container(path, *_GRANULE_LAYOUT, mapped=use_mmap)[1])
     g.validate()
     return g
 
@@ -284,11 +315,7 @@ def open_granule_mmap(path: str | Path) -> tuple[np.ndarray, mmap.mmap]:
     The caller may hold the mmap handle to release resident pages
     (``handle.madvise(mmap.MADV_DONTNEED)``) without invalidating the view.
     """
-    with open(path, "rb") as f:
-        h, w, c = _granule_header(f, path)
-        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    arr = np.frombuffer(mm, dtype="<f4", count=h * w * c, offset=GRANULE_HEADER_BYTES)
-    return arr.reshape(c, h, w).view(np.float32), mm
+    return read_container(path, *_GRANULE_LAYOUT, mapped=True)[1:]
 
 
 def write_labels(labels: LabelMap, path: str | Path) -> None:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatasetError, ShapeMismatchError
-from .granule_io import Granule, LabelMap, normalize_label_values, read_grid, write_grid
+from .granule_io import Granule, LabelMap, normalize_label_values, publish, read_grid, write_grid
 from .model3d import EVAL_TILE, ModelParams, admit_granule, predict_scene
 from .patch_index import require_batch_size
 from .training import MetricsReport, compute_metrics
@@ -88,8 +88,7 @@ def write_pgm(dmap: DetectionMap, path: str | Path) -> None:
     lines = [f"P2\n{values.shape[1]} {values.shape[0]}\n255\n"]
     for row in grey:
         lines.append(" ".join(str(v) for v in row) + "\n")
-    with open(path, "w", encoding="ascii") as f:
-        f.writelines(lines)
+    publish(path, "".join(lines).encode("ascii"))
 
 
 @dataclass

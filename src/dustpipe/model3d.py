@@ -989,23 +989,25 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict[str, np.ndarray
     """Rebuild params (validated against the architecture) plus extras.
 
     The ``meta.*`` tensors must be what ``save_checkpoint`` writes for the
-    ``ModelConfig`` they name; otherwise ``FormatError``, naming the first
-    one that differs."""
+    ``ModelConfig`` they name, in shape and values; otherwise
+    ``FormatError``, naming the first one that differs and both shapes."""
     tensors = read_checkpoint_tensors(path)
     try:
-        meta = {k: tensors.pop(k).ravel() for k in _meta(ModelConfig())}
+        meta = {k: tensors.pop(k) for k in _meta(ModelConfig())}
     except KeyError as e:
         raise FormatError(f"{path}: missing architecture metadata {e}") from e
     try:
-        config = ModelConfig(tuple(int(v) for v in meta["meta.filters"]),  # type: ignore[arg-type]
-                             int(meta["meta.in_depth"][0]), int(meta["meta.patch_size"][0]))
+        config = ModelConfig(tuple(map(int, meta["meta.filters"].flat)),  # type: ignore[arg-type]
+                             int(meta["meta.in_depth"].flat[0]),
+                             int(meta["meta.patch_size"].flat[0]))
     except (ValueError, OverflowError, IndexError) as e:
         raise FormatError(f"{path}: architecture metadata: {e}") from None
     for name, want in _meta(config).items():
-        if not np.array_equal(meta[name], want.ravel()):
-            got, want = (", ".join(map(str, a.ravel())) for a in (meta[name], want))
-            raise FormatError(f"{path}: architecture metadata {name} is [{got}], but a "
-                              f"checkpoint of {config} stores [{want}]")
+        if meta[name].shape != want.shape or not np.array_equal(meta[name], want):
+            got, want = (f"[{', '.join(map(str, a.ravel()))}] of shape {a.shape}"
+                         for a in (meta[name], want))
+            raise FormatError(f"{path}: architecture metadata {name} is {got}, but a "
+                              f"checkpoint of {config} stores {want}")
     model_tensors = {}
     for name, shape in param_shapes(config).items():
         if name not in tensors:

@@ -17,7 +17,7 @@ Index container layout (little-endian, framed by ``granule_io``):
 
     b"DIX1" | u32 P | u64 count | count * (u32 f, u32 y, u32 x)
 
-P must be odd.
+P must be odd and at most 2**24 - 1 (``require_odd``).
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from .errors import (
 )
 from .granule_io import (
     DatasetManifest,
-    check_size,
     normalize_label_values,
     open_granule_mmap,
+    read_container,
     read_granule,
-    read_header,
     read_labels,
     write_container,
 )
@@ -73,10 +72,10 @@ class PatchBatch:
 
 
 def require_odd(patch_size: int) -> None:  # the one patch-size rule
-    if patch_size < 1 or patch_size % 2 == 0:
-        raise ValueError(
-            f"patch_size must be odd and >= 1 (center pixel undefined otherwise), got {patch_size}"
-        )
+    # 2**24 - 1 is the largest odd P that float32 ``meta.patch_size`` stores exactly
+    if not 1 <= patch_size <= 2**24 - 1 or patch_size % 2 == 0:
+        raise ValueError(f"patch_size must be odd (center pixel undefined otherwise) and in "
+                         f"[1, {2**24 - 1}], got {patch_size}")
 
 
 def require_batch_size(batch_size: int) -> None:  # the one batch-size rule
@@ -169,15 +168,15 @@ def write_index(index: PatchIndex, path: str | Path) -> None:
 
 
 def read_index(path: str | Path) -> PatchIndex:
-    with open(path, "rb") as f:
-        patch_size, count = read_header(f, path, INDEX_MAGIC, "<IQ")
-        try:
+    def shape_of(patch_size: int, count: int) -> tuple[int, int]:
+        try:  # P's rule is checked before the size
             require_odd(patch_size)
         except ValueError as e:
             raise FormatError(f"{path}: {e}") from None
-        check_size(f, path, 12 * count)
-        data = np.fromfile(f, dtype="<u4", count=3 * count)
-    return PatchIndex(data.astype(np.int64).reshape(-1, 3), patch_size)
+        return count, 3
+
+    (patch_size, _), data, _ = read_container(path, INDEX_MAGIC, "<IQ", "<u4", shape_of)
+    return PatchIndex(data.astype(np.int64), patch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import FormatError
 from .granule_io import (DatasetManifest, Granule, ManifestEntry, normalize_planes,
-                         read_granule, require_seed, write_granule)
+                         publish, read_granule, require_seed, write_granule)
 
 log = logging.getLogger(__name__)
 
@@ -260,6 +259,6 @@ def preprocess_dataset(manifest: DatasetManifest, out_dir: str | Path,
     for f, (entry, target) in enumerate(zip(manifest, out)):
         processed = preprocess_pipeline(read_granule(entry.granule), cfg, folder_index=f)
         write_granule(processed, target.granule)
-        shutil.copyfile(entry.labels, target.labels)
+        publish(target.labels, Path(entry.labels).read_bytes())
     out.save(out_dir / "manifest.json")
     return out

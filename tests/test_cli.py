@@ -137,6 +137,9 @@ class TestFlagTable:
         ("synth", "--count", "0"), ("synth", "--channels", "0"), ("synth", "--height", "4"),
         ("synth", "--width", "3"), ("synth", "--max-plumes", "-1"),
         ("bench memory", "--seed", "-1"), ("bench sampling", "--seed", "-1"),
+        # above 2**24 - 1, which float32 meta.patch_size cannot store exactly
+        ("index build", "--patch-size", "99999999999"), ("train", "--patch-size", "99999999999"),
+        ("index build", "--patch-size", "16777217"),
     ])
     def test_bad_value_refused_first_naming_its_flag(self, tmp_path, capsys,
                                                       command, flag, value):

@@ -1112,6 +1112,22 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"architecture metadata {re.escape(name)} is "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, shape", [
+        ("meta.filters", (1, 3)), ("meta.bn_eps", (1, 1)),
+    ], ids=["filters-rank-2", "eps-rank-2"])
+    def test_metadata_of_another_rank_names_its_tensor_and_both_shapes(self, tmp_path,
+                                                                       name, shape):
+        # the same values, so only the stored rank differs from what save writes
+        path = tmp_path / "m.dck"
+        save_checkpoint(path, init_params(0, TINY))
+        tensors = read_checkpoint_tensors(path)
+        want = tensors[name].shape
+        tensors[name] = tensors[name].reshape(shape)
+        write_checkpoint_tensors(path, tensors)
+        with pytest.raises(FormatError, match=f"architecture metadata {re.escape(name)} is ") as e:
+            load_checkpoint(path)
+        assert f"of shape {shape}" in str(e.value) and f"of shape {want}" in str(e.value)
+
     @pytest.mark.parametrize("name,value", [
         ("meta.filters", np.array([2, 0, 4], dtype=np.float32)),
         ("meta.filters", np.array([2, -3, 4], dtype=np.float32)),

@@ -224,6 +224,15 @@ class TestIndexContainer:
         with pytest.raises(FormatError):
             read_index(path)
 
+    def test_patch_size_bound_is_checked_before_the_size(self, tmp_path):
+        # 2**24 - 1 is the largest odd P that float32 meta.patch_size stores exactly
+        path = tmp_path / "i.dix"
+        write_index(PatchIndex(np.zeros((0, 3), dtype=np.int64), 2**24 - 1), path)
+        assert read_index(path).patch_size == 2**24 - 1
+        path.write_bytes(b"DIX1" + struct.pack("<IQ", 2**24 + 1, 2**40))  # a lying count
+        with pytest.raises(FormatError, match=f"got {2**24 + 1}"):
+            read_index(path)
+
     @pytest.mark.parametrize("patch_size", [0, 4])
     def test_writer_rejects_even_or_zero_patch_size(self, tmp_path, patch_size):
         path = tmp_path / "i.dix"
